@@ -23,8 +23,8 @@
 #include <cstdio>
 #include <future>
 #include <memory>
-#include <thread>
 
+#include "../tests/serve/serve_harness.hpp"
 #include "bench_common.hpp"
 #include "common/stopwatch.hpp"
 #include "core/ensembler.hpp"
@@ -84,6 +84,33 @@ int main() {
     const split::Combiner combiner = [&selector](const std::vector<Tensor>& features) {
         return selector.apply(features);
     };
+    // K in-process shard hosts over contiguous blocks of `width` bodies (so
+    // the slices tile [0, 10)), each a reactor with `workers` compute
+    // threads behind its own loopback listener.
+    const auto serve_shards = [&bodies](std::size_t shard_count, std::size_t width,
+                                        std::size_t workers) {
+        std::vector<std::unique_ptr<serve::harness::ReactorFixture>> hosts;
+        for (std::size_t s = 0; s < shard_count; ++s) {
+            const std::size_t begin = s * width;
+            const std::size_t end = std::min(bodies.size(), begin + width);
+            auto host = std::make_shared<serve::BodyHost>(
+                std::vector<nn::Layer*>(bodies.begin() + begin, bodies.begin() + end));
+            host->set_shard(begin, bodies.size());
+            serve::ReactorConfig config;
+            config.worker_threads = workers;
+            hosts.push_back(
+                std::make_unique<serve::harness::ReactorFixture>(std::move(host), config));
+        }
+        return hosts;
+    };
+    const auto connect_shards =
+        [](const std::vector<std::unique_ptr<serve::harness::ReactorFixture>>& hosts) {
+            std::vector<std::unique_ptr<split::Channel>> channels;
+            for (const auto& host : hosts) {
+                channels.push_back(split::tcp_connect("127.0.0.1", host->port()));
+            }
+            return channels;
+        };
 
     std::printf("| K servers | server s (model) | total s (model) | max per-server bytes "
                 "(measured) | max shard 2^b-1 | min covering coalition | any single server can "
@@ -127,11 +154,10 @@ int main() {
                 "full selection is only covered by a multi-server coalition)\n");
 
     // Measured ShardRouter fan-out over real loopback TCP: K in-process
-    // shard endpoints (contiguous blocks so the slices tile [0, 10)), each
-    // a BodyHost serving one connection on its own thread; the router fans
-    // every request out concurrently and merges in global body order. The
-    // slowest-shard column is the measured straggler the Table III model
-    // charges analytically above.
+    // shard endpoints (serve_shards above); the router fans every request
+    // out concurrently and merges in global body order. The slowest-shard
+    // column is the measured straggler the Table III model charges
+    // analytically above.
     {
         constexpr std::size_t kTotalBodies = 10;
         const data::Batch batch = data::materialize(*scenario.test, 0, 8);
@@ -141,51 +167,10 @@ int main() {
         for (const std::size_t shard_count : {std::size_t{1}, std::size_t{2}, std::size_t{5},
                                               std::size_t{10}}) {
             const std::size_t width = (kTotalBodies + shard_count - 1) / shard_count;
-            std::vector<std::unique_ptr<split::ChannelListener>> listeners;
-            std::vector<std::unique_ptr<serve::BodyHost>> hosts;
-            std::vector<std::thread> serving;
-            // If anything below throws (connect, handshake, a timed-out
-            // request), the serving threads must be unblocked and joined
-            // before their std::thread destructors run — otherwise the
-            // typed error is masked by std::terminate.
-            struct JoinGuard {
-                std::vector<std::unique_ptr<split::ChannelListener>>& listeners;
-                std::vector<std::thread>& threads;
-                ~JoinGuard() {
-                    for (auto& listener : listeners) {
-                        listener->close();
-                    }
-                    for (std::thread& thread : threads) {
-                        if (thread.joinable()) {
-                            thread.join();
-                        }
-                    }
-                }
-            } guard{listeners, serving};
-            for (std::size_t s = 0; s < shard_count; ++s) {
-                const std::size_t begin = s * width;
-                const std::size_t end = std::min(kTotalBodies, begin + width);
-                std::vector<nn::Layer*> shard_bodies(bodies.begin() + begin,
-                                                     bodies.begin() + end);
-                hosts.push_back(std::make_unique<serve::BodyHost>(std::move(shard_bodies)));
-                hosts.back()->set_shard(begin, kTotalBodies);
-                listeners.push_back(std::make_unique<split::ChannelListener>(0));
-                serving.emplace_back(
-                    [host = hosts.back().get(), listener = listeners.back().get()] {
-                        try {
-                            auto channel = listener->accept();
-                            host->serve(*channel);
-                        } catch (...) {
-                            // Endpoint teardown races are the client's story.
-                        }
-                    });
-            }
-            std::vector<std::unique_ptr<split::Channel>> channels;
-            channels.reserve(shard_count);
-            for (const auto& listener : listeners) {
-                channels.push_back(split::tcp_connect("127.0.0.1", listener->port()));
-            }
-            serve::ShardRouter router(std::move(channels), transmit, nullptr,
+            // One compute thread per shard: the lockstep infer() below
+            // never has more than one request in flight.
+            const auto hosts = serve_shards(shard_count, width, /*workers=*/1);
+            serve::ShardRouter router(connect_shards(hosts), transmit, nullptr,
                                       ensembler.client_tail(), selector,
                                       split::WireFormat::f32);
             router.set_recv_timeout(std::chrono::seconds(120));
@@ -200,7 +185,7 @@ int main() {
             }
             std::printf("| %2zu | %8.2f | %8.2f | %8.2f | %zu |\n", shard_count, latency.p50_ms,
                         latency.p99_ms, slowest_p50, width);
-            router.close();  // serve() returns; the guard joins the threads
+            router.close();
         }
         std::printf("\n(fan-out latency should stay roughly flat in K — the shards run "
                     "concurrently — while each shard's downlink share, and with it every "
@@ -229,46 +214,8 @@ int main() {
             double depth1_rps = 0.0;
             for (const std::size_t inflight : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                                std::size_t{8}}) {
-                std::vector<std::unique_ptr<split::ChannelListener>> listeners;
-                std::vector<std::unique_ptr<serve::BodyHost>> hosts;
-                std::vector<std::thread> serving;
-                struct JoinGuard {
-                    std::vector<std::unique_ptr<split::ChannelListener>>& listeners;
-                    std::vector<std::thread>& threads;
-                    ~JoinGuard() {
-                        for (auto& listener : listeners) {
-                            listener->close();
-                        }
-                        for (std::thread& thread : threads) {
-                            if (thread.joinable()) {
-                                thread.join();
-                            }
-                        }
-                    }
-                } guard{listeners, serving};
-                for (std::size_t s = 0; s < shard_count; ++s) {
-                    const std::size_t begin = s * width;
-                    const std::size_t end = std::min(kTotalBodies, begin + width);
-                    std::vector<nn::Layer*> shard_bodies(bodies.begin() + begin,
-                                                         bodies.begin() + end);
-                    hosts.push_back(std::make_unique<serve::BodyHost>(std::move(shard_bodies)));
-                    hosts.back()->set_shard(begin, kTotalBodies);
-                    listeners.push_back(std::make_unique<split::ChannelListener>(0));
-                    serving.emplace_back(
-                        [host = hosts.back().get(), listener = listeners.back().get()] {
-                            try {
-                                auto channel = listener->accept();
-                                host->serve(*channel);
-                            } catch (...) {
-                            }
-                        });
-                }
-                std::vector<std::unique_ptr<split::Channel>> channels;
-                channels.reserve(shard_count);
-                for (const auto& listener : listeners) {
-                    channels.push_back(split::tcp_connect("127.0.0.1", listener->port()));
-                }
-                serve::ShardRouter router(std::move(channels), transmit, nullptr,
+                const auto hosts = serve_shards(shard_count, width, /*workers=*/inflight);
+                serve::ShardRouter router(connect_shards(hosts), transmit, nullptr,
                                           ensembler.client_tail(), selector,
                                           split::WireFormat::f32, std::chrono::seconds(30),
                                           inflight);

@@ -13,17 +13,17 @@
 // machine-readable trajectory CI smoke-checks and future PRs regress
 // against.
 //
-// Both replicas are in-process BodyHosts behind real TCP listeners: the
-// wire, framing and demux costs are genuine; only the process boundary is
-// elided (the fork-level kill path is exercised by
+// Both replicas are in-process reactor hosts behind real TCP listeners:
+// the wire, framing and demux costs are genuine; only the process
+// boundary is elided (the fork-level kill path is exercised by
 // tests/serve/failover_test.cpp, where bit-parity is asserted).
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
+#include "../tests/serve/serve_harness.hpp"
 #include "bench_common.hpp"
 #include "common/stopwatch.hpp"
 #include "core/selector.hpp"
@@ -123,26 +123,19 @@ int main() {
     const std::size_t requests =
         scale == bench::Scale::kTiny ? 64 : (scale == bench::Scale::kSmall ? 256 : 1024);
 
-    // Each replica: a real BodyHost behind a real TCP listener, serving
-    // sequential connections on its own thread. Replica B serves two — its
-    // first stream is the one the fault script kills, its second is the
-    // recovered-phase reconnect.
-    split::ChannelListener listener_a(0);
-    split::ChannelListener listener_b(0);
-    std::thread host_a([&] {
+    // Each replica: a real BodyHost served by a reactor behind a real TCP
+    // listener, one compute thread per window slot. Replica B serves two
+    // connections — its first stream is the one the fault script kills,
+    // its second is the recovered-phase reconnect.
+    serve::ReactorConfig config;
+    config.worker_threads = serve::kDefaultMaxInflight;
+    const auto make_replica = [&config] {
         Parts parts = make_parts(kSeed);
-        serve::BodyHost host(std::move(parts.bodies));
-        auto channel = listener_a.accept();
-        host.serve(*channel);
-    });
-    std::thread host_b([&] {
-        Parts parts = make_parts(kSeed);
-        serve::BodyHost host(std::move(parts.bodies));
-        for (int connection = 0; connection < 2; ++connection) {
-            auto channel = listener_b.accept();
-            host.serve(*channel);
-        }
-    });
+        return serve::harness::ReactorFixture(
+            std::make_shared<serve::BodyHost>(std::move(parts.bodies)), config);
+    };
+    serve::harness::ReactorFixture host_a = make_replica();
+    serve::harness::ReactorFixture host_b = make_replica();
 
     // Round-robin hands replica B every second request, so its k-th send is
     // request 2k + 1: aiming the close_hard at B's share of (warmup +
@@ -161,9 +154,9 @@ int main() {
     }
     std::vector<std::vector<std::unique_ptr<split::Channel>>> groups;
     groups.emplace_back();
-    groups.back().push_back(split::tcp_connect("127.0.0.1", listener_a.port()));
+    groups.back().push_back(split::tcp_connect("127.0.0.1", host_a.port()));
     groups.back().push_back(std::make_unique<split::FaultChannel>(
-        split::tcp_connect("127.0.0.1", listener_b.port()),
+        split::tcp_connect("127.0.0.1", host_b.port()),
         std::vector<split::FaultAction>{die}));
 
     serve::RetryPolicy retry;
@@ -186,7 +179,7 @@ int main() {
     std::vector<PhaseRow> rows;
     rows.push_back(run_phase(router, "steady", input, requests));
     rows.push_back(run_phase(router, "kill", input, requests));
-    router.reconnect_shard(0, split::tcp_connect("127.0.0.1", listener_b.port()));
+    router.reconnect_shard(0, split::tcp_connect("127.0.0.1", host_b.port()));
     rows.push_back(run_phase(router, "recovered", input, requests));
 
     std::printf("| phase | req/s | p50 ms | p99 ms | failovers |\n");
@@ -212,7 +205,5 @@ int main() {
                 "tail — failover is a transient, not a permanent tax)\n");
 
     router.close();
-    host_a.join();
-    host_b.join();
     return 0;
 }

@@ -8,14 +8,14 @@
 // fan-out on ens::ThreadPool), not model quality. Each client thread owns
 // one ClientSession and keeps a few single-image requests outstanding.
 //
-// Section 2 (pipelined remote serving): a BodyHost behind a real loopback
-// TCP listener, a RemoteSession client, and a sweep of the in-flight
-// request window (depth 1 = the old lockstep protocol, one RTT per
-// request; depth 2/4/8 = protocol-v3 pipelining). The geometry here is
-// deliberately SMALL — at the paper's split the wire cost, not the body
-// compute, dominates the regular-user path (§III-D / Table 3), so this is
-// the regime where hiding round trips matters: depth >= 4 should beat
-// depth 1 by >= 2x. Results also land in BENCH_serve.json (machine
+// Section 2 (pipelined remote serving): a BodyHost served by a ReactorHost
+// behind a real loopback TCP listener, a RemoteSession client, and a
+// sweep of the in-flight request window (depth 1 = the old lockstep
+// protocol, one RTT per request; depth 2/4/8 = protocol-v3 pipelining).
+// The geometry here is deliberately SMALL — at the paper's split the wire
+// cost, not the body compute, dominates the regular-user path (§III-D /
+// Table 3), so this is the regime where hiding round trips matters: depth
+// >= 4 should beat depth 1 by >= 2x. Results also land in BENCH_serve.json (machine
 // readable: req/s, p50/p99 per depth) as the perf trajectory future PRs
 // regress against.
 //
@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "../tests/serve/serve_harness.hpp"
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -168,31 +169,13 @@ PipelinedRow run_pipelined(std::size_t inflight, std::size_t requests,
                            std::chrono::microseconds one_way_delay) {
     constexpr std::uint64_t kSeed = 4242;
 
-    // Host side: bodies behind a loopback listener, one connection. The
-    // guard closes the listener and joins the serving thread on EVERY exit
-    // path — a client-side throw must surface as a diagnosable error, not
-    // as std::terminate from a joinable thread's destructor.
-    split::ChannelListener listener(0);
-    std::thread serving([&listener] {
-        try {
-            RemoteParts host_parts = make_remote_parts(kSeed);
-            serve::BodyHost host(std::move(host_parts.bodies));
-            auto channel = listener.accept();
-            host.serve(*channel);
-        } catch (...) {
-            // Teardown races are the client's story.
-        }
-    });
-    struct JoinGuard {
-        split::ChannelListener& listener;
-        std::thread& thread;
-        ~JoinGuard() {
-            listener.close();
-            if (thread.joinable()) {
-                thread.join();
-            }
-        }
-    } guard{listener, serving};
+    // Host side: bodies behind a loopback reactor, one worker per window
+    // slot — the compute parallelism one connection at this depth can use.
+    RemoteParts host_parts = make_remote_parts(kSeed);
+    serve::ReactorConfig config;
+    config.worker_threads = inflight;
+    serve::harness::ReactorFixture host(
+        std::make_shared<serve::BodyHost>(std::move(host_parts.bodies)), config);
 
     PipelinedRow row;
     row.inflight = inflight;
@@ -203,7 +186,7 @@ PipelinedRow run_pipelined(std::size_t inflight, std::size_t requests,
             all[i] = i;
         }
         std::unique_ptr<split::Channel> channel =
-            split::tcp_connect("127.0.0.1", listener.port());
+            split::tcp_connect("127.0.0.1", host.port());
         if (one_way_delay.count() > 0) {
             channel = std::make_unique<LinkDelayChannel>(std::move(channel), one_way_delay);
         }
@@ -236,7 +219,7 @@ PipelinedRow run_pipelined(std::size_t inflight, std::size_t requests,
         row.p99_ms = latency.p99_ms;
         session.close();
     }
-    return row;  // the guard closes the listener and joins the host thread
+    return row;
 }
 
 }  // namespace

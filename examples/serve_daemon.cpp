@@ -16,8 +16,8 @@
 //     present on a server machine. Mutually exclusive with the demo-model
 //     flags below. --optimize runs the graph compiler (nn/compile.hpp:
 //     BN folding, activation fusion, noise baking) over the restored
-//     bodies at boot — and, in reactor mode, over every hot-swapped
-//     generation — for a faster serving path at unchanged wire parity.
+//     bodies at boot — and over every hot-swapped generation — for a
+//     faster serving path at unchanged wire parity.
 //       ./serve_daemon --save-bundle demo_bundle --bodies 4 --seed 2000
 //       ./serve_daemon --port 7070 --bundle demo_bundle --optimize
 //     One shard of a multiparty layout hosts a slice of the bundle:
@@ -44,21 +44,18 @@
 //   ./sharded_client --shards 127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072
 //       --total 6 --select 2 --seed 2000    (one command line)
 //
-// Serving modes:
-//
-//   default: BodyHost::serve_forever, one thread per client connection.
-//     Serves until killed.
-//
-//   --reactor: the event-driven host (serve/reactor.hpp) — one epoll/poll
-//     reactor thread owns every connection, --workers N (default 4) fixed
-//     compute threads serve them all, so connections-held no longer costs
-//     threads. Reactor mode is also the LIFECYCLE-MANAGED mode:
-//       SIGHUP          hot-swaps the bundle named by --swap-bundle (or
-//                       --bundle) in live: existing sessions keep their
-//                       pinned generation, new connections get the new
-//                       one, zero requests dropped.
-//       SIGTERM/SIGINT  graceful shutdown: stop accepting, drain every
-//                       in-flight window, exit 0 — no torn replies.
+// Serving: the event-driven host (serve/reactor.hpp) — one epoll/poll
+// reactor thread owns every connection and --workers N (default 4, at most
+// 1024) fixed compute threads serve them all, so connections held cost no
+// threads. The daemon is lifecycle-managed:
+//   SIGHUP          hot-swaps the bundle named by --swap-bundle (or
+//                   --bundle) in live: existing sessions keep their
+//                   pinned generation, new connections get the new one,
+//                   zero requests dropped.
+//   SIGTERM/SIGINT  graceful shutdown: stop accepting, drain every
+//                   in-flight window, exit 0 — no torn replies.
+// --reactor is accepted and ignored (the reactor is the only server), so
+// existing command lines keep working.
 //
 // --port 0 picks an ephemeral port and prints it, which is how the CI
 // smoke run and the fork tests use it.
@@ -66,6 +63,7 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -81,6 +79,10 @@
 namespace {
 
 using namespace ens;
+
+/// Upper bound on --workers: each worker is an OS thread, and a typo'd
+/// count must fail at the command line, not in the allocator.
+constexpr std::int64_t kMaxWorkers = 1024;
 
 /// Body k of the deployment — the shared demo derivation
 /// (examples/example_client.hpp), so daemon and clients cannot drift.
@@ -180,7 +182,7 @@ int write_demo_bundle(const std::string& dir, const nn::ResNetConfig& arch,
     return 0;
 }
 
-/// Reactor-mode serving loop: runs the event loop on its own thread and
+/// The serving loop: runs the event loop on its own thread and
 /// turns the main thread into the signal loop (SIGHUP = live bundle
 /// swap, SIGTERM/SIGINT = graceful drain). `swap_dir` may be empty (a
 /// demo-mode daemon with nothing on disk to reload).
@@ -238,11 +240,14 @@ int run_reactor(std::unique_ptr<serve::BodyHost> host, split::ChannelListener& l
     return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_daemon(int argc, char** argv) {
     ArgParser args(argc, argv);
-    const auto port = static_cast<std::uint16_t>(args.get_int("port", 7070));
+    const std::int64_t port_flag = args.get_int("port", 7070);
+    if (port_flag < 0 || port_flag > 65535) {
+        std::fprintf(stderr, "--port must be in [0, 65535]\n");
+        return 2;
+    }
+    const auto port = static_cast<std::uint16_t>(port_flag);
     const std::string host = args.get_string("host", "127.0.0.1");
     const std::string bundle_dir = args.get_string("bundle", "");
     const std::string save_bundle_dir = args.get_string("save-bundle", "");
@@ -260,19 +265,15 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    const bool use_reactor = args.has("reactor");
+    (void)args.has("reactor");  // accepted no-op: the reactor is the only server
     const bool optimize = args.has("optimize");
-    const bool has_workers_flag = args.has("workers");
-    const auto workers = static_cast<std::size_t>(args.get_int("workers", 4));
+    const std::int64_t workers = args.get_int("workers", 4);
+    if (workers < 1 || workers > kMaxWorkers) {
+        std::fprintf(stderr, "--workers must be in [1, %lld]\n",
+                     static_cast<long long>(kMaxWorkers));
+        return 2;
+    }
     const std::string swap_bundle_dir = args.get_string("swap-bundle", "");
-    if (!use_reactor && (has_workers_flag || !swap_bundle_dir.empty())) {
-        std::fprintf(stderr, "--workers / --swap-bundle need --reactor\n");
-        return 2;
-    }
-    if (use_reactor && workers == 0) {
-        std::fprintf(stderr, "--workers must be >= 1\n");
-        return 2;
-    }
     if (optimize && bundle_dir.empty()) {
         std::fprintf(stderr, "--optimize needs --bundle (the graph compiler runs at bundle "
                              "boot, and sticks to every hot swap)\n");
@@ -335,12 +336,8 @@ int main(int argc, char** argv) {
         std::printf("no trainer ran in this process, and the bundle's CLIENT.ens (the secret "
                     "selector) was never read. Ctrl-C to stop.\n");
         std::fflush(stdout);
-        if (use_reactor) {
-            return run_reactor(std::move(bodyhost), listener, workers,
-                               swap_bundle_dir.empty() ? bundle_dir : swap_bundle_dir, optimize);
-        }
-        bodyhost->serve_forever(listener);
-        return 0;
+        return run_reactor(std::move(bodyhost), listener, static_cast<std::size_t>(workers),
+                           swap_bundle_dir.empty() ? bundle_dir : swap_bundle_dir, optimize);
     }
 
     const std::string bodies_spec = args.get_string("bodies", "4");
@@ -440,9 +437,18 @@ int main(int argc, char** argv) {
                 "only split-point feature maps do. Ctrl-C to stop.\n");
     std::fflush(stdout);
 
-    if (use_reactor) {
-        return run_reactor(std::move(bodyhost), listener, workers, swap_bundle_dir, false);
+    return run_reactor(std::move(bodyhost), listener, static_cast<std::size_t>(workers),
+                       swap_bundle_dir, false);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    try {
+        return run_daemon(argc, argv);
+    } catch (const std::invalid_argument& e) {
+        // Malformed flag values (--port banana) are usage errors, not crashes.
+        std::fprintf(stderr, "serve_daemon: %s\n", e.what());
+        return 2;
     }
-    bodyhost->serve_forever(listener);
-    return 0;
 }

@@ -243,7 +243,7 @@ void ReactorHost::notify(std::shared_ptr<Conn> conn, std::uint64_t id, bool comp
 void ReactorHost::worker_main() {
     // Each worker owns its reply pool: leases never cross threads, so the
     // pool needs no sharing discipline and hot buffers stay warm per
-    // worker (same layout PR 4 gave the per-connection serve() workers).
+    // worker.
     split::WireBufferPool reply_pool;
     for (;;) {
         WorkItem item;
@@ -270,11 +270,13 @@ void ReactorHost::worker_main() {
                 if (e.code() != ErrorCode::channel_closed) {
                     ENS_LOG(LogLevel::kWarn)
                         << "ReactorHost: request failed, dropping connection: " << e.what();
+                    item.conn->failed.store(true);
                 }
                 item.conn->dead.store(true);
             } catch (const std::exception& e) {
                 ENS_LOG(LogLevel::kWarn)
                     << "ReactorHost: request failed, dropping connection: " << e.what();
+                item.conn->failed.store(true);
                 item.conn->dead.store(true);
             }
         }
@@ -358,7 +360,7 @@ void ReactorHost::conn_readable(const std::shared_ptr<Conn>& conn, Poller& polle
             // Parse as we go: a window-full connection must stop reading
             // even with more bytes pending in the socket.
             if (!parse_and_dispatch(conn, poller)) {
-                teardown(conn, poller);
+                teardown(conn, poller, /*dropped=*/true);
                 return;
             }
             if (conn->paused) {
@@ -368,7 +370,7 @@ void ReactorHost::conn_readable(const std::shared_ptr<Conn>& conn, Poller& polle
         }
         if (n == 0) {
             // Clean EOF: the client is done with this connection.
-            teardown(conn, poller);
+            teardown(conn, poller, /*dropped=*/false);
             return;
         }
         if (errno == EINTR) {
@@ -382,7 +384,7 @@ void ReactorHost::conn_readable(const std::shared_ptr<Conn>& conn, Poller& polle
                 << "ReactorHost: recv failed: " << std::strerror(errno)
                 << ", dropping connection";
         }
-        teardown(conn, poller);
+        teardown(conn, poller, /*dropped=*/true);
         return;
     }
 }
@@ -424,7 +426,7 @@ void ReactorHost::accept_ready(split::ChannelListener& listener, Poller& poller)
     }
 }
 
-void ReactorHost::teardown(const std::shared_ptr<Conn>& conn, Poller& poller) {
+void ReactorHost::teardown(const std::shared_ptr<Conn>& conn, Poller& poller, bool dropped) {
     if (conns_.erase(conn->fd) == 0) {
         return;  // already torn down (e.g. dead notice after a read error)
     }
@@ -435,7 +437,9 @@ void ReactorHost::teardown(const std::shared_ptr<Conn>& conn, Poller& poller) {
     } catch (...) {
     }
     gauges_.connections_held.fetch_sub(1);
-    gauges_.connections_dropped.fetch_add(1);
+    if (dropped) {
+        gauges_.connections_dropped.fetch_add(1);
+    }
     // The Conn object itself (and the fd it reserves) lives until the
     // last queued WorkItem / Notice referencing it is processed.
 }
@@ -457,13 +461,13 @@ void ReactorHost::drain_notices(Poller& poller) {
             continue;  // already gone (or the fd was recycled by a new conn)
         }
         if (notice.conn->dead.load()) {
-            teardown(notice.conn, poller);
+            teardown(notice.conn, poller, notice.conn->failed.load());
             continue;
         }
         // A freed window slot may unblock frames already buffered, and
         // re-arms read interest if the connection was paused.
         if (!parse_and_dispatch(notice.conn, poller)) {
-            teardown(notice.conn, poller);
+            teardown(notice.conn, poller, /*dropped=*/true);
         }
     }
 }
@@ -514,10 +518,10 @@ void ReactorHost::run(split::ChannelListener& listener) {
             if (event.readable) {
                 conn_readable(conn, poller);
             } else if (event.hangup) {
-                // Hangup-only: the peer died while this connection was
+                // Hangup-only: the peer left while this connection was
                 // paused (read interest off). Without this branch a
                 // window-full dead peer would sit in the map forever.
-                teardown(conn, poller);
+                teardown(conn, poller, /*dropped=*/false);
             }
         }
         drain_notices(poller);
@@ -546,7 +550,7 @@ void ReactorHost::run(split::ChannelListener& listener) {
         remaining.push_back(conn);
     }
     for (const std::shared_ptr<Conn>& conn : remaining) {
-        teardown(conn, poller);
+        teardown(conn, poller, /*dropped=*/false);
     }
     {
         const std::lock_guard<std::mutex> lock(work_mutex_);

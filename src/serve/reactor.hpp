@@ -1,9 +1,9 @@
 #pragma once
-// Event-driven serving core: one reactor thread owns EVERY connection fd
-// (epoll on Linux, poll() portable fallback), so connections-held and
-// threads-spawned are finally decoupled — BodyHost::serve_forever costs
-// one OS thread per connection, while a ReactorHost sustains 1024+
-// concurrent pipelined sessions on a FIXED thread budget:
+// Event-driven serving core and the repo's ONLY socket server: one reactor
+// thread owns EVERY connection fd (epoll on Linux, poll() portable
+// fallback), so connections-held and threads-spawned are decoupled — a
+// ReactorHost sustains 1024+ concurrent pipelined sessions on a FIXED
+// thread budget:
 //
 //   reactor thread   accepts (non-blocking, ChannelListener::try_accept),
 //                    sends the v4 handshake, does MSG_DONTWAIT framed
@@ -13,15 +13,13 @@
 //                    connections. Each worker runs
 //                    BodyHost::process_request (decode -> per-body
 //                    forward -> encode into its own WireBufferPool ->
-//                    tagged replies), so the wire bytes are byte-identical
-//                    to serve()'s — the reactor changes WHO runs the
+//                    tagged replies) — the reactor decides WHO runs a
 //                    request, never WHAT it computes.
 //
 // Per-connection windows are enforced by READ INTEREST, not queues: once a
 // connection has max_inflight requests admitted, the reactor stops
 // reading its fd (interest drops to hangup-only) and TCP flow control
-// pushes back on the client — the same backpressure serve() gets from
-// pausing its recv loop, without a blocked thread. The aggregate work
+// pushes back on the client without a blocked thread. The aggregate work
 // queue is therefore bounded by sum-of-windows, never by client behavior.
 //
 // Connection fds stay in BLOCKING mode: the reactor reads with
@@ -125,7 +123,8 @@ private:
         std::vector<std::uint64_t> pending_ids;  // admitted, not completed
         bool paused = false;  // read interest dropped (window full)
         std::atomic<std::uint32_t> inflight{0};
-        std::atomic<bool> dead{false};  // worker saw a failure; tear down
+        std::atomic<bool> dead{false};    // worker saw a failure; tear down
+        std::atomic<bool> failed{false};  // ...and it was an error, not a hangup
     };
 
     struct WorkItem {
@@ -151,7 +150,9 @@ private:
     /// (caller tears the connection down).
     bool parse_and_dispatch(const std::shared_ptr<Conn>& conn, Poller& poller);
     void dispatch(const std::shared_ptr<Conn>& conn, std::uint64_t id, std::string frame);
-    void teardown(const std::shared_ptr<Conn>& conn, Poller& poller);
+    /// Closes and forgets a connection; `dropped` counts it in
+    /// connections_dropped (an error teardown, not a clean close).
+    void teardown(const std::shared_ptr<Conn>& conn, Poller& poller, bool dropped);
     void notify(std::shared_ptr<Conn> conn, std::uint64_t id, bool completed);
     void drain_notices(Poller& poller);
 

@@ -1,13 +1,8 @@
 #include "serve/remote.hpp"
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "common/stopwatch.hpp"
 #include "nn/compile.hpp"
 #include "serve/bundle.hpp"
@@ -113,219 +108,6 @@ void BodyHost::process_request(std::uint64_t request_id, std::string_view payloa
         encode_reply_tag(request_id, static_cast<std::uint32_t>(n), tag);
         out.send_parts(std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
                        lease->view());
-    }
-}
-
-std::size_t BodyHost::connections_accepted() const {
-    const std::lock_guard<std::mutex> lock(accept_mutex_);
-    return accepted_;
-}
-
-void BodyHost::serve(split::Channel& channel) {
-    channel.send(encode_handshake(host_info()));
-
-    // Per-connection pipelined state: the recv loop (this thread) admits up
-    // to max_inflight_ tagged requests at once and hands them to this
-    // connection's worker pool — workers are spawned as the client's
-    // observed depth grows and live until the connection ends, never one
-    // per request. Workers reply with tagged frames as each body finishes;
-    // Channel::send_parts serializes frames, so replies of different
-    // requests interleave at frame granularity without ever corrupting
-    // one.
-    struct Work {
-        std::uint64_t id = 0;
-        std::string frame;  // tagged request; payload at kRequestTagBytes
-    };
-    std::mutex mutex;
-    std::condition_variable work_cv;   // workers: queue non-empty or stop
-    std::condition_variable slot_cv;   // recv loop: in-flight window slot free
-    std::deque<Work> queue;
-    std::unordered_set<std::uint64_t> inflight;
-    std::size_t idle_workers = 0;  // parked in work_cv.wait (guarded by mutex)
-    bool stop = false;
-    bool peer_gone = false;               // clean client disconnect
-    std::exception_ptr failure;           // first worker/protocol failure
-    split::WireBufferPool reply_pool;
-
-    const auto shut_down = [&](std::exception_ptr error, bool disconnect) {
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            // First caller decides the outcome: a worker failure closes the
-            // channel, which surfaces to the OTHER loops as channel_closed
-            // — that echo must not relabel the failure a clean disconnect.
-            if (!stop) {
-                stop = true;
-                if (disconnect) {
-                    peer_gone = true;
-                } else {
-                    failure = error;
-                }
-            }
-        }
-        work_cv.notify_all();
-        slot_cv.notify_all();
-        try {
-            channel.close();  // unblocks the recv loop and any mid-send worker
-        } catch (...) {
-        }
-    };
-
-    const auto worker_main = [&] {
-        for (;;) {
-            Work work;
-            {
-                std::unique_lock<std::mutex> lock(mutex);
-                ++idle_workers;
-                work_cv.wait(lock, [&] { return stop || !queue.empty(); });
-                --idle_workers;
-                if (stop) {
-                    return;  // replies for undrained requests are pointless now
-                }
-                work = std::move(queue.front());
-                queue.pop_front();
-            }
-            try {
-                process_request(work.id, std::string_view(work.frame).substr(kRequestTagBytes),
-                                reply_pool, channel);
-            } catch (const Error& e) {
-                // A client tearing the connection down with replies still in
-                // flight is normal pipelined teardown, not a failure.
-                shut_down(std::current_exception(), e.code() == ErrorCode::channel_closed);
-                return;
-            } catch (...) {
-                shut_down(std::current_exception(), false);
-                return;
-            }
-            {
-                const std::lock_guard<std::mutex> lock(mutex);
-                inflight.erase(work.id);
-            }
-            slot_cv.notify_one();
-        }
-    };
-
-    // Worker threads are spawned LAZILY, up to max_inflight_, as observed
-    // concurrency demands: a lockstep (depth-1) client costs this
-    // connection exactly one worker, while a windowed client grows the
-    // pool until its in-flight depth is covered. Only the recv loop
-    // spawns, so the vector needs no lock of its own.
-    std::vector<std::thread> workers;
-    workers.reserve(max_inflight_);
-
-    // Recv loop. Every exit path drains the worker pool before leaving.
-    for (;;) {
-        std::string frame;
-        try {
-            frame = channel.recv();
-        } catch (const Error& e) {
-            shut_down(std::current_exception(), e.code() == ErrorCode::channel_closed);
-            break;
-        } catch (...) {
-            shut_down(std::current_exception(), false);
-            break;
-        }
-        try {
-            std::string_view payload;
-            const std::uint64_t id = parse_request_frame(frame, payload);
-            bool stopped = false;
-            bool spawn_worker = false;
-            {
-                std::unique_lock<std::mutex> lock(mutex);
-                // Window backpressure against a client overrunning the
-                // advertised max_inflight: stop reading until a slot frees,
-                // so TCP flow control pushes back instead of the queue
-                // growing without bound.
-                slot_cv.wait(lock, [&] { return stop || inflight.size() < max_inflight_; });
-                if (stop) {
-                    stopped = true;
-                } else {
-                    if (!inflight.insert(id).second) {
-                        throw Error(ErrorCode::protocol_error,
-                                    "duplicate in-flight request id " + std::to_string(id) +
-                                        " (hostile or desynchronized client)");
-                    }
-                    queue.push_back(Work{id, std::move(frame)});
-                    spawn_worker =
-                        queue.size() > idle_workers && workers.size() < max_inflight_;
-                }
-            }
-            if (stopped) {
-                break;
-            }
-            if (spawn_worker) {
-                workers.emplace_back(worker_main);
-            }
-            work_cv.notify_one();
-        } catch (...) {
-            shut_down(std::current_exception(), false);
-            break;
-        }
-    }
-
-    for (std::thread& worker : workers) {
-        worker.join();
-    }
-    std::exception_ptr final_failure;
-    bool disconnected = false;
-    {
-        const std::lock_guard<std::mutex> lock(mutex);
-        final_failure = failure;
-        disconnected = peer_gone;
-    }
-    if (final_failure != nullptr && !disconnected) {
-        std::rethrow_exception(final_failure);
-    }
-    // Client done (or a worker saw the disconnect first): normal teardown.
-}
-
-void BodyHost::serve_forever(split::ChannelListener& listener) {
-    struct Connection {
-        std::thread thread;
-        std::shared_ptr<std::atomic<bool>> done;
-    };
-    std::vector<Connection> connections;
-    // A serve-until-killed daemon must not accumulate one zombie thread
-    // per finished connection: reap completed ones at every accept, so the
-    // vector only ever holds live connections plus those finished since
-    // the last accept.
-    const auto reap_finished = [&connections] {
-        std::erase_if(connections, [](Connection& connection) {
-            if (!connection.done->load()) {
-                return false;
-            }
-            connection.thread.join();
-            return true;
-        });
-    };
-    for (;;) {
-        std::unique_ptr<split::TcpChannel> channel;
-        try {
-            channel = listener.accept();
-        } catch (const Error& e) {
-            if (e.code() == ErrorCode::channel_closed) {
-                break;  // listener closed: shut down
-            }
-            throw;
-        }
-        reap_finished();
-        {
-            const std::lock_guard<std::mutex> lock(accept_mutex_);
-            ++accepted_;
-        }
-        auto done = std::make_shared<std::atomic<bool>>(false);
-        std::thread thread([this, ch = std::move(channel), done]() mutable {
-            try {
-                serve(*ch);
-            } catch (const std::exception& e) {
-                // One bad connection must not take the daemon down.
-                ENS_LOG(LogLevel::kWarn) << "BodyHost: connection ended with error: " << e.what();
-            }
-            done->store(true);
-        });
-        connections.push_back(Connection{std::move(thread), std::move(done)});
-    }
-    for (Connection& connection : connections) {
-        connection.thread.join();
     }
 }
 

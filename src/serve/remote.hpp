@@ -3,10 +3,9 @@
 // (RemoteSession) of collaborative inference over a real wire.
 //
 // The paper's deployment puts the N server bodies and the client on
-// DIFFERENT machines; this is that boundary made real. A BodyHost process
-// owns the bodies and speaks the body-serving protocol over any Channel
-// (in production a TcpChannel accepted from a ChannelListener); a
-// RemoteSession in the client process runs the private head/noise/selector/
+// DIFFERENT machines; this is that boundary made real. A host process
+// owns the bodies (BodyHost) and serves them to TCP clients through a
+// ReactorHost; a RemoteSession in the client process runs the private head/noise/selector/
 // tail locally and only ever ships split-point feature maps — the secret
 // selector never crosses the wire, exactly as §III requires.
 //
@@ -24,30 +23,30 @@
 //      tensor; the host replies with body_count tagged feature maps (one
 //      per body, each naming the request id and body index), each encoded
 //      with the SAME wire format as its request. Up to max_inflight
-//      requests ride the connection concurrently: the host's recv loop
-//      dispatches them to a per-connection worker pool and replies
-//      complete in whatever order the bodies finish — tags, not stream
-//      position, carry the correspondence. Per-request bytes are
-//      byte-for-byte what the in-proc sequential CollaborativeSession
-//      would put on its downlink, so pipelined remote inference stays
-//      bit-identical to local (tests/serve asserts this).
-//   3. teardown: the client closes its channel; the host sees
-//      channel_closed, drains its workers and ends that connection's
-//      serve loop.
+//      requests ride the connection concurrently and replies complete in
+//      whatever order the bodies finish — tags, not stream position, carry
+//      the correspondence. Per-request bytes are byte-for-byte what the
+//      in-proc sequential CollaborativeSession would put on its downlink,
+//      so pipelined remote inference stays bit-identical to local
+//      (tests/serve asserts this).
+//   3. teardown: the client closes its channel; the host drops the
+//      connection.
 //
-// BodyHost::serve_forever accepts concurrently (thread per connection) and
-// serializes forwards PER BODY — each layer's forward cache is not
-// thread-safe, but distinct bodies are independent objects — so both
-// concurrent connections and a single connection's in-flight window
-// overlap their compute across different bodies (the body array behaves
-// like a pipeline: request B runs body 0 while request A runs body 1).
+// BodyHost is the deployment, not the server: it holds the bodies, the
+// advertised handshake and the per-request compute (process_request).
+// ReactorHost (serve/reactor.hpp) is the one socket server — it owns every
+// connection and runs process_request on a fixed worker pool. Forwards are
+// serialized PER BODY — each layer's forward cache is not thread-safe, but
+// distinct bodies are independent objects — so concurrent connections and
+// one connection's in-flight window overlap their compute across
+// different bodies (the body array behaves like a pipeline: request B runs
+// body 0 while request A runs body 1).
 
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/selector.hpp"
@@ -58,7 +57,6 @@
 #include "serve/types.hpp"
 #include "split/channel.hpp"
 #include "split/codec.hpp"
-#include "split/tcp_channel.hpp"
 
 namespace ens::split {
 struct SplitModel;
@@ -105,9 +103,10 @@ public:
     /// range.
     void set_shard(std::size_t body_begin, std::size_t total_bodies);
 
-    /// Caps how many requests one connection keeps in flight (also the size
-    /// of that connection's worker pool). Advertised in the handshake; a
-    /// client's effective window is min(its own cap, this). >= 1.
+    /// Caps how many requests one connection keeps in flight. Advertised in
+    /// the handshake; a client's effective window is min(its own cap,
+    /// this). The reactor stops reading a connection whose window is full.
+    /// >= 1.
     void set_max_inflight(std::size_t max_inflight);
     std::size_t max_inflight() const { return max_inflight_; }
 
@@ -137,36 +136,19 @@ public:
     /// forward mutexes.
     const nn::Layer& body(std::size_t k) const { return *bodies_.at(k); }
 
-    /// Serves one connection: handshake, then PIPELINED request handling —
-    /// a recv loop feeding up to max_inflight() worker threads, tagged
-    /// replies interleaving freely — until the peer disconnects (returns)
-    /// or a non-disconnect transport/protocol/model error occurs (throws,
-    /// after draining the workers). Duplicate in-flight request ids and
-    /// untagged (v2 lockstep) frames are typed protocol_errors.
-    void serve(split::Channel& channel);
-
     /// Computes and ships the replies for ONE tagged request: decodes
     /// `payload` (the codec bytes after the request tag), runs every
     /// hosted body (serialized per body via the forward mutexes, so any
     /// number of callers may overlap on distinct bodies), and sends
     /// body_count() tagged reply frames through `out`, each encoded into a
     /// buffer leased from `reply_pool` with the request's own wire format
-    /// mirrored. This is the whole compute path of serve()'s workers,
-    /// exposed so an event-driven host (serve/reactor.hpp) can dispatch
-    /// parsed frames from ANY connection onto a shared bounded worker
-    /// pool. Thread-safe; throws typed ens::Error on decode/transport
+    /// mirrored. This is the whole compute path of a served request: the
+    /// reactor host (serve/reactor.hpp) dispatches parsed frames from ANY
+    /// connection onto its shared bounded worker pool, and each worker
+    /// calls this. Thread-safe; throws typed ens::Error on decode/transport
     /// failure (the caller owns teardown policy).
     void process_request(std::uint64_t request_id, std::string_view payload,
                          split::WireBufferPool& reply_pool, split::Channel& out);
-
-    /// Accept loop: one serve() thread per connection. Blocks until the
-    /// listener is closed (from another thread or a signal handler), then
-    /// joins all connection threads. Per-connection errors are logged and
-    /// end only that connection.
-    void serve_forever(split::ChannelListener& listener);
-
-    /// Connections served to completion plus currently live (for tests).
-    std::size_t connections_accepted() const;
 
 private:
     std::vector<nn::Layer*> bodies_;
@@ -182,8 +164,6 @@ private:
     // distinct bodies may run concurrently — for different connections AND
     // for different in-flight requests of one connection.
     std::vector<std::mutex> forward_mutexes_;
-    mutable std::mutex accept_mutex_;
-    std::size_t accepted_ = 0;
 };
 
 /// Client-side handle on a BodyHost: the remote analogue of ClientSession.
@@ -247,7 +227,7 @@ public:
     /// Combined both-direction traffic (one socket carries up and down).
     split::TrafficStats traffic_stats() const { return pipeline_->channel_traffic(0); }
 
-    /// Disconnects from the host (the host ends this connection's loop).
+    /// Disconnects from the host (the host drops this connection).
     /// Outstanding futures fault typed.
     void close() { pipeline_->close(); }
 

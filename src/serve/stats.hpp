@@ -31,7 +31,10 @@ struct LatencySummary {
 struct GaugeSnapshot {
     std::uint64_t connections_held = 0;   ///< live connections right now
     std::uint64_t connections_total = 0;  ///< accepted since start
-    std::uint64_t connections_dropped = 0;  ///< torn down on error/EOF
+    /// Torn down on an error: protocol error, oversize frame, duplicate
+    /// in-flight id, recv error or worker failure. A clean client close
+    /// and the shutdown drain's final close are not drops.
+    std::uint64_t connections_dropped = 0;
     std::uint64_t active_requests = 0;    ///< admitted, reply not yet sent
     std::uint64_t requests_served = 0;    ///< completed (all body replies sent)
     std::uint64_t swaps_completed = 0;    ///< live bundle hot-swaps applied

@@ -10,8 +10,8 @@
 //     within the retry schedule once a replacement binds its old port.
 //   * Scripted determinism: the same failover path driven by a
 //     split::FaultChannel close_hard at an exact per-direction message
-//     index over in-proc duplex channels — no sockets, no signals, the
-//     identical failure point on every run — including the last-replica
+//     index over loopback connections to in-process reactors — no
+//     signals, the identical failure point on every run — including the last-replica
 //     case (future faults typed naming the replica, submission refused
 //     typed until reconnect).
 //   * Reconnect race: a flapper thread SIGKILLs and manually
@@ -228,7 +228,7 @@ TEST(Failover, KilledReplicaMidWindowFailsOverBitExactAndIsReadmitted) {
 }
 
 // The same failover path with a scripted, index-exact failure — no
-// sockets, no signals, bit-identical schedule on every run. Replica 0 dies
+// signals, bit-identical schedule on every run. Replica 0 dies
 // mid-stream on its SECOND request (client send index 1): the in-flight
 // request replays on replica 1 and completes bit-exact. Replica 1 then
 // dies with no sibling left: that future faults typed naming the replica,
@@ -240,24 +240,14 @@ TEST(Failover, ScriptedReplicaDeathReplaysInFlightAndLastReplicaFaultsTyped) {
     const OracleRun oracle = precompute_oracle(kLocalSeed, kLocalBodies, /*selected=*/1,
                                                selector, /*count=*/6, /*data_seed=*/62);
 
-    // Two in-proc replica hosts of the same full slice, each serving its
-    // duplex end on a thread.
-    auto [client_a, host_a_end] = split::make_inproc_duplex();
-    auto [client_b, host_b_end] = split::make_inproc_duplex();
-    const auto serve_replica = [](std::unique_ptr<split::Channel> end) {
-        return std::thread([end = std::move(end)]() mutable {
-            try {
-                harness::EnsembleParts parts =
-                    harness::make_linear_ensemble(kLocalSeed, kLocalBodies, 1);
-                BodyHost host(std::move(parts.bodies));
-                host.serve(*end);
-            } catch (...) {
-                // Stream death is the client-side story under test.
-            }
-        });
+    // Two in-process replica hosts of the same full slice, each a reactor
+    // on its own loopback listener.
+    const auto make_replica = [] {
+        harness::EnsembleParts parts = harness::make_linear_ensemble(kLocalSeed, kLocalBodies, 1);
+        return harness::ReactorFixture(std::make_shared<BodyHost>(std::move(parts.bodies)));
     };
-    std::thread host_a_thread = serve_replica(std::move(host_a_end));
-    std::thread host_b_thread = serve_replica(std::move(host_b_end));
+    harness::ReactorFixture host_a = make_replica();
+    harness::ReactorFixture host_b = make_replica();
 
     // The handshake is one host->client message; client sends are request
     // frames only, so send index == the k-th request routed through that
@@ -274,9 +264,9 @@ TEST(Failover, ScriptedReplicaDeathReplaysInFlightAndLastReplicaFaultsTyped) {
     std::vector<std::vector<std::unique_ptr<split::Channel>>> groups;
     groups.emplace_back();
     groups.back().push_back(std::make_unique<split::FaultChannel>(
-        std::move(client_a), std::vector<split::FaultAction>{die_a}));
+        split::tcp_connect("127.0.0.1", host_a.port()), std::vector<split::FaultAction>{die_a}));
     groups.back().push_back(std::make_unique<split::FaultChannel>(
-        std::move(client_b), std::vector<split::FaultAction>{die_b}));
+        split::tcp_connect("127.0.0.1", host_b.port()), std::vector<split::FaultAction>{die_b}));
 
     harness::EnsembleParts client_parts =
         harness::make_linear_ensemble(kLocalSeed, kLocalBodies, 1);
@@ -321,8 +311,6 @@ TEST(Failover, ScriptedReplicaDeathReplaysInFlightAndLastReplicaFaultsTyped) {
     }
 
     router.close();
-    host_a_thread.join();
-    host_b_thread.join();
 }
 
 // reconnect_shard() racing concurrent submit(): a flapper thread SIGKILLs

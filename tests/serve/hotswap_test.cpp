@@ -120,7 +120,7 @@ TEST(HotSwap, SighupMidWindowLosesNothingAndRetiresOldGeneration) {
     save_generation(dir_v1, parts_v1, parts_v1, selector);
     save_generation(dir_v2, parts_v1, parts_v2, selector);
 
-    // The daemon: the exact serve_daemon --reactor --swap-bundle layout.
+    // The daemon: the exact serve_daemon --swap-bundle layout.
     // Exit codes: 0 clean, 3 = old generation failed to retire, 4 = the
     // swap itself failed.
     harness::ForkedDaemon daemon([dir_v1, dir_v2](split::ChannelListener& listener) {

@@ -3,19 +3,16 @@
 //     forked shard daemons, real TCP) is BIT-IDENTICAL to the sequential
 //     in-proc CollaborativeSession oracle for f32 and q8 wire — pipelining
 //     reorders work, never bytes;
-//   * the same tagged-frame path runs transport-agnostic over
-//     split::make_inproc_duplex (no sockets, no forks) with the same
-//     bit-parity, via a real BodyHost::serve on a thread;
 //   * completion is genuinely OUT OF ORDER: a host that holds request A and
 //     answers B first resolves B's future while A is still pending, and
 //     each future carries its own request's logits (ids never cross);
-//   * hostile frames fail typed: replies tagged with unknown ids, duplicate
-//     (id, body) replies, and duplicate in-flight request ids at the host
-//     are all ens::Error{protocol_error} — never hangs or silent merges.
+//   * hostile reply frames fail typed: replies tagged with unknown ids and
+//     duplicate (id, body) replies are ens::Error{protocol_error} — never
+//     hangs or silent merges. (The host side — hostile REQUEST frames — is
+//     covered against the reactor in reactor_test.cpp.)
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -135,63 +132,6 @@ TEST(Pipeline, WindowedShardRouterIsBitIdenticalToSequentialOracle) {
     }
     for (std::size_t s = 0; s < kShards; ++s) {
         EXPECT_EQ(daemons[s].wait_exit_code(), 0) << "shard daemon " << s;
-    }
-}
-
-TEST(Pipeline, InProcDuplexRunsTheSamePipelinedProtocol) {
-    // Transport-agnostic: the identical BodyHost::serve + RemoteSession
-    // tagged-frame path over an in-proc duplex — no sockets, no forks —
-    // must be bit-identical to the sequential oracle too.
-    constexpr std::size_t kBodies = 3;
-    constexpr std::uint64_t kSeed = 6200;
-    const core::Selector selector(kBodies, {0, 2});
-    const std::vector<Tensor> inputs = make_inputs(5, 62);
-
-    for (const split::WireFormat wire : {split::WireFormat::f32, split::WireFormat::q8}) {
-        harness::EnsembleParts oracle_parts = harness::make_linear_ensemble(kSeed, kBodies, 2);
-        harness::set_eval(oracle_parts);
-        std::vector<nn::Layer*> oracle_bodies;
-        for (nn::LayerPtr& body : oracle_parts.bodies) {
-            oracle_bodies.push_back(body.get());
-        }
-        split::InProcChannel uplink;
-        split::InProcChannel downlink;
-        split::CollaborativeSession oracle(
-            *oracle_parts.head, oracle_bodies, *oracle_parts.tail,
-            [&selector](const std::vector<Tensor>& features) { return selector.apply(features); },
-            uplink, downlink, wire);
-
-        harness::EnsembleParts host_parts = harness::make_linear_ensemble(kSeed, kBodies, 2);
-        BodyHost host(std::move(host_parts.bodies));
-        auto [client_end, host_end] = split::make_inproc_duplex();
-        std::thread serving([&host, end = std::move(host_end)]() mutable {
-            try {
-                host.serve(*end);
-            } catch (...) {
-                // Teardown races are the client's story.
-            }
-        });
-
-        harness::EnsembleParts client_parts = harness::make_linear_ensemble(kSeed, kBodies, 2);
-        harness::set_eval(client_parts);
-        RemoteSession session(std::move(client_end), *client_parts.head, nullptr,
-                              *client_parts.tail, selector, wire, std::chrono::seconds(30),
-                              /*max_inflight=*/4);
-        session.set_recv_timeout(kRequestTimeout);
-
-        std::vector<std::future<InferenceResult>> futures;
-        for (const Tensor& input : inputs) {
-            futures.push_back(session.submit(input));
-        }
-        for (std::size_t r = 0; r < futures.size(); ++r) {
-            const Tensor expected = oracle.infer(inputs[r]);
-            const InferenceResult result = futures[r].get();
-            ASSERT_EQ(result.logits.shape(), expected.shape());
-            EXPECT_EQ(result.logits.to_vector(), expected.to_vector())
-                << split::wire_format_name(wire) << " request " << r;
-        }
-        session.close();
-        serving.join();
     }
 }
 
@@ -360,87 +300,6 @@ TEST(Pipeline, DuplicateReplyFaultsTyped) {
     }
     session.close();
     host.join();
-}
-
-/// Body layer that parks the first forward until released — lets a test
-/// hold one request in flight at the host deterministically.
-struct GateLayer final : nn::Layer {
-    nn::Layer* inner = nullptr;
-    std::promise<void> entered;
-    std::shared_future<void> release;
-    std::atomic<bool> first{true};
-
-    Tensor forward(const Tensor& input) override {
-        if (first.exchange(false)) {
-            entered.set_value();
-            release.wait();
-        }
-        return inner->forward(input);
-    }
-    Tensor backward(const Tensor&) override { return Tensor{}; }
-    std::string name() const override { return "Gate"; }
-};
-
-TEST(Pipeline, DuplicateInflightRequestIdIsRefusedByHost) {
-    // The host side of the hostile-frame story: two concurrent requests
-    // carrying the SAME id must end the connection with a typed
-    // protocol_error — the reply tags would be ambiguous otherwise.
-    split::SplitModel body_model = harness::make_linear_split(33);
-    body_model.set_training(false);
-
-    GateLayer gate;
-    gate.inner = body_model.body.get();
-    std::promise<void> release;
-    gate.release = release.get_future().share();
-
-    BodyHost host(std::vector<nn::Layer*>{&gate});
-    auto [client_end, host_end] = split::make_inproc_duplex();
-    std::promise<std::exception_ptr> serve_outcome;
-    std::thread serving([&host, end = std::move(host_end), &serve_outcome]() mutable {
-        try {
-            host.serve(*end);
-            serve_outcome.set_value(nullptr);
-        } catch (...) {
-            serve_outcome.set_value(std::current_exception());
-        }
-    });
-
-    // Raw v3 client: handshake, then the same id twice.
-    client_end->set_recv_timeout(std::chrono::seconds(30));
-    (void)decode_handshake(client_end->recv());
-    Rng rng(9);
-    const std::string payload =
-        split::encode_tensor(Tensor::randn(Shape{1, harness::kHidden}, rng));
-    unsigned char tag[kRequestTagBytes];
-    encode_request_tag(7, tag);
-    const std::string_view tag_view(reinterpret_cast<const char*>(tag), sizeof(tag));
-    client_end->send_parts(tag_view, payload);
-    gate.entered.get_future().wait();  // request 7 is now mid-forward
-    client_end->send_parts(tag_view, payload);  // duplicate in-flight id
-
-    // The host refuses by closing the connection — observable here as
-    // channel_closed on the client's next recv. Only THEN release the
-    // gated worker so serve() can drain its pool and surface the error
-    // (the duplicate was necessarily detected while the worker held the
-    // id in flight).
-    try {
-        (void)client_end->recv();
-        FAIL() << "host kept the connection open after a duplicate in-flight id";
-    } catch (const Error& e) {
-        EXPECT_EQ(e.code(), ErrorCode::channel_closed) << e.what();
-    }
-    release.set_value();  // un-park the gated worker
-    std::exception_ptr outcome = serve_outcome.get_future().get();
-    serving.join();
-    ASSERT_NE(outcome, nullptr) << "host accepted a duplicate in-flight request id";
-    try {
-        std::rethrow_exception(outcome);
-    } catch (const Error& e) {
-        EXPECT_EQ(e.code(), ErrorCode::protocol_error) << e.what();
-        EXPECT_NE(std::string(e.what()).find("duplicate in-flight request id"),
-                  std::string::npos)
-            << e.what();
-    }
 }
 
 }  // namespace

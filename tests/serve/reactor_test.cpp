@@ -15,6 +15,10 @@
 //     connections handshake (and bit-match) the new one; the old
 //     generation retires (live_versions shrinks) once its last session
 //     closes.
+//   - Hostile frames: a duplicate in-flight request id, a frame header
+//     past the frame-size bound and a request frame too short for its tag
+//     each close ONLY their own connection (counted in
+//     connections_dropped) while a sibling session stays bit-exact.
 //   - Graceful shutdown: a forked reactor daemon receiving SIGTERM with a
 //     window of requests in flight answers every one of them (no torn
 //     replies), then exits 0.
@@ -25,7 +29,9 @@
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <fstream>
@@ -166,36 +172,7 @@ void expect_parity(RemoteSession& session, std::uint64_t client_seed, std::uint6
     }
 }
 
-/// An in-process reactor with its event loop on a background thread.
-/// shutdown-and-join on destruction, so an ASSERT unwind cannot leak the
-/// loop.
-class ReactorFixture {
-public:
-    explicit ReactorFixture(std::shared_ptr<DeploymentManager> manager, ReactorConfig config)
-        : manager_(std::move(manager)),
-          reactor_(manager_, config),
-          listener_(0),
-          thread_([this] { reactor_.run(listener_); }) {}
-
-    ~ReactorFixture() { stop(); }
-
-    void stop() {
-        if (thread_.joinable()) {
-            reactor_.shutdown();
-            thread_.join();
-        }
-    }
-
-    std::uint16_t port() const { return listener_.port(); }
-    ReactorHost& reactor() { return reactor_; }
-    DeploymentManager& manager() { return *manager_; }
-
-private:
-    std::shared_ptr<DeploymentManager> manager_;
-    ReactorHost reactor_;
-    split::ChannelListener listener_;
-    std::thread thread_;
-};
+using harness::ReactorFixture;
 
 /// Polls `predicate` until true or `timeout` (reactor teardown and gauge
 /// updates are asynchronous to the test thread).
@@ -378,6 +355,119 @@ TEST(ReactorSwap, SwapRefusesAShapeChange) {
     }
     EXPECT_EQ(manager->version(), 1u);
     EXPECT_EQ(manager->swaps_completed(), 0u);
+}
+
+/// Body layer that parks its next forward once armed — lets a test hold
+/// one request in flight at the host deterministically.
+struct GateLayer final : nn::Layer {
+    nn::Layer* inner = nullptr;
+    std::atomic<bool> armed{false};
+    std::promise<void> entered;
+    std::shared_future<void> release;
+
+    Tensor forward(const Tensor& input) override {
+        if (armed.exchange(false)) {
+            entered.set_value();
+            release.wait();
+        }
+        return inner->forward(input);
+    }
+    Tensor backward(const Tensor&) override { return Tensor{}; }
+    std::string name() const override { return "Gate"; }
+};
+
+TEST(ReactorHostile, HostileFramesDropOnlyTheirConnection) {
+    // Body 0 is gated so the duplicate-id case can hold its first request
+    // mid-forward: the duplicate is then necessarily detected while the
+    // id is in flight.
+    harness::EnsembleParts parts = harness::make_linear_ensemble(kSeed, kBodies,
+                                                                 /*num_selected=*/2);
+    harness::set_eval(parts);
+    GateLayer gate;
+    gate.inner = parts.bodies[0].get();
+    std::promise<void> release;
+    gate.release = release.get_future().share();
+    ReactorConfig config;
+    config.worker_threads = 2;
+    config.drain_grace = std::chrono::milliseconds(50);
+    ReactorFixture fixture(std::make_shared<BodyHost>(std::vector<nn::Layer*>{
+                               &gate, parts.bodies[1].get(), parts.bodies[2].get()}),
+                           config);
+
+    ClientHalf client(kSeed);
+    auto sibling = client.connect(fixture.port(), split::WireFormat::f32, /*max_inflight=*/4);
+
+    Rng rng(9);
+    const std::string payload =
+        split::encode_tensor(Tensor::randn(Shape{1, harness::kHidden}, rng));
+    const auto send_request = [&payload](split::TcpChannel& channel, std::uint64_t id) {
+        unsigned char tag[kRequestTagBytes];
+        encode_request_tag(id, tag);
+        channel.send_parts(std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
+                           payload);
+    };
+    struct HostileCase {
+        const char* name;
+        bool gated;  // un-park the gated request once the close is seen
+        std::function<void(split::TcpChannel&)> send;
+    };
+    const std::vector<HostileCase> cases = {
+        {"duplicate in-flight id", true,
+         [&](split::TcpChannel& channel) {
+             gate.armed.store(true);
+             send_request(channel, 7);
+             gate.entered.get_future().wait();  // request 7 is now mid-forward
+             send_request(channel, 7);
+         }},
+        {"oversize frame header", false,
+         [](split::TcpChannel& channel) {
+             // One past the reactor's 1 GiB frame bound, written raw: the
+             // channel's own framing would never emit it.
+             const std::uint64_t size = (std::uint64_t{1} << 30) + 1;
+             unsigned char header[8];
+             for (int i = 0; i < 8; ++i) {
+                 header[i] = static_cast<unsigned char>(size >> (8 * i));
+             }
+             ASSERT_EQ(::send(channel.fd(), header, sizeof(header), MSG_NOSIGNAL),
+                       static_cast<ssize_t>(sizeof(header)));
+         }},
+        {"request frame shorter than its tag", false,
+         [](split::TcpChannel& channel) {
+             channel.send(std::string(kRequestTagBytes - 1, '\0'));
+         }},
+    };
+
+    std::uint64_t hostile = 0;
+    for (const HostileCase& hostile_case : cases) {
+        auto channel = split::tcp_connect("127.0.0.1", fixture.port());
+        channel->set_recv_timeout(std::chrono::seconds(30));
+        (void)decode_handshake(channel->recv());
+        hostile_case.send(*channel);
+        ++hostile;
+        // The host refuses by closing the connection — observable here as
+        // channel_closed on the next recv.
+        try {
+            (void)channel->recv();
+            ADD_FAILURE() << hostile_case.name << ": host kept the connection open";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.code(), ErrorCode::channel_closed) << hostile_case.name << ": "
+                                                           << e.what();
+        }
+        if (hostile_case.gated) {
+            release.set_value();
+        }
+        expect_parity(*sibling, kSeed, kSeed, split::WireFormat::f32, 4, hostile_case.name);
+        EXPECT_TRUE(eventually(
+            [&] { return fixture.reactor().gauges().connections_dropped == hostile; }))
+            << hostile_case.name
+            << ": dropped=" << fixture.reactor().gauges().connections_dropped;
+    }
+
+    // Clean closes are not drops: the sibling's EOF leaves the count alone.
+    sibling->close();
+    fixture.stop();
+    EXPECT_EQ(fixture.reactor().gauges().connections_dropped, hostile);
+    EXPECT_EQ(fixture.reactor().gauges().connections_held, 0u);
 }
 
 TEST(ReactorShutdown, SigtermDrainsInFlightWindowsAndExitsZero) {

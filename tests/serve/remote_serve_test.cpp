@@ -1,12 +1,12 @@
 // Fork-based end-to-end proof that remote serving over TcpChannel is
-// BIT-IDENTICAL to the in-proc sequential oracle: a child process (via the
-// shared serve_harness fixture) hosts the server bodies behind a real
-// listener, the parent drives a RemoteSession across the process boundary,
+// BIT-IDENTICAL to the in-proc sequential oracle: child processes (via the
+// shared serve_harness fixture) host the server bodies behind real
+// listeners, the parent drives a RemoteSession across the process boundary,
 // and every logit must match the CollaborativeSession round trip exactly —
 // for lossless and quantized wire formats, for standard CI (N = 1) and for
 // an N = 3 ensemble whose secret selector never leaves the parent.
 //
-// Fork-safety: the daemon is forked before any tensor work happens in this
+// Fork-safety: the daemons are forked before any tensor work happens in this
 // process, and the harness marks the child fork-safe (inline parallel_for)
 // so inherited thread-pool state cannot deadlock it.
 
@@ -37,26 +37,24 @@ constexpr std::uint64_t kEnsembleSeed = 700;
 constexpr std::chrono::milliseconds kRequestTimeout{120000};
 
 TEST(RemoteServe, ForkedDaemonIsBitIdenticalToInProcOracle) {
-    // Child: host the bodies, serve exactly three connections (single-body
-    // f32, single-body q8, ensemble f32), then exit. All model building
-    // happens post-fork, in the child.
-    harness::ForkedDaemon daemon([](split::ChannelListener& listener) {
-        {
-            BodyHost single = BodyHost::from_split_model(harness::make_linear_split(kSplitSeed));
-            for (int connection = 0; connection < 2; ++connection) {
-                auto channel = listener.accept();
-                single.serve(*channel);
-            }
-        }
-        {
+    // Children: one hosts the single body for two connections (f32, q8),
+    // the other the ensemble for one. All model building happens
+    // post-fork, in the children.
+    harness::ForkedDaemon single_daemon = harness::spawn_body_host(
+        [] {
+            return std::make_unique<BodyHost>(
+                BodyHost::from_split_model(harness::make_linear_split(kSplitSeed)));
+        },
+        /*connections=*/2);
+    harness::ForkedDaemon ensemble_daemon = harness::spawn_body_host(
+        [] {
             harness::EnsembleParts parts =
                 harness::make_linear_ensemble(kEnsembleSeed, kEnsembleBodies, /*num_selected=*/2);
-            BodyHost ensemble(std::move(parts.bodies));
-            auto channel = listener.accept();
-            ensemble.serve(*channel);
-        }
-    });
-    ASSERT_GT(daemon.port(), 0);
+            return std::make_unique<BodyHost>(std::move(parts.bodies));
+        },
+        /*connections=*/1);
+    ASSERT_GT(single_daemon.port(), 0);
+    ASSERT_GT(ensemble_daemon.port(), 0);
 
     // Shared inputs: both the oracle and the remote path see these exact
     // tensors.
@@ -77,7 +75,7 @@ TEST(RemoteServe, ForkedDaemonIsBitIdenticalToInProcOracle) {
 
         split::SplitModel client_model = harness::make_linear_split(kSplitSeed);
         client_model.set_training(false);
-        RemoteSession session(split::tcp_connect("127.0.0.1", daemon.port()),
+        RemoteSession session(split::tcp_connect("127.0.0.1", single_daemon.port()),
                               *client_model.head, nullptr, *client_model.tail,
                               core::Selector(1, {0}), wire);
         session.set_recv_timeout(kRequestTimeout);
@@ -96,7 +94,7 @@ TEST(RemoteServe, ForkedDaemonIsBitIdenticalToInProcOracle) {
         EXPECT_EQ(session.traffic_stats().messages, oracle.uplink_stats().messages);
         EXPECT_EQ(session.traffic_stats().bytes, oracle.uplink_stats().bytes);
         EXPECT_EQ(session.stats().requests(), inputs.size());
-        session.close();  // the daemon moves on to the next connection
+        session.close();
     }
 
     // --- connection 3: N = 3 ensemble, secret P = 2 selector client-side ---
@@ -119,7 +117,7 @@ TEST(RemoteServe, ForkedDaemonIsBitIdenticalToInProcOracle) {
         harness::EnsembleParts client_parts =
             harness::make_linear_ensemble(kEnsembleSeed, kEnsembleBodies, /*num_selected=*/2);
         harness::set_eval(client_parts);
-        RemoteSession session(split::tcp_connect("127.0.0.1", daemon.port()),
+        RemoteSession session(split::tcp_connect("127.0.0.1", ensemble_daemon.port()),
                               *client_parts.head, nullptr, *client_parts.tail, selector,
                               split::WireFormat::f32);
         session.set_recv_timeout(kRequestTimeout);
@@ -135,7 +133,8 @@ TEST(RemoteServe, ForkedDaemonIsBitIdenticalToInProcOracle) {
         session.close();
     }
 
-    EXPECT_EQ(daemon.wait_exit_code(), 0) << "daemon child did not exit cleanly";
+    EXPECT_EQ(single_daemon.wait_exit_code(), 0) << "single-body daemon did not exit cleanly";
+    EXPECT_EQ(ensemble_daemon.wait_exit_code(), 0) << "ensemble daemon did not exit cleanly";
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #pragma once
-// Shared multi-process fixture for the serve tests: forks BodyHost daemon
-// processes behind real TCP listeners, hands the parent their ports, and
-// guarantees cleanup (SIGKILL + reap) even when a gtest ASSERT unwinds the
-// test early. Used by the remote-session, shard-router and shard-failure
-// suites — every test that needs "a body host in another process" goes
-// through ForkedDaemon instead of hand-rolling fork()/pipe()/waitpid().
+// Shared serving fixtures for the serve tests and the serving benches:
+//   - ReactorFixture: an in-process ReactorHost behind a loopback listener,
+//     its event loop on a background thread, drained and joined on
+//     destruction.
+//   - ForkedDaemon / spawn_body_host: a body host in ANOTHER process behind
+//     a real TCP listener (served by a ReactorHost in the child); hands the
+//     parent its port and guarantees cleanup (SIGKILL + reap) even when a
+//     gtest ASSERT unwinds the test early. Every test that needs "a body
+//     host in another process" goes through ForkedDaemon instead of
+//     hand-rolling fork()/pipe()/waitpid().
 //
 // Fork-safety: the child calls ThreadPool::mark_forked_child() FIRST, so a
 // global pool lazily created by an earlier test in the same binary (whose
@@ -25,11 +29,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -42,11 +48,48 @@
 #include "nn/noise.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
+#include "serve/deployment.hpp"
+#include "serve/reactor.hpp"
 #include "serve/remote.hpp"
 #include "split/split_model.hpp"
 #include "split/tcp_channel.hpp"
 
 namespace ens::serve::harness {
+
+/// An in-process reactor on an ephemeral loopback listener, its event loop
+/// on a background thread. shutdown-and-join on destruction, so an ASSERT
+/// unwind (or a bench's throw) cannot leak the loop.
+class ReactorFixture {
+public:
+    explicit ReactorFixture(std::shared_ptr<DeploymentManager> manager, ReactorConfig config = {})
+        : reactor_(std::move(manager), config),
+          listener_(0),
+          thread_([this] { reactor_.run(listener_); }) {}
+
+    /// Serves one fixed generation of `host`.
+    explicit ReactorFixture(std::shared_ptr<BodyHost> host, ReactorConfig config = {})
+        : ReactorFixture(std::make_shared<DeploymentManager>(std::move(host)), config) {}
+
+    ~ReactorFixture() { stop(); }
+
+    ReactorFixture(const ReactorFixture&) = delete;
+    ReactorFixture& operator=(const ReactorFixture&) = delete;
+
+    void stop() {
+        if (thread_.joinable()) {
+            reactor_.shutdown();
+            thread_.join();
+        }
+    }
+
+    std::uint16_t port() const { return listener_.port(); }
+    ReactorHost& reactor() { return reactor_; }
+
+private:
+    ReactorHost reactor_;
+    split::ChannelListener listener_;
+    std::thread thread_;
+};
 
 /// One forked daemon process owning one ChannelListener. The child main
 /// runs entirely in the child (build models there, never before the fork in
@@ -175,18 +218,28 @@ private:
 
 /// Spawns a daemon whose child builds a BodyHost via `make_host` (invoked
 /// in the child; by pointer — BodyHost owns mutexes and cannot move) and
-/// serves `connections` connections sequentially before exiting 0. The
+/// serves it with a ReactorHost until `connections` connections have been
+/// accepted and all of them closed; it then drains and exits 0. The
 /// building block for K-shard deployments: call it K times with per-shard
 /// factories.
 inline ForkedDaemon spawn_body_host(std::function<std::unique_ptr<BodyHost>()> make_host,
                                     int connections, std::uint16_t fixed_port = 0) {
     return ForkedDaemon(
         [make_host = std::move(make_host), connections](split::ChannelListener& listener) {
-            const std::unique_ptr<BodyHost> host = make_host();
-            for (int c = 0; c < connections; ++c) {
-                auto channel = listener.accept();
-                host->serve(*channel);
+            ReactorConfig config;
+            config.drain_grace = std::chrono::milliseconds(20);
+            ReactorHost reactor(std::make_shared<DeploymentManager>(make_host()), config);
+            std::thread loop([&] { reactor.run(listener); });
+            // Accepted first, then closed: a connection bumps
+            // connections_held before connections_total, so once the total
+            // is reached every counted connection is already held.
+            const auto total = static_cast<std::uint64_t>(connections);
+            while (reactor.gauges().connections_total < total ||
+                   reactor.gauges().connections_held != 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
             }
+            reactor.shutdown();
+            loop.join();
         },
         fixed_port);
 }
