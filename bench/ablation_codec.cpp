@@ -21,7 +21,7 @@
 #include "latency/estimator.hpp"
 #include "latency/profiles.hpp"
 #include "split/channel.hpp"
-#include "split/multiparty.hpp"
+#include "split/session.hpp"
 #include "split/split_model.hpp"
 
 namespace {
@@ -29,7 +29,7 @@ namespace {
 using namespace ens;
 
 /// Accuracy of a fit Ensembler when every feature message crosses a
-/// quantized wire (uses the multiparty deployment with one server, which
+/// quantized wire (a collaborative session over in-proc channels, which
 /// moves real encoded messages).
 float wire_accuracy(core::Ensembler& ensembler, const data::Dataset& test_set,
                     split::WireFormat format, std::uint64_t& bytes_out) {
@@ -53,10 +53,10 @@ float wire_accuracy(core::Ensembler& ensembler, const data::Dataset& test_set,
     TransmitLayer transmit;
     transmit.owner = &ensembler;
 
-    split::MultipartyDeployment deployment(transmit, bodies, ensembler.client_tail(),
-                                           selector.indices(), combiner,
-                                           split::ShardPlan::round_robin(bodies.size(), 1),
-                                           format);
+    split::InProcChannel uplink;
+    split::InProcChannel downlink;
+    split::CollaborativeSession session(transmit, bodies, ensembler.client_tail(), combiner,
+                                        uplink, downlink, format);
 
     std::size_t correct = 0;
     std::size_t total = 0;
@@ -64,7 +64,7 @@ float wire_accuracy(core::Ensembler& ensembler, const data::Dataset& test_set,
     for (std::size_t start = 0; start < test_set.size(); start += batch) {
         const std::size_t count = std::min(batch, test_set.size() - start);
         const data::Batch b = data::materialize(test_set, start, count);
-        const Tensor logits = deployment.infer(b.images);
+        const Tensor logits = session.infer(b.images);
         for (std::size_t i = 0; i < count; ++i) {
             std::int64_t arg = 0;
             for (std::int64_t c = 1; c < logits.dim(1); ++c) {
@@ -77,11 +77,7 @@ float wire_accuracy(core::Ensembler& ensembler, const data::Dataset& test_set,
             ++total;
         }
     }
-    std::uint64_t bytes = 0;
-    for (const auto& t : deployment.traffic()) {
-        bytes += t.uplink.bytes + t.downlink.bytes;
-    }
-    bytes_out = bytes;
+    bytes_out = session.uplink_stats().bytes + session.downlink_stats().bytes;
     return static_cast<float>(correct) / static_cast<float>(total);
 }
 

@@ -6,17 +6,17 @@
 // reports, per K,
 //   * the Table III cost model with the shard width as the effective
 //     stream count (the slowest shard gates server time),
-//   * measured per-server wire traffic for one real batched round trip at
-//     bench scale (every message crosses the codec),
 //   * the security ledger: the largest per-server brute-force search
 //     space (2^shard - 1), the minimum coalition that covers the client's
 //     secret selection, and whether any single server can mount even a
 //     Proposition-1 attack (holds >= 1 selected body),
 //   * and a MEASURED serve::ShardRouter fan-out over real loopback TCP:
-//     K BodyHost shard endpoints (contiguous blocks of the 10 bodies),
-//     one socket per shard, concurrent request fan-out + global-order
-//     merge — the wire-level cost of the multiparty deployment as a
-//     function of K, including the per-shard straggler spread.
+//     K in-process shard hosts (ShardPlan::blocks slices of the 10
+//     bodies, the same shard widths as round-robin's), one socket per
+//     shard, concurrent request fan-out + global-order merge — the
+//     wire-level cost of the multiparty deployment as a function of K,
+//     including the per-shard straggler spread and the bytes each shard
+//     link carries.
 
 #include <algorithm>
 #include <chrono>
@@ -35,6 +35,7 @@
 #include "serve/shard_router.hpp"
 #include "split/multiparty.hpp"
 #include "split/split_model.hpp"
+#include "split/tap_channel.hpp"
 #include "split/tcp_channel.hpp"
 
 int main() {
@@ -59,7 +60,7 @@ int main() {
     const auto edge = latency::raspberry_pi_profile();
     const auto link = latency::wired_lan_profile();
 
-    // Small trained ensemble for the measured-traffic column.
+    // Small trained ensemble for the measured shard fan-out.
     bench::Scenario scenario = bench::make_cifar10(bench::Scale::kTiny);
     core::EnsemblerConfig config = bench::ensembler_config(bench::Scale::kTiny, /*p=*/4);
     config.num_networks = 10;
@@ -81,27 +82,13 @@ int main() {
     };
     TransmitLayer transmit;
     transmit.owner = &ensembler;
-    const split::Combiner combiner = [&selector](const std::vector<Tensor>& features) {
-        return selector.apply(features);
-    };
-    // K in-process shard hosts over contiguous blocks of `width` bodies (so
-    // the slices tile [0, 10)), each a reactor with `workers` compute
+    // K in-process shard hosts, one per contiguous ShardPlan::blocks slice
+    // (so the slices tile [0, 10)), each a reactor with `workers` compute
     // threads behind its own loopback listener.
-    const auto serve_shards = [&bodies](std::size_t shard_count, std::size_t width,
-                                        std::size_t workers) {
-        std::vector<std::unique_ptr<serve::harness::ReactorFixture>> hosts;
-        for (std::size_t s = 0; s < shard_count; ++s) {
-            const std::size_t begin = s * width;
-            const std::size_t end = std::min(bodies.size(), begin + width);
-            auto host = std::make_shared<serve::BodyHost>(
-                std::vector<nn::Layer*>(bodies.begin() + begin, bodies.begin() + end));
-            host->set_shard(begin, bodies.size());
-            serve::ReactorConfig config;
-            config.worker_threads = workers;
-            hosts.push_back(
-                std::make_unique<serve::harness::ReactorFixture>(std::move(host), config));
-        }
-        return hosts;
+    const auto serve_shards = [&bodies](const split::ShardPlan& plan, std::size_t workers) {
+        serve::ReactorConfig config;
+        config.worker_threads = workers;
+        return serve::harness::serve_shard_plan(bodies, plan, config);
     };
     const auto connect_shards =
         [](const std::vector<std::unique_ptr<serve::harness::ReactorFixture>>& hosts) {
@@ -112,11 +99,11 @@ int main() {
             return channels;
         };
 
-    std::printf("| K servers | server s (model) | total s (model) | max per-server bytes "
-                "(measured) | max shard 2^b-1 | min covering coalition | any single server can "
-                "attack |\n");
-    bench::print_rule(7);
+    std::printf("| K servers | server s (model) | total s (model) | max shard 2^b-1 | min "
+                "covering coalition | any single server can attack |\n");
+    bench::print_rule(6);
 
+    const std::vector<std::size_t>& selected = selector.indices();
     for (const std::size_t servers : {1u, 2u, 5u, 10u}) {
         // Each server runs its shard concurrently with the others; within a
         // server the shard's bodies share that machine's streams. Model it
@@ -129,62 +116,70 @@ int main() {
             latency::estimate_latency(shard_spec, edge, cloud, link);
 
         const split::ShardPlan plan = split::ShardPlan::round_robin(10, servers);
-        split::MultipartyDeployment deployment(transmit, bodies, ensembler.client_tail(),
-                                               selector.indices(), combiner, plan);
-        const data::Batch batch = data::materialize(*scenario.test, 0, 16);
-        (void)deployment.infer(batch.images);
-
-        std::uint64_t max_bytes = 0;
         std::uint64_t max_subsets = 0;
         bool any_single_attack = false;
         for (std::size_t server = 0; server < servers; ++server) {
-            const auto traffic = deployment.traffic()[server];
-            max_bytes = std::max(max_bytes, traffic.uplink.bytes + traffic.downlink.bytes);
-            max_subsets = std::max(max_subsets, deployment.coalition_subset_count({server}));
-            any_single_attack =
-                any_single_attack || deployment.coalition_holds_selected_body({server});
+            max_subsets = std::max(max_subsets, split::coalition_subset_count(plan, {server}));
+            any_single_attack = any_single_attack ||
+                                split::coalition_holds_selected_body(plan, selected, {server});
         }
-        std::printf("| %2zu | %6.2f | %6.2f | %10llu | %4llu | %zu | %s |\n", servers,
-                    cost.server_s, cost.total_s(), static_cast<unsigned long long>(max_bytes),
-                    static_cast<unsigned long long>(max_subsets),
-                    deployment.min_covering_coalition(), any_single_attack ? "yes" : "no");
+        std::printf("| %2zu | %6.2f | %6.2f | %4llu | %zu | %s |\n", servers, cost.server_s,
+                    cost.total_s(), static_cast<unsigned long long>(max_subsets),
+                    split::min_covering_coalition(plan, selected),
+                    any_single_attack ? "yes" : "no");
     }
     std::printf("\n(expected shape: more servers shrink both the slowest-shard server time and "
-                "every single server's 2^b-1 search space; with P=4 spread round-robin the "
-                "full selection is only covered by a multi-server coalition)\n");
+                "every single server's 2^b-1 search space. Whether one server covers the whole "
+                "P=4 selection depends on where the secret selection lands in the plan: with "
+                "this seed one server holds all of it at K=1 and K=2, and from K=5 it takes a "
+                "4-server coalition. At every K some single server holds at least one selected "
+                "body, which is enough for a Proposition-1 attack on that body.)\n");
 
     // Measured ShardRouter fan-out over real loopback TCP: K in-process
     // shard endpoints (serve_shards above); the router fans every request
     // out concurrently and merges in global body order. The slowest-shard
     // column is the measured straggler the Table III model charges
-    // analytically above.
+    // analytically above. Each shard link runs through a TapChannel, whose
+    // log counts every frame on that link: the handshake plus each
+    // round's tagged request and reply frames.
     {
-        constexpr std::size_t kTotalBodies = 10;
         const data::Batch batch = data::materialize(*scenario.test, 0, 8);
+        const std::size_t rounds = scale == bench::Scale::kFull ? 20 : 6;
         std::printf("\n| K shards | fan-out p50 ms | fan-out p99 ms | slowest shard p50 ms | "
-                    "per-shard downlink maps |\n");
-        bench::print_rule(5);
+                    "per-shard downlink maps | max per-shard bytes (measured, %zu rounds) |\n",
+                    rounds);
+        bench::print_rule(6);
         for (const std::size_t shard_count : {std::size_t{1}, std::size_t{2}, std::size_t{5},
                                               std::size_t{10}}) {
-            const std::size_t width = (kTotalBodies + shard_count - 1) / shard_count;
+            const split::ShardPlan plan = split::ShardPlan::blocks(10, shard_count);
             // One compute thread per shard: the lockstep infer() below
             // never has more than one request in flight.
-            const auto hosts = serve_shards(shard_count, width, /*workers=*/1);
-            serve::ShardRouter router(connect_shards(hosts), transmit, nullptr,
+            const auto hosts = serve_shards(plan, /*workers=*/1);
+            std::vector<std::shared_ptr<split::TapLog>> taps;
+            std::vector<std::unique_ptr<split::Channel>> channels;
+            for (std::unique_ptr<split::Channel>& channel : connect_shards(hosts)) {
+                taps.push_back(std::make_shared<split::TapLog>());
+                channels.push_back(
+                    std::make_unique<split::TapChannel>(std::move(channel), taps.back()));
+            }
+            serve::ShardRouter router(std::move(channels), transmit, nullptr,
                                       ensembler.client_tail(), selector,
                                       split::WireFormat::f32);
             router.set_recv_timeout(std::chrono::seconds(120));
-            const std::size_t rounds = scale == bench::Scale::kFull ? 20 : 6;
             for (std::size_t r = 0; r < rounds; ++r) {
                 (void)router.infer(batch.images);
             }
             const serve::LatencySummary latency = router.stats().latency();
             double slowest_p50 = 0.0;
+            std::uint64_t max_bytes = 0;
             for (std::size_t s = 0; s < shard_count; ++s) {
                 slowest_p50 = std::max(slowest_p50, router.shard_stats(s).latency().p50_ms);
+                max_bytes = std::max(max_bytes, taps[s]->sent_bytes() + taps[s]->received_bytes());
             }
-            std::printf("| %2zu | %8.2f | %8.2f | %8.2f | %zu |\n", shard_count, latency.p50_ms,
-                        latency.p99_ms, slowest_p50, width);
+            std::printf("| %2zu | %8.2f | %8.2f | %8.2f | %zu | %10llu |\n", shard_count,
+                        latency.p50_ms, latency.p99_ms, slowest_p50,
+                        plan.server_bodies.front().size(),
+                        static_cast<unsigned long long>(max_bytes));
             router.close();
         }
         std::printf("\n(fan-out latency should stay roughly flat in K — the shards run "
@@ -199,7 +194,6 @@ int main() {
     // requests/s should grow toward the shard-compute bound instead of the
     // round-trip bound. Rows land in BENCH_multiparty.json.
     {
-        constexpr std::size_t kTotalBodies = 10;
         const data::Batch batch = data::materialize(*scenario.test, 0, 4);
         const std::size_t sweep_requests = scale == bench::Scale::kFull ? 64 : 24;
         std::printf("\n# pipelined fan-out: in-flight window sweep (%zu requests per cell)\n\n",
@@ -210,11 +204,11 @@ int main() {
         trajectory.meta("section", "pipelined_fanout");
         trajectory.meta("requests_per_cell", static_cast<double>(sweep_requests));
         for (const std::size_t shard_count : {std::size_t{2}, std::size_t{5}}) {
-            const std::size_t width = (kTotalBodies + shard_count - 1) / shard_count;
+            const split::ShardPlan plan = split::ShardPlan::blocks(10, shard_count);
             double depth1_rps = 0.0;
             for (const std::size_t inflight : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                                std::size_t{8}}) {
-                const auto hosts = serve_shards(shard_count, width, /*workers=*/inflight);
+                const auto hosts = serve_shards(plan, /*workers=*/inflight);
                 serve::ShardRouter router(connect_shards(hosts), transmit, nullptr,
                                           ensembler.client_tail(), selector,
                                           split::WireFormat::f32, std::chrono::seconds(30),

@@ -74,6 +74,7 @@
 #include "serve/deployment.hpp"
 #include "serve/reactor.hpp"
 #include "serve/remote.hpp"
+#include "split/multiparty.hpp"
 #include "split/tcp_channel.hpp"
 
 namespace {
@@ -125,7 +126,7 @@ bool parse_bodies(const std::string& spec, std::size_t& begin, std::size_t& end)
 /// use in demo mode) and writes it as a bundle. A non-empty
 /// `shard_endpoints` (from --replicas) records the replica topology in the
 /// manifest: the shard plan becomes one contiguous slice per endpoint
-/// group, bodies divided as evenly as possible, and --bundle clients can
+/// group (split::ShardPlan::blocks), and --bundle clients can
 /// then dial the whole replicated deployment with no --shards flag.
 int write_demo_bundle(const std::string& dir, const nn::ResNetConfig& arch,
                       std::uint64_t seed, std::size_t num_bodies, std::size_t num_selected,
@@ -155,11 +156,8 @@ int write_demo_bundle(const std::string& dir, const nn::ResNetConfig& arch,
                          num_bodies);
             return 2;
         }
-        std::size_t next = 0;
-        for (std::size_t s = 0; s < shards; ++s) {
-            const std::size_t count = num_bodies / shards + (s < num_bodies % shards ? 1 : 0);
-            artifacts.shard_plan.push_back(serve::BundleShardSlice{next, count});
-            next += count;
+        for (const auto& slice : split::ShardPlan::blocks(num_bodies, shards).server_bodies) {
+            artifacts.shard_plan.push_back(serve::BundleShardSlice{slice.front(), slice.size()});
         }
         artifacts.shard_endpoints = std::move(shard_endpoints);
     }

@@ -45,140 +45,79 @@ ShardPlan ShardPlan::blocks(std::size_t num_bodies, std::size_t num_servers) {
 
 namespace {
 
-/// Validates that the plan covers bodies 0..n-1 exactly once.
-void validate_plan(const ShardPlan& plan, std::size_t num_bodies) {
-    std::vector<bool> seen(num_bodies, false);
+/// Validates that the plan covers bodies 0..body_count()-1 exactly once.
+/// With body_count() entries in total, no index out of range and no repeat
+/// also means no gap.
+void validate_plan(const ShardPlan& plan) {
+    std::vector<bool> seen(plan.body_count(), false);
     for (const auto& shard : plan.server_bodies) {
         for (const std::size_t body : shard) {
-            ENS_REQUIRE(body < num_bodies, "ShardPlan: body index out of range");
+            ENS_REQUIRE(body < seen.size(), "ShardPlan: body index out of range (gap in the plan)");
             ENS_REQUIRE(!seen[body], "ShardPlan: body assigned to two servers");
             seen[body] = true;
         }
     }
-    ENS_REQUIRE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }),
-                "ShardPlan: some body is not assigned to any server");
+}
+
+void validate_selection(const ShardPlan& plan, const std::vector<std::size_t>& selected) {
+    ENS_REQUIRE(!selected.empty(), "collusion ledger: empty selection");
+    for (const std::size_t index : selected) {
+        ENS_REQUIRE(index < plan.body_count(), "collusion ledger: selected index out of range");
+    }
+}
+
+/// Number of entries of `selected` the coalition holds.
+std::size_t selected_held(const ShardPlan& plan, const std::vector<std::size_t>& selected,
+                          const std::vector<std::size_t>& coalition) {
+    const auto held = coalition_bodies(plan, coalition);
+    validate_selection(plan, selected);
+    return static_cast<std::size_t>(
+        std::count_if(selected.begin(), selected.end(), [&held](std::size_t index) {
+            return std::binary_search(held.begin(), held.end(), index);
+        }));
 }
 
 }  // namespace
 
-MultipartyDeployment::MultipartyDeployment(nn::Layer& client_head, std::vector<nn::Layer*> bodies,
-                                           nn::Layer& client_tail,
-                                           std::vector<std::size_t> selected, Combiner combiner,
-                                           ShardPlan plan, WireFormat wire_format)
-    : client_head_(client_head),
-      bodies_(std::move(bodies)),
-      client_tail_(client_tail),
-      selected_(std::move(selected)),
-      combiner_(std::move(combiner)),
-      plan_(std::move(plan)),
-      wire_format_(wire_format) {
-    ENS_REQUIRE(!bodies_.empty(), "MultipartyDeployment: no bodies");
-    for (const nn::Layer* body : bodies_) {
-        ENS_REQUIRE(body != nullptr, "MultipartyDeployment: null body");
-    }
-    ENS_REQUIRE(combiner_ != nullptr, "MultipartyDeployment: null combiner");
-    ENS_REQUIRE(plan_.body_count() == bodies_.size(),
-                "MultipartyDeployment: plan does not cover the bodies");
-    validate_plan(plan_, bodies_.size());
-    ENS_REQUIRE(!selected_.empty(), "MultipartyDeployment: empty selection");
-    for (const std::size_t index : selected_) {
-        ENS_REQUIRE(index < bodies_.size(), "MultipartyDeployment: selected index out of range");
-    }
-    uplinks_.reserve(plan_.server_count());
-    downlinks_.reserve(plan_.server_count());
-    for (std::size_t server = 0; server < plan_.server_count(); ++server) {
-        uplinks_.push_back(std::make_unique<InProcChannel>());
-        downlinks_.push_back(std::make_unique<InProcChannel>());
-    }
-}
-
-Tensor MultipartyDeployment::infer(const Tensor& images) {
-    // (1) Client: one head pass, then broadcast the features to every
-    // server over its own uplink (each server gets the same message).
-    const Tensor intermediate = client_head_.forward(images);
-    const std::string message = encode_tensor(intermediate, wire_format_);
-    for (auto& uplink : uplinks_) {
-        uplink->send(message);
-    }
-
-    // (2) Each server: decode once, run its shard, return one message per
-    // body it holds.
-    for (std::size_t server = 0; server < plan_.server_count(); ++server) {
-        const Tensor server_input = decode_tensor(uplinks_[server]->recv());
-        for (const std::size_t body : plan_.server_bodies[server]) {
-            downlinks_[server]->send(encode_tensor(bodies_[body]->forward(server_input),
-                                                   wire_format_));
-        }
-    }
-
-    // (3) Client: gather all N maps back into body order, combine with the
-    // secret combiner, finish with the tail.
-    std::vector<Tensor> features(bodies_.size());
-    for (std::size_t server = 0; server < plan_.server_count(); ++server) {
-        for (const std::size_t body : plan_.server_bodies[server]) {
-            features[body] = decode_tensor(downlinks_[server]->recv());
-        }
-    }
-    return client_tail_.forward(combiner_(features));
-}
-
-std::vector<ServerTraffic> MultipartyDeployment::traffic() const {
-    std::vector<ServerTraffic> result(plan_.server_count());
-    for (std::size_t server = 0; server < plan_.server_count(); ++server) {
-        result[server].uplink = uplinks_[server]->stats();
-        result[server].downlink = downlinks_[server]->stats();
-    }
-    return result;
-}
-
-void MultipartyDeployment::reset_traffic() {
-    for (std::size_t server = 0; server < plan_.server_count(); ++server) {
-        uplinks_[server]->reset_stats();
-        downlinks_[server]->reset_stats();
-    }
-}
-
-std::vector<std::size_t> MultipartyDeployment::coalition_bodies(
-    const std::vector<std::size_t>& coalition) const {
+std::vector<std::size_t> coalition_bodies(const ShardPlan& plan,
+                                          const std::vector<std::size_t>& coalition) {
+    validate_plan(plan);
     std::vector<std::size_t> held;
     for (const std::size_t server : coalition) {
-        ENS_REQUIRE(server < plan_.server_count(), "coalition: server index out of range");
-        held.insert(held.end(), plan_.server_bodies[server].begin(),
-                    plan_.server_bodies[server].end());
+        ENS_REQUIRE(server < plan.server_count(), "coalition: server index out of range");
+        held.insert(held.end(), plan.server_bodies[server].begin(),
+                    plan.server_bodies[server].end());
     }
     std::sort(held.begin(), held.end());
     held.erase(std::unique(held.begin(), held.end()), held.end());
     return held;
 }
 
-bool MultipartyDeployment::coalition_holds_selected_body(
-    const std::vector<std::size_t>& coalition) const {
-    const auto held = coalition_bodies(coalition);
-    return std::any_of(selected_.begin(), selected_.end(), [&held](std::size_t index) {
-        return std::binary_search(held.begin(), held.end(), index);
-    });
+bool coalition_holds_selected_body(const ShardPlan& plan, const std::vector<std::size_t>& selected,
+                                   const std::vector<std::size_t>& coalition) {
+    return selected_held(plan, selected, coalition) > 0;
 }
 
-bool MultipartyDeployment::coalition_holds_full_selection(
-    const std::vector<std::size_t>& coalition) const {
-    const auto held = coalition_bodies(coalition);
-    return std::all_of(selected_.begin(), selected_.end(), [&held](std::size_t index) {
-        return std::binary_search(held.begin(), held.end(), index);
-    });
+bool coalition_holds_full_selection(const ShardPlan& plan,
+                                    const std::vector<std::size_t>& selected,
+                                    const std::vector<std::size_t>& coalition) {
+    return selected_held(plan, selected, coalition) == selected.size();
 }
 
-std::uint64_t MultipartyDeployment::coalition_subset_count(
-    const std::vector<std::size_t>& coalition) const {
-    const auto held = coalition_bodies(coalition);
+std::uint64_t coalition_subset_count(const ShardPlan& plan,
+                                     const std::vector<std::size_t>& coalition) {
+    const auto held = coalition_bodies(plan, coalition);
     ENS_REQUIRE(held.size() < 64, "coalition_subset_count: would overflow u64");
     return (std::uint64_t{1} << held.size()) - 1;
 }
 
-std::size_t MultipartyDeployment::min_covering_coalition() const {
+std::size_t min_covering_coalition(const ShardPlan& plan,
+                                   const std::vector<std::size_t>& selected) {
     // Exact set-cover over <= server_count() servers by subset enumeration;
     // server counts are single digits in every deployment we model, so the
     // 2^K scan is exact and instant.
-    const std::size_t k = plan_.server_count();
+    validate_selection(plan, selected);
+    const std::size_t k = plan.server_count();
     ENS_CHECK(k < 32, "min_covering_coalition: too many servers for exact scan");
     std::size_t best = std::numeric_limits<std::size_t>::max();
     for (std::uint32_t mask = 1; mask < (1u << k); ++mask) {
@@ -188,7 +127,7 @@ std::size_t MultipartyDeployment::min_covering_coalition() const {
                 coalition.push_back(server);
             }
         }
-        if (coalition.size() < best && coalition_holds_full_selection(coalition)) {
+        if (coalition.size() < best && coalition_holds_full_selection(plan, selected, coalition)) {
             best = coalition.size();
         }
     }

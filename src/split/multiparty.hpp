@@ -1,5 +1,5 @@
 #pragma once
-// Multi-server ("multiparty") deployment of an ensembled pipeline, §III-D.
+// Multi-server ("multiparty") shard plans and the §III-D collusion ledger.
 //
 // Because each server net M^i_s is independent, the N bodies can be spread
 // across K non-colluding servers. This strengthens the defense in two ways
@@ -11,29 +11,24 @@
 //   * the K shards execute concurrently, so the O(N) server-compute term
 //     of Table III divides by the shard width.
 //
-// The deployment owns one uplink/downlink channel pair per server so the
-// per-server traffic is individually accountable (the latency model charges
-// the slowest shard, not the sum).
+// A ShardPlan says which server holds which bodies; serve::ShardRouter runs
+// the deployment itself (one socket per shard host, each serving a
+// contiguous ShardPlan::blocks slice). The ledger functions below answer
+// the security questions about a plan: what a coalition of servers holds
+// and whether that suffices for an attack on the client's secret
+// selection.
 //
-// This module is selector-agnostic: the client's secret is passed in as the
-// activated body indices plus a combiner over the N returned feature maps
-// (core::Selector::apply fits the Combiner signature directly), keeping the
-// split layer below the core library in the dependency order.
+// This module is selector-agnostic: the secret is passed in as the
+// activated body indices (core::Selector::indices()), keeping the split
+// layer below the core library in the dependency order.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
-
-#include "nn/layer.hpp"
-#include "split/channel.hpp"
-#include "split/codec.hpp"
-#include "split/session.hpp"
 
 namespace ens::split {
 
-/// Assignment of body indices to servers. Every body appears on exactly one
-/// server (validated by MultipartyDeployment).
+/// Assignment of body indices to servers. The ledger functions require
+/// every body 0..body_count()-1 on exactly one server.
 struct ShardPlan {
     std::vector<std::vector<std::size_t>> server_bodies;
 
@@ -47,71 +42,37 @@ struct ShardPlan {
     static ShardPlan blocks(std::size_t num_bodies, std::size_t num_servers);
 };
 
-/// Per-server traffic snapshot after inference rounds.
-struct ServerTraffic {
-    TrafficStats uplink;
-    TrafficStats downlink;
-};
+// --- Collusion ledger (§III-D's security argument) -------------------------
+//
+// `coalition` lists server indices of `plan`; `selected` lists the body
+// indices the client's secret Selector activates (the servers never see
+// it). Every function throws std::invalid_argument when the plan assigns a
+// body twice or leaves a gap, when `selected` is empty or names a body
+// >= plan.body_count(), or when a coalition server index is out of range.
 
-/// Drives one client against K servers, each holding a shard of the N
-/// bodies. Layers are non-owning (caller keeps them alive, in eval mode);
-/// the channels are owned here.
-class MultipartyDeployment {
-public:
-    /// `bodies[i]` is body index i in the plan's numbering. `selected`
-    /// lists the indices the client's secret Selector activates (used only
-    /// by the collusion analysis — the servers never see it). `combiner`
-    /// maps the N returned feature maps (in body order) to the tail input;
-    /// pass the Selector's Eq. 1 application for Ensembler.
-    MultipartyDeployment(nn::Layer& client_head, std::vector<nn::Layer*> bodies,
-                         nn::Layer& client_tail, std::vector<std::size_t> selected,
-                         Combiner combiner, ShardPlan plan,
-                         WireFormat wire_format = WireFormat::f32);
+/// Body indices held by the coalition of servers in `coalition`, sorted.
+std::vector<std::size_t> coalition_bodies(const ShardPlan& plan,
+                                          const std::vector<std::size_t>& coalition);
 
-    /// Full multiparty round trip: broadcast features to every server, run
-    /// each shard, return every body's feature map, combine with the secret
-    /// combiner, run the tail. Returns logits.
-    Tensor infer(const Tensor& images);
+/// True when the coalition holds at least one body the Selector activates
+/// — the precondition for any Proposition-1-style attack.
+bool coalition_holds_selected_body(const ShardPlan& plan, const std::vector<std::size_t>& selected,
+                                   const std::vector<std::size_t>& coalition);
 
-    std::size_t server_count() const { return plan_.server_count(); }
-    const ShardPlan& plan() const { return plan_; }
+/// True when the coalition holds EVERY activated body (it could, in
+/// principle, brute-force its way to the exact deployed pipeline).
+bool coalition_holds_full_selection(const ShardPlan& plan,
+                                    const std::vector<std::size_t>& selected,
+                                    const std::vector<std::size_t>& coalition);
 
-    /// Per-server byte/message counters (index = server).
-    std::vector<ServerTraffic> traffic() const;
-    void reset_traffic();
+/// Number of non-empty subsets of the coalition's bodies — the size of the
+/// shadow-network search space a brute-force MIA from this coalition faces
+/// (2^held - 1, the §III-D cost restricted to a shard).
+std::uint64_t coalition_subset_count(const ShardPlan& plan,
+                                     const std::vector<std::size_t>& coalition);
 
-    // --- Collusion analysis (§III-D's security argument) -----------------
-
-    /// Body indices held by the coalition of servers in `coalition`.
-    std::vector<std::size_t> coalition_bodies(const std::vector<std::size_t>& coalition) const;
-
-    /// True when the coalition holds at least one body the Selector
-    /// activates — the precondition for any Proposition-1-style attack.
-    bool coalition_holds_selected_body(const std::vector<std::size_t>& coalition) const;
-
-    /// True when the coalition holds EVERY activated body (it could, in
-    /// principle, brute-force its way to the exact deployed pipeline).
-    bool coalition_holds_full_selection(const std::vector<std::size_t>& coalition) const;
-
-    /// Number of non-empty subsets of the coalition's bodies — the size of
-    /// the shadow-network search space a brute-force MIA from this
-    /// coalition faces (2^held - 1, the §III-D cost restricted to a shard).
-    std::uint64_t coalition_subset_count(const std::vector<std::size_t>& coalition) const;
-
-    /// Smallest number of servers whose union covers the full selection —
-    /// the minimum coalition that could even attempt an exact-subset attack.
-    std::size_t min_covering_coalition() const;
-
-private:
-    nn::Layer& client_head_;
-    std::vector<nn::Layer*> bodies_;
-    nn::Layer& client_tail_;
-    std::vector<std::size_t> selected_;
-    Combiner combiner_;
-    ShardPlan plan_;
-    WireFormat wire_format_;
-    std::vector<std::unique_ptr<InProcChannel>> uplinks_;
-    std::vector<std::unique_ptr<InProcChannel>> downlinks_;
-};
+/// Smallest number of servers whose union covers the full selection — the
+/// minimum coalition that could even attempt an exact-subset attack.
+std::size_t min_covering_coalition(const ShardPlan& plan, const std::vector<std::size_t>& selected);
 
 }  // namespace ens::split

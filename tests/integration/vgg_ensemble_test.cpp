@@ -3,21 +3,27 @@
 // The paper describes Ensembler on ResNet-18, but nothing in Eq. 1-3
 // depends on residual bodies. This suite wires a P-of-N selective ensemble
 // out of VGG split models by hand — head, N plain-CNN bodies, selector,
-// tail — over the real wire protocol, and runs the MIA decoder machinery
-// against it, proving every piece composes without the ResNet-specific
-// helpers.
+// tail — and serves it sharded over loopback sockets bit-identically to
+// the in-proc session, proving every piece composes without the
+// ResNet-specific helpers.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 
+#include "../serve/serve_harness.hpp"
 #include "core/selector.hpp"
 #include "data/synth_cifar10.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/vgg.hpp"
+#include "serve/shard_router.hpp"
+#include "split/channel.hpp"
 #include "split/multiparty.hpp"
+#include "split/session.hpp"
 #include "split/split_model.hpp"
+#include "split/tcp_channel.hpp"
 
 namespace ens {
 namespace {
@@ -78,24 +84,40 @@ TEST(VggEnsembleIntegration, SelectorConcatFeedsTheTail) {
     EXPECT_EQ(logits.shape(), (Shape{3, 10}));
 }
 
-TEST(VggEnsembleIntegration, MultipartyDeploymentRunsVggBodies) {
+TEST(VggEnsembleIntegration, ShardedVggBodiesMatchInProcOracle) {
+    // blocks(4, 2): S0 = {0, 1}, S1 = {2, 3}; the selection {0, 2} needs
+    // both shards. Each shard is an in-thread reactor on loopback serving
+    // its slice of the same body layers the oracle runs, so the loop below
+    // never runs the router and the oracle at the same time.
     VggEnsemble ensemble(4, 2);
     const core::Selector selector(4, {0, 2});
-    const split::Combiner combiner = [&selector](const std::vector<Tensor>& features) {
-        return selector.apply(features);
-    };
-    split::MultipartyDeployment deployment(*ensemble.head, ensemble.body_views, *ensemble.tail,
-                                           selector.indices(), combiner,
-                                           split::ShardPlan::round_robin(4, 2),
-                                           split::WireFormat::q16);
+    const auto hosts =
+        serve::harness::serve_shard_plan(ensemble.body_views, split::ShardPlan::blocks(4, 2));
+    std::vector<std::unique_ptr<split::Channel>> channels;
+    for (const auto& host : hosts) {
+        channels.push_back(split::tcp_connect("127.0.0.1", host->port()));
+    }
+    serve::ShardRouter router(std::move(channels), *ensemble.head, nullptr, *ensemble.tail,
+                              selector, split::WireFormat::q16);
+    router.set_recv_timeout(std::chrono::seconds(120));
+
+    split::InProcChannel uplink;
+    split::InProcChannel downlink;
+    split::CollaborativeSession oracle(
+        *ensemble.head, ensemble.body_views, *ensemble.tail,
+        [&selector](const std::vector<Tensor>& features) { return selector.apply(features); },
+        uplink, downlink, split::WireFormat::q16);
+
     Rng rng(2);
-    const Tensor logits = deployment.infer(Tensor::randn(Shape{2, 3, 8, 8}, rng));
-    EXPECT_EQ(logits.shape(), (Shape{2, 10}));
-    // Both servers saw traffic; neither holds both selected bodies
-    // (round-robin: S0={0,2}, S1={1,3} -> S0 holds both; blocks: S0={0,1}).
-    const auto traffic = deployment.traffic();
-    EXPECT_GT(traffic[0].downlink.bytes, 0u);
-    EXPECT_GT(traffic[1].downlink.bytes, 0u);
+    for (const std::int64_t batch : {2, 1}) {
+        const Tensor x = Tensor::randn(Shape{batch, 3, 8, 8}, rng);
+        const Tensor routed = router.infer(x).logits;
+        const Tensor expected = oracle.infer(x);
+        ASSERT_EQ(routed.shape(), (Shape{batch, 10}));
+        // to_vector equality is bitwise for float payloads.
+        EXPECT_EQ(routed.to_vector(), expected.to_vector()) << "batch " << batch;
+    }
+    router.close();
 }
 
 TEST(VggEnsembleIntegration, GradientsFlowThroughSelectedVggBodies) {

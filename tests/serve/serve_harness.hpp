@@ -2,7 +2,7 @@
 // Shared serving fixtures for the serve tests and the serving benches:
 //   - ReactorFixture: an in-process ReactorHost behind a loopback listener,
 //     its event loop on a background thread, drained and joined on
-//     destruction.
+//     destruction; serve_shard_plan starts one per shard of a ShardPlan.
 //   - ForkedDaemon / spawn_body_host: a body host in ANOTHER process behind
 //     a real TCP listener (served by a ReactorHost in the child); hands the
 //     parent its port and guarantees cleanup (SIGKILL + reap) even when a
@@ -51,6 +51,7 @@
 #include "serve/deployment.hpp"
 #include "serve/reactor.hpp"
 #include "serve/remote.hpp"
+#include "split/multiparty.hpp"
 #include "split/split_model.hpp"
 #include "split/tcp_channel.hpp"
 
@@ -90,6 +91,25 @@ private:
     split::ChannelListener listener_;
     std::thread thread_;
 };
+
+/// One reactor per shard of `plan` (contiguous slices, as
+/// ShardPlan::blocks makes), each hosting its slice of `bodies` — the
+/// deployment's non-owned, eval-mode bodies in global order.
+inline std::vector<std::unique_ptr<ReactorFixture>> serve_shard_plan(
+    const std::vector<nn::Layer*>& bodies, const split::ShardPlan& plan,
+    ReactorConfig config = {}) {
+    std::vector<std::unique_ptr<ReactorFixture>> hosts;
+    for (const std::vector<std::size_t>& shard : plan.server_bodies) {
+        std::vector<nn::Layer*> held;
+        for (const std::size_t body : shard) {
+            held.push_back(bodies[body]);
+        }
+        auto host = std::make_shared<BodyHost>(std::move(held));
+        host->set_shard(shard.front(), bodies.size());
+        hosts.push_back(std::make_unique<ReactorFixture>(std::move(host), config));
+    }
+    return hosts;
+}
 
 /// One forked daemon process owning one ChannelListener. The child main
 /// runs entirely in the child (build models there, never before the fork in

@@ -22,6 +22,7 @@
 #include "serve_harness.hpp"
 #include "split/channel.hpp"
 #include "split/session.hpp"
+#include "split/tap_channel.hpp"
 #include "split/tcp_channel.hpp"
 
 namespace ens::serve {
@@ -63,6 +64,7 @@ TEST(ShardRouter, ThreeShardDeploymentIsBitIdenticalToInProcOracle) {
                                         Tensor::randn(Shape{1, harness::kIn}, data_rng),
                                         Tensor::randn(Shape{3, harness::kIn}, data_rng)};
 
+    std::vector<std::uint64_t> f32_shard_bytes;
     for (const split::WireFormat wire : {split::WireFormat::f32, split::WireFormat::q8}) {
         // In-proc sequential oracle over the SAME deployment.
         harness::EnsembleParts oracle_parts =
@@ -80,13 +82,17 @@ TEST(ShardRouter, ThreeShardDeploymentIsBitIdenticalToInProcOracle) {
             uplink, downlink, wire);
 
         // Router client: private head/tail/selector, one channel per shard,
-        // deliberately connected in the order 1, 0, 2.
+        // deliberately connected in the order 1, 0, 2. Each channel runs
+        // through a wiretap so the frames each shard returns can be counted.
         harness::EnsembleParts client_parts =
             harness::make_linear_ensemble(kSeed, kBodies, kSelected);
         harness::set_eval(client_parts);
         std::vector<std::unique_ptr<split::Channel>> channels;
+        std::vector<std::shared_ptr<split::TapLog>> taps;
         for (const std::size_t s : {1u, 0u, 2u}) {
-            channels.push_back(split::tcp_connect("127.0.0.1", daemons[s].port()));
+            taps.push_back(std::make_shared<split::TapLog>());
+            channels.push_back(std::make_unique<split::TapChannel>(
+                split::tcp_connect("127.0.0.1", daemons[s].port()), taps.back()));
         }
         ShardRouter router(std::move(channels), *client_parts.head, nullptr,
                            *client_parts.tail, selector, wire);
@@ -122,6 +128,14 @@ TEST(ShardRouter, ThreeShardDeploymentIsBitIdenticalToInProcOracle) {
                 << "shard " << s;
             EXPECT_EQ(router.shard_traffic(s).bytes, oracle.uplink_stats().bytes)
                 << "shard " << s;
+            // Downlink: the handshake, then one reply frame per held body
+            // per request.
+            EXPECT_EQ(taps[s]->received_count(), 1 + inputs.size() * kPerShard) << "shard " << s;
+            if (wire == split::WireFormat::f32) {
+                f32_shard_bytes.push_back(router.shard_traffic(s).bytes);
+            } else {
+                EXPECT_LT(router.shard_traffic(s).bytes, f32_shard_bytes[s]) << "shard " << s;
+            }
         }
         router.close();  // each daemon moves on to its next connection
     }

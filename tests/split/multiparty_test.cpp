@@ -1,12 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <stdexcept>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "core/selector.hpp"
-#include "nn/linear.hpp"
-#include "nn/sequential.hpp"
 #include "split/multiparty.hpp"
 
 namespace ens::split {
@@ -55,188 +51,73 @@ TEST(ShardPlan, RejectsMoreServersThanBodies) {
     EXPECT_THROW(ShardPlan::blocks(0, 1), std::invalid_argument);
 }
 
-// ------------------------------------------------------ MultipartyDeployment
-
-/// Tiny linear pipeline: head [2->3], N linear bodies [3->2], tail [2P->2].
-struct Fixture {
-    Rng rng{7};
-    nn::Sequential head;
-    std::vector<std::unique_ptr<nn::Sequential>> bodies;
-    nn::Sequential tail;
-    std::vector<nn::Layer*> body_views;
-
-    explicit Fixture(std::size_t n, std::size_t p) {
-        head.emplace<nn::Linear>(2, 3, rng);
-        for (std::size_t i = 0; i < n; ++i) {
-            auto body = std::make_unique<nn::Sequential>();
-            body->emplace<nn::Linear>(3, 2, rng);
-            body_views.push_back(body.get());
-            bodies.push_back(std::move(body));
-        }
-        tail.emplace<nn::Linear>(static_cast<std::int64_t>(2 * p), 2, rng);
-        head.set_training(false);
-        tail.set_training(false);
-        for (auto& body : bodies) {
-            body->set_training(false);
-        }
-    }
-};
-
-core::Selector make_selector(std::size_t n, std::vector<std::size_t> indices) {
-    return core::Selector(n, std::move(indices));
-}
-
-TEST(Multiparty, MatchesSingleServerInference) {
-    Fixture fx(6, 2);
-    const core::Selector selector = make_selector(6, {1, 4});
-    const Combiner combiner = [&selector](const std::vector<Tensor>& features) {
-        return selector.apply(features);
-    };
-
-    Rng rng(99);
-    const Tensor x = Tensor::randn(Shape{3, 2}, rng);
-
-    MultipartyDeployment one_server(fx.head, fx.body_views, fx.tail, selector.indices(), combiner,
-                                    ShardPlan::round_robin(6, 1));
-    MultipartyDeployment three_servers(fx.head, fx.body_views, fx.tail, selector.indices(),
-                                       combiner, ShardPlan::round_robin(6, 3));
-    const Tensor y1 = one_server.infer(x);
-    const Tensor y3 = three_servers.infer(x);
-    ASSERT_EQ(y1.shape(), y3.shape());
-    const auto v1 = y1.to_vector();
-    const auto v3 = y3.to_vector();
-    for (std::size_t i = 0; i < v1.size(); ++i) {
-        EXPECT_FLOAT_EQ(v1[i], v3[i]) << "logit " << i;
-    }
-}
-
-TEST(Multiparty, PerServerTrafficMatchesShardWidth) {
-    Fixture fx(6, 2);
-    const core::Selector selector = make_selector(6, {0, 5});
-    const Combiner combiner = [&selector](const std::vector<Tensor>& f) {
-        return selector.apply(f);
-    };
-    MultipartyDeployment deployment(fx.head, fx.body_views, fx.tail, selector.indices(), combiner,
-                                    ShardPlan::blocks(6, 2));
-    Rng rng(3);
-    (void)deployment.infer(Tensor::randn(Shape{2, 2}, rng));
-    const auto traffic = deployment.traffic();
-    ASSERT_EQ(traffic.size(), 2u);
-    // Uplink: each server receives the one broadcast feature message.
-    EXPECT_EQ(traffic[0].uplink.messages, 1u);
-    EXPECT_EQ(traffic[1].uplink.messages, 1u);
-    EXPECT_EQ(traffic[0].uplink.bytes, traffic[1].uplink.bytes);
-    // Downlink: one message per body held.
-    EXPECT_EQ(traffic[0].downlink.messages, 3u);
-    EXPECT_EQ(traffic[1].downlink.messages, 3u);
-
-    deployment.reset_traffic();
-    for (const auto& t : deployment.traffic()) {
-        EXPECT_EQ(t.uplink.messages + t.downlink.messages, 0u);
-    }
-}
-
-TEST(Multiparty, QuantizedWireShrinksTraffic) {
-    Fixture fx_f32(4, 2);
-    Fixture fx_q8(4, 2);
-    const core::Selector selector = make_selector(4, {0, 2});
-    const Combiner combiner = [&selector](const std::vector<Tensor>& f) {
-        return selector.apply(f);
-    };
-    MultipartyDeployment wide(fx_f32.head, fx_f32.body_views, fx_f32.tail, selector.indices(),
-                              combiner, ShardPlan::round_robin(4, 2), WireFormat::f32);
-    MultipartyDeployment narrow(fx_q8.head, fx_q8.body_views, fx_q8.tail, selector.indices(),
-                                combiner, ShardPlan::round_robin(4, 2), WireFormat::q8);
-    Rng rng(5);
-    const Tensor x = Tensor::randn(Shape{4, 2}, rng);
-    (void)wide.infer(x);
-    (void)narrow.infer(x);
-    EXPECT_LT(narrow.traffic()[0].uplink.bytes, wide.traffic()[0].uplink.bytes);
-    EXPECT_LT(narrow.traffic()[0].downlink.bytes, wide.traffic()[0].downlink.bytes);
-}
-
-TEST(Multiparty, RejectsBadConstruction) {
-    Fixture fx(4, 2);
-    const core::Selector selector = make_selector(4, {0, 2});
-    const Combiner combiner = [&selector](const std::vector<Tensor>& f) {
-        return selector.apply(f);
-    };
-    // Plan covering the wrong number of bodies.
-    EXPECT_THROW(MultipartyDeployment(fx.head, fx.body_views, fx.tail, selector.indices(),
-                                      combiner, ShardPlan::round_robin(3, 1)),
-                 std::invalid_argument);
-    // Selected index out of range.
-    EXPECT_THROW(MultipartyDeployment(fx.head, fx.body_views, fx.tail, {9}, combiner,
-                                      ShardPlan::round_robin(4, 2)),
-                 std::invalid_argument);
-    // Duplicate assignment.
-    ShardPlan bad;
-    bad.server_bodies = {{0, 1}, {1, 2, 3}};
-    EXPECT_THROW(MultipartyDeployment(fx.head, fx.body_views, fx.tail, selector.indices(),
-                                      combiner, bad),
-                 std::invalid_argument);
-}
-
 // ------------------------------------------------------- collusion analysis
 
-struct CollusionFixture : Fixture {
-    // N=6 bodies over 3 servers in blocks: S0={0,1}, S1={2,3}, S2={4,5};
-    // secret selection {1, 4} spans S0 and S2.
-    core::Selector selector = make_selector(6, {1, 4});
-    Combiner combiner = [this](const std::vector<Tensor>& f) { return selector.apply(f); };
-    MultipartyDeployment deployment;
-
-    CollusionFixture()
-        : Fixture(6, 2),
-          deployment(head, body_views, tail, selector.indices(), combiner,
-                     ShardPlan::blocks(6, 3)) {}
-};
+// N=6 bodies over 3 servers in blocks: S0={0,1}, S1={2,3}, S2={4,5}; the
+// secret selection {1, 4} spans S0 and S2.
+const ShardPlan kBlocks = ShardPlan::blocks(6, 3);
+const std::vector<std::size_t> kSelected = {1, 4};
 
 TEST(MultipartyCollusion, SingleServerSeesOnlyItsShard) {
-    CollusionFixture fx;
-    EXPECT_EQ(fx.deployment.coalition_bodies({1}), (std::vector<std::size_t>{2, 3}));
+    EXPECT_EQ(coalition_bodies(kBlocks, {1}), (std::vector<std::size_t>{2, 3}));
 }
 
 TEST(MultipartyCollusion, SelectedBodyDetection) {
-    CollusionFixture fx;
-    EXPECT_TRUE(fx.deployment.coalition_holds_selected_body({0}));   // holds body 1
-    EXPECT_FALSE(fx.deployment.coalition_holds_selected_body({1}));  // holds 2,3 only
-    EXPECT_TRUE(fx.deployment.coalition_holds_selected_body({2}));   // holds body 4
+    EXPECT_TRUE(coalition_holds_selected_body(kBlocks, kSelected, {0}));   // holds body 1
+    EXPECT_FALSE(coalition_holds_selected_body(kBlocks, kSelected, {1}));  // holds 2,3 only
+    EXPECT_TRUE(coalition_holds_selected_body(kBlocks, kSelected, {2}));   // holds body 4
 }
 
 TEST(MultipartyCollusion, FullSelectionNeedsBothCoveringServers) {
-    CollusionFixture fx;
-    EXPECT_FALSE(fx.deployment.coalition_holds_full_selection({0}));
-    EXPECT_FALSE(fx.deployment.coalition_holds_full_selection({2}));
-    EXPECT_TRUE(fx.deployment.coalition_holds_full_selection({0, 2}));
-    EXPECT_TRUE(fx.deployment.coalition_holds_full_selection({0, 1, 2}));
+    EXPECT_FALSE(coalition_holds_full_selection(kBlocks, kSelected, {0}));
+    EXPECT_FALSE(coalition_holds_full_selection(kBlocks, kSelected, {2}));
+    EXPECT_TRUE(coalition_holds_full_selection(kBlocks, kSelected, {0, 2}));
+    EXPECT_TRUE(coalition_holds_full_selection(kBlocks, kSelected, {0, 1, 2}));
 }
 
 TEST(MultipartyCollusion, SubsetSearchSpaceShrinksPerShard) {
-    CollusionFixture fx;
     // One server: 2 bodies -> 3 candidate subsets; the full deployment
     // would face 2^6 - 1 = 63.
-    EXPECT_EQ(fx.deployment.coalition_subset_count({0}), 3u);
-    EXPECT_EQ(fx.deployment.coalition_subset_count({0, 1}), 15u);
-    EXPECT_EQ(fx.deployment.coalition_subset_count({0, 1, 2}), 63u);
+    EXPECT_EQ(coalition_subset_count(kBlocks, {0}), 3u);
+    EXPECT_EQ(coalition_subset_count(kBlocks, {0, 1}), 15u);
+    EXPECT_EQ(coalition_subset_count(kBlocks, {0, 1, 2}), 63u);
 }
 
 TEST(MultipartyCollusion, MinCoveringCoalitionIsTwo) {
-    CollusionFixture fx;
-    EXPECT_EQ(fx.deployment.min_covering_coalition(), 2u);
+    EXPECT_EQ(min_covering_coalition(kBlocks, kSelected), 2u);
 }
 
 TEST(MultipartyCollusion, SingleServerCoversSelectionWhenColocated) {
-    Fixture fx(6, 2);
-    const core::Selector selector = make_selector(6, {0, 1});
-    const Combiner combiner = [&selector](const std::vector<Tensor>& f) {
-        return selector.apply(f);
-    };
     // Blocks of 2: both selected bodies land on server 0.
-    MultipartyDeployment deployment(fx.head, fx.body_views, fx.tail, selector.indices(), combiner,
-                                    ShardPlan::blocks(6, 3));
-    EXPECT_EQ(deployment.min_covering_coalition(), 1u);
-    EXPECT_TRUE(deployment.coalition_holds_full_selection({0}));
+    const std::vector<std::size_t> colocated = {0, 1};
+    EXPECT_EQ(min_covering_coalition(kBlocks, colocated), 1u);
+    EXPECT_TRUE(coalition_holds_full_selection(kBlocks, colocated, {0}));
+}
+
+TEST(MultipartyCollusion, RejectsBadPlanSelectionAndCoalition) {
+    // Selected index beyond the plan's bodies (a 3-body plan asked about
+    // body 3, and a 4-body plan about body 9).
+    EXPECT_THROW(min_covering_coalition(ShardPlan::round_robin(3, 1), {3}),
+                 std::invalid_argument);
+    EXPECT_THROW(coalition_holds_selected_body(ShardPlan::round_robin(4, 2), {9}, {0}),
+                 std::invalid_argument);
+    // Empty selection.
+    EXPECT_THROW(min_covering_coalition(kBlocks, {}), std::invalid_argument);
+    EXPECT_THROW(coalition_holds_full_selection(kBlocks, {}, {0}), std::invalid_argument);
+    // Duplicate assignment.
+    ShardPlan twice;
+    twice.server_bodies = {{0, 1}, {1, 2, 3}};
+    EXPECT_THROW(coalition_bodies(twice, {0}), std::invalid_argument);
+    EXPECT_THROW(min_covering_coalition(twice, {0}), std::invalid_argument);
+    // A gap: body 2 is on no server.
+    ShardPlan gap;
+    gap.server_bodies = {{0, 1}, {3}};
+    EXPECT_THROW(coalition_subset_count(gap, {0}), std::invalid_argument);
+    EXPECT_THROW(coalition_holds_selected_body(gap, {0}, {1}), std::invalid_argument);
+    // Coalition server index out of range.
+    EXPECT_THROW(coalition_bodies(kBlocks, {3}), std::invalid_argument);
+    EXPECT_THROW(coalition_holds_full_selection(kBlocks, kSelected, {0, 7}),
+                 std::invalid_argument);
 }
 
 }  // namespace
