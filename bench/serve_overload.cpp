@@ -1,40 +1,19 @@
-// serve_overload — latency and queue behavior of ens::serve under
-// saturation, with and without bounded admission.
-//
-// Clients submit single-image requests back-to-back with a large in-flight
-// window, offering far more load than the N-body fan-out can drain, while
-// a monitor thread samples the queue depth. Three admission configurations
-// tell the overload story:
-//   unbounded       - the queue absorbs every submission: depth grows with
-//                     offered load and p99 inflates with time spent queued
-//   bounded+block   - submitters park until a slot frees: depth is capped,
-//                     backpressure shows up as blocked_ms, p99 stays tied
-//                     to service time
-//   bounded+reject  - excess submissions are shed with
-//                     ens::Error{overloaded}: depth is capped and completed
-//                     requests keep a tight p99 at the cost of drops
-// (bounded rows must show max queue <= depth; that bound is also asserted
-// in tests/serve/admission_test.cpp).
-//
-// Second half: the event-driven host under CONNECTION pressure. A single
-// ReactorHost (fixed worker pool) holds a sweep of idle-connection herds
-// while one pipelined session runs traffic through it — connections-held
-// vs p50/p99 is the curve that says whether held sessions are actually
-// free. Rows land in BENCH_overload.json (bench::JsonRows) as the
-// machine-readable trajectory CI smoke-checks and future PRs regress
-// against.
+// serve_overload — the event-driven host under CONNECTION pressure. A
+// single ReactorHost (fixed worker pool) holds a sweep of idle-connection
+// herds while one pipelined session runs traffic through it —
+// connections-held vs p50/p99 is the curve that says whether held
+// sessions are actually free. Rows land in BENCH_overload.json
+// (bench::JsonRows) as the machine-readable trajectory CI smoke-checks and
+// future PRs regress against.
 
 #include <sys/resource.h>
 
-#include <atomic>
 #include <cstdio>
-#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "core/selector.hpp"
 #include "nn/linear.hpp"
@@ -43,110 +22,11 @@
 #include "serve/pipeline.hpp"
 #include "serve/reactor.hpp"
 #include "serve/remote.hpp"
-#include "serve/service.hpp"
 #include "split/tcp_channel.hpp"
 
 namespace {
 
 using namespace ens;
-
-constexpr std::size_t kBodies = 6;
-constexpr std::size_t kClients = 4;
-constexpr std::size_t kInflight = 16;  // per client: keeps the queue pressed
-
-struct Row {
-    const char* label = "";
-    double offered_per_s = 0.0;
-    std::uint64_t completed = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t blocked = 0;
-    double mean_blocked_ms = 0.0;
-    std::size_t max_queue = 0;
-    double p50_ms = 0.0;
-    double p99_ms = 0.0;
-};
-
-Row run_config(const nn::ResNetConfig& arch, const char* label, std::size_t max_queue_depth,
-               serve::AdmissionPolicy admission, std::size_t requests_per_client) {
-    serve::ServeConfig config;
-    config.max_batch = 4;
-    config.max_queue_depth = max_queue_depth;
-    config.admission = admission;
-    serve::InferenceService service = serve::InferenceService::from_baseline(
-        bench::make_serving_pipeline(arch, kBodies), config);
-
-    std::vector<std::shared_ptr<serve::ClientSession>> sessions;
-    std::vector<Tensor> inputs;
-    for (std::size_t c = 0; c < kClients; ++c) {
-        sessions.push_back(service.create_session());
-        Rng rng(50 + c);
-        inputs.push_back(
-            Tensor::uniform(Shape{1, 3, arch.image_size, arch.image_size}, rng, 0.0f, 1.0f));
-    }
-    for (std::size_t c = 0; c < kClients; ++c) {  // warm-up
-        (void)sessions[c]->infer(inputs[c]);
-        sessions[c]->reset_stats();
-    }
-
-    std::atomic<bool> running{true};
-    std::size_t max_queue = 0;
-    std::thread monitor([&] {
-        while (running.load()) {
-            max_queue = std::max(max_queue, service.pending());
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-        }
-    });
-
-    std::atomic<std::uint64_t> rejected{0};
-    const Stopwatch wall;
-    std::vector<std::thread> clients;
-    for (std::size_t c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
-            std::vector<std::future<serve::InferenceResult>> window;
-            for (std::size_t r = 0; r < requests_per_client; ++r) {
-                try {
-                    window.push_back(sessions[c]->submit(inputs[c]));
-                } catch (const Error& e) {
-                    if (e.code() != ErrorCode::overloaded) {
-                        throw;
-                    }
-                    ++rejected;  // shed: the caller would retry or degrade
-                }
-                if (window.size() >= kInflight) {
-                    (void)window.front().get();
-                    window.erase(window.begin());
-                }
-            }
-            for (auto& future : window) {
-                (void)future.get();
-            }
-        });
-    }
-    for (std::thread& client : clients) {
-        client.join();
-    }
-    const double seconds = wall.elapsed_seconds();
-    running = false;
-    monitor.join();
-
-    Row row;
-    row.label = label;
-    row.offered_per_s = static_cast<double>(kClients * requests_per_client) /
-                        (seconds > 0 ? seconds : 1e-9);
-    row.rejected = rejected.load();
-    row.max_queue = max_queue;
-    double blocked_ms_sum = 0.0;
-    for (const auto& session : sessions) {
-        const serve::LatencySummary latency = session->stats().latency();
-        row.completed += latency.count;
-        row.blocked += session->stats().blocked();
-        blocked_ms_sum += session->stats().total_blocked_ms();
-        row.p50_ms = std::max(row.p50_ms, latency.p50_ms);
-        row.p99_ms = std::max(row.p99_ms, latency.p99_ms);
-    }
-    row.mean_blocked_ms = row.blocked > 0 ? blocked_ms_sum / static_cast<double>(row.blocked) : 0.0;
-    return row;
-}
 
 // ---- reactor connection sweep -------------------------------------------
 
@@ -280,46 +160,6 @@ rlim_t raise_fd_limit(rlim_t need) {
 
 int main() {
     const bench::Scale scale = bench::current_scale();
-    const std::size_t requests_per_client =
-        scale == bench::Scale::kTiny ? 24 : (scale == bench::Scale::kSmall ? 64 : 160);
-    constexpr std::size_t kDepth = 8;
-
-    nn::ResNetConfig arch;
-    arch.base_width = 4;
-    arch.image_size = 16;
-    arch.num_classes = 10;
-
-    std::printf("# serve overload: N=%zu bodies, %zu clients x %zu single-image requests, "
-                "%zu in flight each (scale=%s, pool=%zu)\n\n",
-                kBodies, kClients, requests_per_client, kInflight, bench::scale_name(scale),
-                ens::global_pool().size());
-    std::printf("| admission | offered req/s | completed | rejected | blocked | "
-                "mean blocked ms | max queue | p50 ms | p99 ms |\n");
-    bench::print_rule(9);
-
-    const Row rows[] = {
-        run_config(arch, "unbounded", 0, serve::AdmissionPolicy::block, requests_per_client),
-        run_config(arch, "depth 8, block", kDepth, serve::AdmissionPolicy::block,
-                   requests_per_client),
-        run_config(arch, "depth 8, reject", kDepth, serve::AdmissionPolicy::reject,
-                   requests_per_client),
-    };
-    for (const Row& row : rows) {
-        std::printf("| %s | %7.1f | %llu | %llu | %llu | %6.1f | %zu | %6.1f | %6.1f |\n",
-                    row.label, row.offered_per_s,
-                    static_cast<unsigned long long>(row.completed),
-                    static_cast<unsigned long long>(row.rejected),
-                    static_cast<unsigned long long>(row.blocked), row.mean_blocked_ms,
-                    row.max_queue, row.p50_ms, row.p99_ms);
-    }
-
-    std::printf("\n(expected shape: the unbounded row's max queue approaches the whole offered "
-                "window (%zu) and its p99 carries the queue wait; both bounded rows cap max "
-                "queue at %zu — block converts the excess into submitter backpressure "
-                "(blocked > 0), reject converts it into drops (rejected > 0) while completed "
-                "requests keep the tightest p99)\n",
-                kClients * kInflight, kDepth);
-
     // ---- reactor: connections-held vs latency ----
     std::vector<std::size_t> herd_sizes;
     std::size_t reactor_requests = 0;

@@ -1,12 +1,13 @@
 // serve_throughput — requests/sec of the ens::serve pipeline vs. client
-// concurrency and micro-batch size, plus the protocol-v3 PIPELINED remote
-// path vs. in-flight window depth.
+// concurrency, plus the protocol-v3 PIPELINED remote path vs. in-flight
+// window depth.
 //
 // Section 1 (in-proc service): the Ensembler serving shape (N = 10
 // independent ResNet-18 bodies behind one head) at bench width, untrained
-// weights — this measures the serving machinery (wire codec, batcher, body
-// fan-out on ens::ThreadPool), not model quality. Each client thread owns
-// one ClientSession and keeps a few single-image requests outstanding.
+// weights — this measures the serving machinery (wire codec, the host core
+// BodyHost::process_request, selector and tail), not model quality. Each
+// client thread owns one ClientSession and runs single-image round trips
+// back to back; concurrent sessions overlap on distinct bodies.
 //
 // Section 2 (pipelined remote serving): a BodyHost served by a ReactorHost
 // behind a real loopback TCP listener, a RemoteSession client, and a
@@ -58,15 +59,12 @@ struct Row {
     double requests_per_s = 0.0;
     double p50_ms = 0.0;
     double p99_ms = 0.0;
-    double mean_coalesced = 0.0;
 };
 
-Row run_config(const nn::ResNetConfig& arch, std::size_t max_batch, std::size_t clients,
+Row run_config(const nn::ResNetConfig& arch, std::size_t clients,
                std::size_t requests_per_client) {
-    serve::ServeConfig config;
-    config.max_batch = max_batch;
-    serve::InferenceService service = serve::InferenceService::from_baseline(
-        bench::make_serving_pipeline(arch, kBodies), config);
+    serve::InferenceService service =
+        serve::InferenceService::from_baseline(bench::make_serving_pipeline(arch, kBodies));
 
     std::vector<std::shared_ptr<serve::ClientSession>> sessions;
     std::vector<Tensor> inputs;
@@ -87,14 +85,8 @@ Row run_config(const nn::ResNetConfig& arch, std::size_t max_batch, std::size_t 
     threads.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
         threads.emplace_back([&, c] {
-            // Keep a small window of requests in flight so the batcher has
-            // something to coalesce.
-            serve::FutureWindow window(4);
             for (std::size_t r = 0; r < requests_per_client; ++r) {
-                (void)window.push(sessions[c]->submit(inputs[c]));
-            }
-            while (!window.empty()) {
-                (void)window.pop();
+                (void)sessions[c]->infer(inputs[c]);
             }
         });
     }
@@ -106,14 +98,11 @@ Row run_config(const nn::ResNetConfig& arch, std::size_t max_batch, std::size_t 
     Row row;
     row.requests_per_s =
         static_cast<double>(clients * requests_per_client) / (seconds > 0 ? seconds : 1e-9);
-    double coalesced_sum = 0.0;
     for (const auto& session : sessions) {
         const serve::LatencySummary latency = session->stats().latency();
         row.p50_ms = std::max(row.p50_ms, latency.p50_ms);
         row.p99_ms = std::max(row.p99_ms, latency.p99_ms);
-        coalesced_sum += session->stats().mean_coalesced_images();
     }
-    row.mean_coalesced = coalesced_sum / static_cast<double>(clients);
     return row;
 }
 
@@ -239,19 +228,16 @@ int main() {
                 "to scale workers)\n\n",
                 kBodies, static_cast<long long>(arch.base_width), bench::scale_name(scale),
                 ens::global_pool().size());
-    std::printf("| max_batch | clients | req/s | p50 ms | p99 ms | mean server batch |\n");
-    bench::print_rule(6);
-    for (const std::size_t max_batch : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-        for (const std::size_t clients : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-            const Row row = run_config(arch, max_batch, clients, requests_per_client);
-            std::printf("| %2zu | %zu | %7.1f | %6.1f | %6.1f | %4.1f |\n", max_batch, clients,
-                        row.requests_per_s, row.p50_ms, row.p99_ms, row.mean_coalesced);
-        }
+    std::printf("| clients | req/s | p50 ms | p99 ms |\n");
+    bench::print_rule(4);
+    for (const std::size_t clients : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        const Row row = run_config(arch, clients, requests_per_client);
+        std::printf("| %zu | %7.1f | %6.1f | %6.1f |\n", clients, row.requests_per_s,
+                    row.p50_ms, row.p99_ms);
     }
-    std::printf("\n(expected shape: with clients > 1 and max_batch > 1 the batcher coalesces "
-                "concurrent requests — mean server batch rises above 1 and req/s improves "
-                "over the max_batch=1 rows; the Ensembler fan-out parallelizes across the "
-                "pool, so higher ENS_THREADS lifts all rows)\n");
+    std::printf("\n(expected shape: one client runs its N bodies in order; more clients "
+                "overlap on distinct bodies (per-body forward locks), so req/s rises with "
+                "clients up to the core count while p50 grows with contention)\n");
 
     // ---- pipelined remote serving: in-flight window sweep. Two link
     // models: raw loopback (propagation delay ~0 — gains come only from

@@ -9,8 +9,9 @@
 // of ENS_BENCH_SCALE.
 //
 // A second, measured section drives a width-scaled pipeline through the
-// real ens::serve path (wire codec + batcher + body fan-out) to show the
-// same Standard-CI-vs-Ensembler shape with actual wall-clock numbers.
+// real ens::serve path (wire codec + the host core
+// BodyHost::process_request, N bodies in order) to show the same
+// Standard-CI-vs-Ensembler shape with actual wall-clock numbers.
 
 #include <cstdio>
 

@@ -34,8 +34,8 @@ public:
     /// chunks are rethrown (first one wins).
     ///
     /// Re-entrancy: when called from one of THIS pool's worker threads
-    /// (e.g. a serve batch fan-out chunk whose body forward hits
-    /// parallel_for again inside matmul/im2col), the range runs inline on
+    /// (e.g. a Conv2d batch chunk that hits parallel_for again inside
+    /// matmul/im2col), the range runs inline on
     /// that worker instead of being split — blocking a worker on sub-chunks
     /// it is itself supposed to drain would deadlock the pool. Calls onto a
     /// different pool split normally (its workers can drain them).

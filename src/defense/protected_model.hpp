@@ -9,7 +9,7 @@
 //
 // To deploy a trained ProtectedModel, hand it (by move) to
 // serve::InferenceService::from_baseline — every baseline then serves
-// through the same session/batching interface as Ensembler.
+// through the same session interface as Ensembler.
 
 #include <memory>
 #include <vector>

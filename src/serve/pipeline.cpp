@@ -47,11 +47,10 @@ InferenceResult finish_request(InflightRequest& request, const core::Selector& s
     InferenceResult result;
     result.logits = tail.forward(combined);
     result.request_id = request.id;
-    result.coalesced_images = request.images;  // no cross-client batching here
-    result.queue_ms = request.queue_ms;        // window-backpressure wait
+    result.queue_ms = request.queue_ms;  // window-backpressure wait
     result.total_ms = request.submitted.elapsed_ms();
     result.compute_ms = result.total_ms - result.queue_ms;
-    stats.record(result.total_ms, result.queue_ms, request.images, request.images);
+    stats.record(result.total_ms, result.queue_ms, request.images);
     return result;
 }
 
@@ -551,7 +550,7 @@ void ShardPipeline::handle_frame(Link& link, const std::string& frame) {
             share_done = true;
             if (link.stats != nullptr) {
                 link.stats->record(pending.started.elapsed_ms(), /*queue_ms=*/0.0,
-                                   request->images, request->images);
+                                   request->images);
             }
             link.pending.erase(it);
         }

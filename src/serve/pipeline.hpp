@@ -23,10 +23,11 @@
 //              a group is down only when its last member is;
 //   shared:    an in-flight table (id -> request) bounded by the
 //              negotiated window — submit() blocks when the window is
-//              full, the backpressure analogue of ServeConfig's admission
-//              bound — and a finisher callback (secret selector + private
-//              tail + stats, serialized internally) run by whichever
-//              link's demux delivers a request's LAST frame. Completion is
+//              full (client-side backpressure; the host's reactor applies
+//              the same bound by not reading past it) — and a finisher
+//              callback (secret selector + private tail + stats,
+//              serialized internally) run by whichever link's demux
+//              delivers a request's LAST frame. Completion is
 //              therefore OUT OF ORDER: a fast request's future resolves
 //              before an earlier slow one, ids never cross.
 //

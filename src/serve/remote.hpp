@@ -131,10 +131,11 @@ public:
     std::size_t body_count() const { return bodies_.size(); }
 
     /// The k-th hosted body (structural inspection — tests assert a
-    /// graph-compiled boot actually rewrote the tree). Do not forward
-    /// through it while the host is serving; that bypasses the per-body
-    /// forward mutexes.
+    /// graph-compiled boot actually rewrote the tree; the in-proc service
+    /// checkpoints it in save_bundle). Do not forward through it while the
+    /// host is serving; that bypasses the per-body forward mutexes.
     const nn::Layer& body(std::size_t k) const { return *bodies_.at(k); }
+    nn::Layer& body(std::size_t k) { return *bodies_.at(k); }
 
     /// Computes and ships the replies for ONE tagged request: decodes
     /// `payload` (the codec bytes after the request tag), runs every

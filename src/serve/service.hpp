@@ -6,24 +6,21 @@
 //   std::future<InferenceResult> f = session->submit(images);
 //   Tensor logits = f.get().logits;
 //
-// One InferenceService owns the deployment: the N server bodies (held
-// once, shared by every client — the Ensembler paper deploys all N nets
-// server-side), a micro-batching queue, and a service thread that drains
-// it. Each ClientSession models one client device: it owns its secret
-// Selector, wire-format choice, uplink/downlink channels (real serialized
-// bytes through the split codec) and SessionStats. submit() runs the
-// client phase — head forward, split-point noise, encode — on the calling
-// thread, ships the features, and parks a future; the service thread
-// coalesces queued requests with matching feature geometry into one server
-// batch (up to ServeConfig::max_batch requests), fans the N body forwards
-// out across the thread pool, then finishes each request client-side
-// (per-request downlink messages, Selector combine, tail forward).
+// One InferenceService owns the deployment: the N server bodies, held
+// once in a BodyHost and shared by every client (the Ensembler paper
+// deploys all N nets server-side). Each ClientSession models one client
+// device: it owns its secret Selector, wire-format choice, uplink/downlink
+// channels (real serialized bytes through the split codec) and
+// SessionStats. submit() runs the whole round trip on the calling thread:
+// the client phase (head forward, split-point noise, encode), the uplink,
+// BodyHost::process_request — the same host core every ReactorHost worker
+// runs for a socket client — which sends one tagged reply per body down
+// the session's downlink, then the secret Selector combine and the tail.
+// The returned future is already resolved.
 //
-// The batched path is bit-identical to the sequential
-// split::CollaborativeSession round trip: eval-mode layers process batch
-// samples independently, and downlink messages are encoded per request, so
-// quantized wire formats see exactly the per-request tensors the
-// sequential transport would send (tests/serve asserts this).
+// The in-proc path is bit-identical to the sequential
+// split::CollaborativeSession round trip: same messages, same bytes, same
+// logits, for every wire format (tests/serve asserts this).
 //
 // Factory adapters put every trained artifact of this repository behind
 // the same interface:
@@ -36,36 +33,24 @@
 //
 // Concurrency contract: submit() may be called from any number of threads
 // and sessions concurrently. Shared client-side layers are serialized
-// internally (layer forward caches are not thread-safe); body forwards
-// only ever run on the service thread and its fan-out workers, one forward
-// per distinct body at a time. Do not train, or run inference through, the
-// source model directly while a service built from it is live. Sessions
-// must not be used after their service is destroyed.
-//
-// Admission control: with ServeConfig::max_queue_depth > 0 the request
-// queue is bounded. A submit() that finds it full either parks until the
-// service drains a slot (AdmissionPolicy::block — backpressure) or throws
-// ens::Error{overloaded} (AdmissionPolicy::reject — load shedding; note
-// the client phase has already run, so the head compute is sunk, but no
-// server-side work is ever queued for a rejected request). Per-session
-// reject/block counters live in SessionStats. bench/serve_overload.cpp
-// measures the p99 effect under saturation.
+// internally (layer forward caches are not thread-safe); body forwards are
+// serialized per body inside BodyHost, so requests from different sessions
+// overlap on distinct bodies. Threads sharing one session take turns on
+// its channels. Do not train, or run inference through, the source model
+// directly while a service built from it is live. Sessions must not be
+// used after their service is destroyed.
 //
 // Cross-process serving (daemon hosting bodies for remote clients over
 // TcpChannel) lives in serve/remote.hpp.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
-#include "common/stopwatch.hpp"
 #include "core/selector.hpp"
 #include "nn/layer.hpp"
 #include "serve/stats.hpp"
@@ -84,6 +69,7 @@ class ProtectedModel;
 
 namespace ens::serve {
 
+class BodyHost;
 class InferenceService;
 
 struct SessionOptions {
@@ -98,11 +84,13 @@ struct SessionOptions {
 
 /// One client's handle on the service. Created by
 /// InferenceService::create_session(); safe to share across threads.
-class ClientSession : public std::enable_shared_from_this<ClientSession> {
+class ClientSession {
 public:
-    /// Enqueues a request; the returned future resolves once the service
-    /// thread completes the round trip (or faults it with the processing
-    /// error).
+    /// Runs the whole round trip on the calling thread and returns an
+    /// already-resolved future. A client-phase error (bad input, head
+    /// forward) throws out of submit(); a host-phase or finish error faults
+    /// the future, and the session's downlink is drained so the next
+    /// request reads only its own replies.
     std::future<InferenceResult> submit(InferenceRequest request);
     std::future<InferenceResult> submit(Tensor images);
 
@@ -132,6 +120,9 @@ private:
     const core::Selector selector_;
     split::InProcChannel uplink_;
     split::InProcChannel downlink_;
+    // One round trip at a time on uplink_/downlink_: threads sharing this
+    // session must never read each other's reply frames.
+    std::mutex wire_mutex_;
     SessionStats stats_;
 };
 
@@ -154,22 +145,24 @@ public:
     static InferenceService from_baseline(defense::ProtectedModel model, ServeConfig config = {});
 
     /// Boots a service purely from an on-disk deployment bundle
-    /// (serve/bundle.hpp) — bodies, client head/noise/tail and the secret
-    /// selector are rebuilt from arch specs and save_state checkpoints, so
-    /// no trainer (and no shared seed discipline) lives in the process.
-    /// The bundle's recorded default wire format overrides
-    /// `config.default_wire_format`. Typed ens::Error{checkpoint_error}
-    /// naming the offending file on any corrupt/missing/mismatched bundle
-    /// content. With config.optimize, every body is run through the graph
-    /// compiler (nn/compile.hpp) after restore.
+    /// (serve/bundle.hpp) — bodies (via BodyHost::from_bundle), client
+    /// head/noise/tail and the secret selector are rebuilt from arch specs
+    /// and save_state checkpoints, so no trainer (and no shared seed
+    /// discipline) lives in the process. The bundle's recorded default
+    /// wire format overrides `config.default_wire_format`. Typed
+    /// ens::Error{checkpoint_error} naming the offending file on any
+    /// corrupt/missing/mismatched bundle content. With config.optimize,
+    /// every body is run through the graph compiler (nn/compile.hpp) after
+    /// restore.
     static InferenceService from_bundle(const std::string& bundle_dir, ServeConfig config = {});
 
     /// Writes this deployment as a bundle (serve/bundle.hpp): every body,
-    /// the client bundle and the service's default selector. Serialized
-    /// against concurrent submit() client phases; call it when the service
-    /// is idle for a crisp snapshot (body weights are immutable in eval
-    /// mode, so in-flight server batches do not change what is written).
-    /// Refuses (typed ens::Error{compile_error}) on a service booted with
+    /// the client bundle, the service's default selector, and the host's
+    /// wire mask and in-flight window (so a from_bundle -> save_bundle
+    /// round trip keeps what the original author restricted). Serialized
+    /// against concurrent client phases; body weights are immutable in eval
+    /// mode, so in-flight requests do not change what is written. Refuses
+    /// (typed ens::Error{compile_error}) on a service booted with
     /// config.optimize — compiled bodies (folded BN, fused epilogues) have
     /// no spec representation, and exporting them would corrupt the
     /// bundle; re-export from the unoptimized source instead.
@@ -182,21 +175,9 @@ public:
 
     std::shared_ptr<ClientSession> create_session(SessionOptions options = {});
 
-    std::size_t body_count() const { return bodies_.size(); }
+    std::size_t body_count() const;
     std::size_t session_count() const { return sessions_created_.load(); }
     const ServeConfig& config() const { return config_; }
-
-    /// Requests currently queued (drained batches no longer count).
-    std::size_t pending() const;
-
-    /// Submitters currently parked on admission (exposed for tests).
-    std::size_t admission_waiters() const;
-
-    /// Holds / releases the service thread. While paused, submissions
-    /// accumulate on the queue — tests and benches use this to force a
-    /// deterministic coalesced batch. Destruction drains regardless.
-    void pause();
-    void resume();
 
 private:
     friend class ClientSession;
@@ -210,60 +191,25 @@ private:
         std::optional<core::Selector> selector;
     };
 
-    struct Pending {
-        std::shared_ptr<ClientSession> session;
-        Tensor server_input;  // decoded uplink features
-        std::int64_t images = 0;
-        std::uint64_t request_id = 0;
-        Stopwatch submitted;
-        double queue_ms = 0.0;
-        std::promise<InferenceResult> promise;
-        bool fulfilled = false;
-    };
-
-    /// `export_wire_mask` / `export_max_inflight` record bundle policy to
-    /// carry through save_bundle (0 = the serve/protocol default window);
-    /// from_bundle passes the manifest's values so a re-export never
-    /// silently widens what the original bundle author restricted.
-    InferenceService(std::vector<nn::Layer*> bodies, ClientBundle bundle, ServeConfig config,
+    InferenceService(std::unique_ptr<BodyHost> host, ClientBundle bundle, ServeConfig config,
                      std::vector<nn::LayerPtr> owned_layers, std::shared_ptr<void> retained,
-                     std::uint32_t export_wire_mask = split::all_wire_formats_mask(),
-                     std::size_t export_max_inflight = 0, bool optimized = false);
+                     bool optimized = false);
 
-    void enqueue(Pending pending);
-    void drain_loop();
-    void process_batch(std::vector<Pending> batch);
-    void process_group(std::vector<Pending*>& group);
-    ThreadPool& pool() const;
-
-    std::vector<nn::Layer*> bodies_;
+    std::unique_ptr<BodyHost> host_;
     ClientBundle bundle_;
     ServeConfig config_;
     std::vector<nn::LayerPtr> owned_layers_;
     std::shared_ptr<void> retained_;
-    std::uint32_t export_wire_mask_;
-    std::size_t export_max_inflight_;  // 0 = serve/protocol default
-    bool optimized_ = false;           // bodies were graph-compiled at boot
+    bool optimized_ = false;  // bodies were graph-compiled at boot
 
     std::mutex client_mutex_;  // serializes the shared client-side layers
 
-    // Recycled serialization scratch for the uplink/downlink codec round
-    // trips (thread-safe; shared by submitters and the service thread).
+    // Recycled serialization scratch for the uplink encode and the host's
+    // reply encodes (thread-safe; shared by every session).
     split::WireBufferPool codec_pool_;
-
-    mutable std::mutex queue_mutex_;
-    std::condition_variable queue_cv_;
-    std::condition_variable space_cv_;  // admission: queue dropped below cap
-    std::condition_variable waiters_cv_;  // destructor: parked submitters drained
-    std::deque<Pending> queue_;
-    std::size_t admission_waiters_ = 0;
-    bool stopping_ = false;
-    bool paused_ = false;
 
     std::atomic<std::uint64_t> next_request_id_{1};
     std::atomic<std::size_t> sessions_created_{0};
-
-    std::thread service_thread_;
 };
 
 }  // namespace ens::serve

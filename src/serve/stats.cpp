@@ -19,24 +19,11 @@ double percentile(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-void SessionStats::record(double total_ms, double queue_ms, std::int64_t images,
-                          std::int64_t coalesced_images) {
+void SessionStats::record(double total_ms, double queue_ms, std::int64_t images) {
     const std::lock_guard<std::mutex> lock(mutex_);
     total_ms_.push_back(total_ms);
     queue_ms_sum_ += queue_ms;
     images_ += static_cast<std::uint64_t>(images);
-    coalesced_sum_ += coalesced_images;
-}
-
-void SessionStats::record_rejected() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++rejected_;
-}
-
-void SessionStats::record_blocked(double blocked_ms) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++blocked_;
-    blocked_ms_sum_ += blocked_ms;
 }
 
 void SessionStats::record_failover() {
@@ -52,21 +39,6 @@ void SessionStats::record_retry() {
 std::uint64_t SessionStats::requests() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return total_ms_.size();
-}
-
-std::uint64_t SessionStats::rejected() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return rejected_;
-}
-
-std::uint64_t SessionStats::blocked() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return blocked_;
-}
-
-double SessionStats::total_blocked_ms() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return blocked_ms_sum_;
 }
 
 std::uint64_t SessionStats::failovers() const {
@@ -114,22 +86,11 @@ double SessionStats::mean_queue_ms() const {
                              : queue_ms_sum_ / static_cast<double>(total_ms_.size());
 }
 
-double SessionStats::mean_coalesced_images() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return total_ms_.empty()
-               ? 0.0
-               : static_cast<double>(coalesced_sum_) / static_cast<double>(total_ms_.size());
-}
-
 void SessionStats::reset() {
     const std::lock_guard<std::mutex> lock(mutex_);
     total_ms_.clear();
     queue_ms_sum_ = 0.0;
     images_ = 0;
-    coalesced_sum_ = 0;
-    rejected_ = 0;
-    blocked_ = 0;
-    blocked_ms_sum_ = 0.0;
     failovers_ = 0;
     retries_ = 0;
 }

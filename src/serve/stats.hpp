@@ -1,14 +1,12 @@
 #pragma once
 // Per-session serving statistics: request/image counters, queue and
-// end-to-end latency percentiles (wall clock via ens::Stopwatch), the
-// average coalesced server-batch size, and admission backpressure
-// counters (requests shed or delayed by a bounded queue — see
-// ServeConfig::max_queue_depth). Wire traffic is NOT duplicated here
-// — each ClientSession owns its uplink/downlink Channel instances, whose
-// codec-level byte counters remain the source of truth.
+// end-to-end latency percentiles (wall clock via ens::Stopwatch), and
+// failover/retry counters. Wire traffic is NOT duplicated here — each
+// session owns its Channel instances, whose codec-level byte counters
+// remain the source of truth.
 //
-// Thread-safe: the service thread records completions while client
-// threads read the accessors concurrently.
+// Thread-safe: completions are recorded (by submitting threads in-proc,
+// by demux threads over a wire) while other threads read the accessors.
 
 #include <atomic>
 #include <cstdint>
@@ -69,19 +67,7 @@ public:
 class SessionStats {
 public:
     /// Records one completed request.
-    void record(double total_ms, double queue_ms, std::int64_t images,
-                std::int64_t coalesced_images);
-
-    /// Records a submit() rejected by admission control (queue full,
-    /// AdmissionPolicy::reject). Rejected requests never complete, so they
-    /// appear here and nowhere else.
-    void record_rejected();
-
-    /// Records a submit() that had to wait `blocked_ms` for queue space
-    /// (AdmissionPolicy::block). The request still completes and is counted
-    /// by record() as usual; blocked time is admission backpressure, not
-    /// queue_ms (which starts once the request is admitted).
-    void record_blocked(double blocked_ms);
+    void record(double total_ms, double queue_ms, std::int64_t images);
 
     /// Records one in-flight request moved onto a surviving replica after
     /// its link died (ShardPipeline failover). The request is NOT double
@@ -97,11 +83,6 @@ public:
     std::uint64_t requests() const;
     std::uint64_t images() const;
 
-    /// Backpressure counters (see record_rejected / record_blocked).
-    std::uint64_t rejected() const;
-    std::uint64_t blocked() const;
-    double total_blocked_ms() const;
-
     /// Failover observability (see record_failover / record_retry).
     std::uint64_t failovers() const;
     std::uint64_t retries() const;
@@ -111,10 +92,6 @@ public:
 
     double mean_queue_ms() const;
 
-    /// Average size of the server batches this session's requests rode in
-    /// (> own batch size means coalescing with other sessions happened).
-    double mean_coalesced_images() const;
-
     void reset();
 
 private:
@@ -122,10 +99,6 @@ private:
     std::vector<double> total_ms_;
     double queue_ms_sum_ = 0.0;
     std::uint64_t images_ = 0;
-    std::int64_t coalesced_sum_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t blocked_ = 0;
-    double blocked_ms_sum_ = 0.0;
     std::uint64_t failovers_ = 0;
     std::uint64_t retries_ = 0;
 };

@@ -5,56 +5,19 @@
 // InferenceService owns the N deployed server bodies once and serves many
 // concurrent ClientSessions, each carrying its own secret Selector, wire
 // format, channels and traffic/latency accounting (the per-client state of
-// the Ensembler paper's deployment, §III). Requests submitted by any
-// session are coalesced into server batches of up to `max_batch` requests
-// (each possibly multi-image) and fanned out across the thread pool.
+// the Ensembler paper's deployment, §III). RemoteSession and ShardRouter
+// return the same InferenceResult over a real wire.
 
 #include <cstdint>
 
-#include "common/threadpool.hpp"
 #include "split/codec.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ens::serve {
 
-/// What happens to a submit() that finds the request queue at
-/// max_queue_depth.
-enum class AdmissionPolicy : std::uint8_t {
-    /// Park the submitting thread until the service drains a slot
-    /// (backpressure propagates to the caller; nothing is dropped).
-    block = 0,
-    /// Fail fast: submit() throws ens::Error{overloaded} and the request
-    /// never enters the queue (load shedding; the caller decides whether
-    /// to retry).
-    reject = 1,
-};
-
 struct ServeConfig {
-    /// Coalescing cap: a drained server batch merges at most this many
-    /// queued requests (1 = no batching).
-    std::size_t max_batch = 8;
-
-    /// Admission bound: requests queued at once, on top of those already
-    /// draining. 0 = unbounded (the queue grows with offered load — fine
-    /// for tests, unsafe for a public endpoint).
-    std::size_t max_queue_depth = 0;
-
-    /// Policy applied when the queue is at max_queue_depth; irrelevant
-    /// while max_queue_depth == 0. Per-session reject/block counts are
-    /// surfaced through SessionStats.
-    AdmissionPolicy admission = AdmissionPolicy::block;
-
     /// Wire format for sessions that do not pick their own.
     split::WireFormat default_wire_format = split::WireFormat::f32;
-
-    /// Fan the N body forwards of a batch out across the pool. Disable to
-    /// run bodies sequentially on the service thread (deterministic
-    /// profiling).
-    bool parallel_bodies = true;
-
-    /// Pool for the body fan-out; nullptr uses ens::global_pool(). The
-    /// tensor kernels inside each body always use the global pool.
-    ThreadPool* pool = nullptr;
 
     /// from_bundle only: run the graph compiler (nn/compile.hpp — BN
     /// folding, activation fusion, noise baking, repack) over every loaded
@@ -81,13 +44,11 @@ struct InferenceResult {
     Tensor logits;
     std::uint64_t request_id = 0;
 
-    /// Images in the drained server batch this request shared (>= own
-    /// batch; larger means the batcher coalesced it with other requests).
-    std::int64_t coalesced_images = 0;
-
-    double queue_ms = 0.0;    // submit -> drained off the queue
-    double compute_ms = 0.0;  // server fan-out + client combine/tail
-    double total_ms = 0.0;    // submit -> result ready
+    /// Time spent waiting for a slot: the remote in-flight window, or
+    /// another thread's round trip on the same in-proc session.
+    double queue_ms = 0.0;
+    double compute_ms = 0.0;  // total_ms - queue_ms
+    double total_ms = 0.0;    // submit (head included) -> result ready
 };
 
 }  // namespace ens::serve

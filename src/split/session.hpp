@@ -2,10 +2,10 @@
 // Collaborative-inference session (Fig. 1a / Fig. 2 of the paper).
 //
 // NOTE: this is the INTERNAL single-round-trip transport. It is the
-// sequential reference implementation the serve batcher is tested against;
-// deployment-facing code should go through ens::serve (src/serve/), which
-// owns sessions, coalesces requests into server batches, and serves many
-// concurrent clients over this same wire protocol.
+// sequential reference implementation every ens::serve path is tested
+// against; deployment-facing code should go through ens::serve
+// (src/serve/), which owns sessions and serves many concurrent clients
+// over this same wire protocol.
 //
 // One inference round trip:
 //   (1) client runs its head (which may embed the split-point noise layer)

@@ -40,13 +40,13 @@
 // change summation order/rounding — so cross-kernel tests use the bounded
 // error documented in tests/tensor/kernel_test.cpp.
 //
-// Threading composes with the serve fan-out instead of fighting it: the
+// Threading composes with the batch fan-out instead of fighting it: the
 // parallel entry points tile over i-strips as ens::parallel_for work items
-// on the ONE global pool. Called from a pool worker (a body forward inside
-// a batch fan-out), parallel_for runs the range inline on that worker —
-// so coalesced batches parallelize across requests while a lone
-// latency-sensitive request still fans its tiles out, and the pool is
-// never oversubscribed.
+// on the ONE global pool. Called from a pool worker (a Conv2d per-image
+// chunk), parallel_for runs the range inline on that worker — so
+// multi-image batches parallelize across images while a lone
+// latency-sensitive GEMM still fans its tiles out, and the pool is never
+// oversubscribed.
 
 #include <cstddef>
 #include <cstdint>

@@ -3,10 +3,13 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/ensembler.hpp"
+#include "core/selector.hpp"
 #include "data/synth_cifar10.hpp"
 #include "defense/protected_model.hpp"
 #include "nn/linear.hpp"
@@ -37,13 +40,88 @@ split::SplitModel make_linear_split(std::uint64_t seed) {
     return model;
 }
 
+constexpr std::size_t kBodies = 3;
+
+/// Identity layer that throws on its `fail_at`-th forward (1-based; 0 =
+/// never): an injected host-side body failure.
+class FailingForward final : public nn::Layer {
+public:
+    explicit FailingForward(int fail_at) : fail_at_(fail_at) {}
+
+    Tensor forward(const Tensor& input) override {
+        if (++forwards_ == fail_at_) {
+            throw std::runtime_error("injected body failure");
+        }
+        return input;
+    }
+    Tensor backward(const Tensor& grad_output) override { return grad_output; }
+    std::string name() const override { return "FailingForward"; }
+
+private:
+    int fail_at_;
+    int forwards_ = 0;
+};
+
+/// Three-body baseline ensemble; same seed -> identical weights. Body 1
+/// ends in a FailingForward(fail_at).
+defense::ProtectedModel make_three_body_baseline(std::uint64_t seed, int fail_at = 0) {
+    Rng rng(seed);
+    defense::ProtectedModel model;
+    model.head = std::make_unique<nn::Sequential>();
+    model.head->emplace<nn::Linear>(kIn, kHidden, rng);
+    for (std::size_t k = 0; k < kBodies; ++k) {
+        auto body = std::make_unique<nn::Sequential>();
+        body->emplace<nn::Linear>(kHidden, kHidden, rng);
+        if (k == 1) {
+            body->emplace<FailingForward>(fail_at);
+        }
+        model.bodies.push_back(std::move(body));
+    }
+    model.tail = std::make_unique<nn::Sequential>();
+    model.tail->emplace<nn::Linear>(kBodies * kHidden, kClasses, rng);
+    return model;
+}
+
+/// The sequential in-proc oracle over a three-body baseline: every body's
+/// map back, combined with the all-bodies selector the service defaults to.
+struct BaselineOracle {
+    explicit BaselineOracle(std::uint64_t seed) : model(make_three_body_baseline(seed)) {
+        model.set_training(false);
+        std::vector<nn::Layer*> bodies;
+        for (const auto& body : model.bodies) {
+            bodies.push_back(body.get());
+        }
+        session = std::make_unique<split::CollaborativeSession>(
+            *model.head, std::move(bodies), *model.tail,
+            [this](const std::vector<Tensor>& maps) { return selector.apply(maps); }, uplink,
+            downlink);
+    }
+
+    defense::ProtectedModel model;
+    core::Selector selector{kBodies, {0, 1, 2}};
+    split::InProcChannel uplink;
+    split::InProcChannel downlink;
+    std::unique_ptr<split::CollaborativeSession> session;
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+    if (a.shape() != b.shape()) {
+        return false;
+    }
+    for (std::int64_t i = 0; i < a.numel(); ++i) {
+        if (a.at(i) != b.at(i)) {
+            return false;
+        }
+    }
+    return true;
+}
+
 class ServeWire : public ::testing::TestWithParam<split::WireFormat> {};
 
-// The batcher must be an exact drop-in for the sequential transport: a
-// coalesced multi-request server batch produces the same logits, message
-// counts and byte counts as CollaborativeSession round trips, for every
-// wire format (quantized downlink scales are computed per request).
-TEST_P(ServeWire, CoalescedBatchMatchesSequentialSession) {
+// The in-proc service must be an exact drop-in for the sequential
+// transport: every request produces the same logits, message counts and
+// byte counts as CollaborativeSession round trips, for every wire format.
+TEST_P(ServeWire, MatchesSequentialSession) {
     const split::WireFormat wire = GetParam();
 
     split::SplitModel reference = make_linear_split(17);
@@ -62,18 +140,13 @@ TEST_P(ServeWire, CoalescedBatchMatchesSequentialSession) {
                                         Tensor::randn(Shape{1, kIn}, rng),
                                         Tensor::randn(Shape{3, kIn}, rng)};
 
-    service.pause();
     std::vector<std::future<InferenceResult>> futures;
     for (const Tensor& x : inputs) {
         futures.push_back(session->submit(x));
     }
-    EXPECT_EQ(service.pending(), inputs.size());
-    service.resume();
 
     for (std::size_t r = 0; r < inputs.size(); ++r) {
         const InferenceResult result = futures[r].get();
-        // All three requests rode in one 6-image server batch.
-        EXPECT_EQ(result.coalesced_images, 6);
         const Tensor expected = sequential.infer(inputs[r]);
         ASSERT_EQ(result.logits.shape(), expected.shape());
         for (std::int64_t i = 0; i < expected.numel(); ++i) {
@@ -114,28 +187,12 @@ TEST(Serve, StandardCiParityWithDirectForward) {
 }
 
 TEST(Serve, BaselineEnsembleParityWithProtectedModel) {
-    constexpr std::size_t kBodies = 3;
-    const auto build = [] {
-        Rng rng(41);
-        defense::ProtectedModel model;
-        model.head = std::make_unique<nn::Sequential>();
-        model.head->emplace<nn::Linear>(kIn, kHidden, rng);
-        for (std::size_t k = 0; k < kBodies; ++k) {
-            auto body = std::make_unique<nn::Sequential>();
-            body->emplace<nn::Linear>(kHidden, kHidden, rng);
-            model.bodies.push_back(std::move(body));
-        }
-        model.tail = std::make_unique<nn::Sequential>();
-        model.tail->emplace<nn::Linear>(kBodies * kHidden, kClasses, rng);
-        return model;
-    };
-
-    defense::ProtectedModel reference = build();
+    defense::ProtectedModel reference = make_three_body_baseline(41);
     Rng rng(43);
     const Tensor x = Tensor::randn(Shape{4, kIn}, rng);
     const Tensor expected = reference.predict(x);
 
-    InferenceService service = InferenceService::from_baseline(build());
+    InferenceService service = InferenceService::from_baseline(make_three_body_baseline(41));
     EXPECT_EQ(service.body_count(), kBodies);
     const InferenceResult result = service.create_session()->infer(x);
     ASSERT_EQ(result.logits.shape(), expected.shape());
@@ -144,13 +201,83 @@ TEST(Serve, BaselineEnsembleParityWithProtectedModel) {
     }
 }
 
+// Body 1 throws after body 0's reply is already on the session's
+// downlink. That request faults; the stale frame is drained, so the next
+// round trip on the same session reads only its own replies.
+TEST(Serve, FailedBodyDoesNotDesyncSession) {
+    BaselineOracle oracle(97);
+    // Body 1 fails on its second forward, i.e. the second request.
+    InferenceService service = InferenceService::from_baseline(make_three_body_baseline(97, 2));
+    auto session = service.create_session();
+
+    Rng rng(101);
+    const Tensor first = Tensor::randn(Shape{2, kIn}, rng);
+    const Tensor second = Tensor::randn(Shape{2, kIn}, rng);
+    const Tensor third = Tensor::randn(Shape{3, kIn}, rng);
+
+    EXPECT_TRUE(same_bits(session->infer(first).logits, oracle.session->infer(first)));
+
+    std::future<InferenceResult> failed = session->submit(second);
+    EXPECT_THROW((void)failed.get(), std::runtime_error);
+    // Body 0 replied before body 1 threw: one stale frame went down.
+    EXPECT_EQ(session->downlink_stats().messages, kBodies + 1);
+
+    const InferenceResult next = session->infer(third);
+    EXPECT_TRUE(same_bits(next.logits, oracle.session->infer(third)));
+    EXPECT_EQ(session->downlink_stats().messages, 2 * kBodies + 1);
+    EXPECT_EQ(session->stats().requests(), 2u);
+}
+
+// Threads sharing one session take turns on its channels: every result is
+// its own input's oracle logits, and no frame is lost or read twice.
+TEST(Serve, SharedSessionAcrossThreadsMatchesOracle) {
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kRequestsPerThread = 8;
+
+    BaselineOracle oracle(103);
+    std::vector<std::vector<Tensor>> inputs(kThreads);
+    std::vector<std::vector<Tensor>> expected(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        Rng rng(200 + t);
+        for (std::size_t r = 0; r < kRequestsPerThread; ++r) {
+            const auto images = static_cast<std::int64_t>(1 + r % 3);
+            inputs[t].push_back(Tensor::randn(Shape{images, kIn}, rng));
+            expected[t].push_back(oracle.session->infer(inputs[t].back()));
+        }
+    }
+
+    InferenceService service = InferenceService::from_baseline(make_three_body_baseline(103));
+    auto session = service.create_session();
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t r = 0; r < kRequestsPerThread; ++r) {
+                try {
+                    if (!same_bits(session->infer(inputs[t][r]).logits, expected[t][r])) {
+                        ++mismatches;
+                    }
+                } catch (const std::exception&) {
+                    ++mismatches;  // e.g. a reply frame taken by the wrong thread
+                }
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(session->stats().requests(), kThreads * kRequestsPerThread);
+    EXPECT_EQ(session->uplink_stats().messages, kThreads * kRequestsPerThread);
+    EXPECT_EQ(session->downlink_stats().messages,
+              kThreads * kRequestsPerThread * service.body_count());
+}
+
 TEST(Serve, ConcurrentSubmitFromManyThreadsAndSessions) {
     constexpr std::size_t kThreads = 4;
     constexpr std::size_t kRequestsPerThread = 8;
 
-    ServeConfig config;
-    config.max_batch = 4;
-    InferenceService service = InferenceService::from_split_model(make_linear_split(53), config);
+    InferenceService service = InferenceService::from_split_model(make_linear_split(53));
 
     std::vector<std::shared_ptr<ClientSession>> sessions;
     for (std::size_t t = 0; t < kThreads; ++t) {
