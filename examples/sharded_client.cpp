@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
                 router.body_count(), router.shard_count(), split::wire_format_name(wire),
                 router.window());
     for (std::size_t s = 0; s < router.shard_count(); ++s) {
-        const serve::ShardRouter::ShardInfo& shard = router.shard_map()[s];
+        const serve::HostInfo shard = router.shard_map()[s];
         std::printf("  shard %zu hosts bodies [%zu, %zu) on %zu replica(s):", s,
                     shard.body_begin, shard.body_end(), shards[s].size());
         for (const serve::ReplicaEndpoint& replica : shards[s]) {

@@ -1,7 +1,8 @@
 #pragma once
-// Body-serving handshake + frame protocol, shared by every host/client
-// pairing: BodyHost <-> RemoteSession (one host, all bodies) and the K
-// shard hosts behind a ShardRouter (§III-D multiparty).
+// Body-serving handshake + frame protocol between a BodyHost (served by a
+// ReactorHost) and the one wire client, ShardRouter: K shard hosts for the
+// §III-D multiparty layout, or one whole-deployment host (K = 1, the
+// RemoteSession case).
 //
 // Version 2 made the handshake shard-aware (which contiguous slice of the
 // deployment's N global bodies a host serves, plus its accepted wire
@@ -75,10 +76,6 @@ struct HostInfo {
     /// Past-the-end global body index of this host's slice.
     std::size_t body_end() const { return body_begin + body_count; }
 
-    /// True when this host serves the entire deployment (the single-host
-    /// layout RemoteSession requires).
-    bool hosts_all() const { return body_begin == 0 && body_count == total_bodies; }
-
     /// "bodies [2, 4) of 6" — for errors and logs.
     std::string to_string() const;
 };
@@ -94,7 +91,7 @@ std::string encode_handshake(const HostInfo& info);
 /// window.
 HostInfo decode_handshake(const std::string& bytes);
 
-/// Client side of the handshake, shared by RemoteSession and ShardRouter:
+/// Client side of the handshake, run by ShardRouter on every connection:
 /// receives and validates the host's announcement under `handshake_timeout`
 /// (a silent or wrong endpoint fails typed, never wedges), restores the
 /// channel's recv timeout to `session_timeout`, and checks the host accepts

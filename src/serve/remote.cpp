@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
 #include "nn/compile.hpp"
 #include "serve/bundle.hpp"
 #include "split/split_model.hpp"
@@ -113,69 +112,22 @@ void BodyHost::process_request(std::uint64_t request_id, std::string_view payloa
 
 // --------------------------------------------------------------- session
 
+namespace {
+
+std::vector<std::unique_ptr<split::Channel>> one_shard(std::unique_ptr<split::Channel> channel) {
+    std::vector<std::unique_ptr<split::Channel>> shards;
+    shards.push_back(std::move(channel));
+    return shards;
+}
+
+}  // namespace
+
 RemoteSession::RemoteSession(std::unique_ptr<split::Channel> channel, nn::Layer& head,
                              nn::Layer* noise, nn::Layer& tail, core::Selector selector,
                              split::WireFormat wire_format,
                              std::chrono::milliseconds handshake_timeout,
                              std::size_t max_inflight)
-    : head_(head),
-      noise_(noise),
-      tail_(tail),
-      selector_(std::move(selector)),
-      wire_format_(wire_format) {
-    ENS_REQUIRE(channel != nullptr, "RemoteSession: null channel");
-    ENS_REQUIRE(max_inflight >= 1, "RemoteSession: max_inflight must be >= 1");
-    // A silent or wrong endpoint must fail typed (channel_timeout), not
-    // wedge construction forever. The helper resets the timeout afterwards;
-    // per-request bounds are the caller's via set_recv_timeout.
-    const HostInfo host = perform_handshake(*channel, handshake_timeout,
-                                            /*session_timeout=*/std::chrono::milliseconds(0),
-                                            wire_format_, "RemoteSession");
-    if (!host.hosts_all()) {
-        throw Error(ErrorCode::protocol_error,
-                    "RemoteSession: host serves only " + host.to_string() +
-                        " — a shard host needs a ShardRouter, not a RemoteSession");
-    }
-    body_count_ = host.total_bodies;
-    deployment_version_ = host.deployment_version;
-    host_info_ = host;
-    ENS_REQUIRE(selector_.n() == body_count_,
-                "RemoteSession: selector must cover the host's " + std::to_string(body_count_) +
-                    " bodies");
-
-    std::vector<ShardPipeline::Endpoint> endpoints;
-    ShardPipeline::Endpoint endpoint;
-    endpoint.channel = std::move(channel);
-    endpoint.body_begin = 0;
-    endpoint.body_count = body_count_;
-    endpoint.label = "host";
-    endpoints.push_back(std::move(endpoint));
-    const std::size_t window =
-        std::min(max_inflight, static_cast<std::size_t>(host.max_inflight));
-    pipeline_ = std::make_unique<ShardPipeline>(
-        std::move(endpoints), body_count_, window, "RemoteSession", "open a new session",
-        [this](InflightRequest& request) {
-            return finish_request(request, selector_, tail_, stats_);
-        });
-}
-
-std::future<InferenceResult> RemoteSession::submit(Tensor images) {
-    ENS_REQUIRE(images.defined(), "RemoteSession::submit: undefined image tensor");
-    const Stopwatch submitted;  // total_ms spans the whole request, head included
-    if (images.rank() == 3) {
-        images = images.reshaped(Shape{1, images.dim(0), images.dim(1), images.dim(2)});
-    }
-    // Client phase on the calling thread: private head (+ split-point
-    // noise), encoded once into a pooled buffer the sender ships tagged.
-    Tensor features = head_.forward(images);
-    if (noise_ != nullptr) {
-        features = noise_->forward(features);
-    }
-    auto payload = std::make_shared<split::WireBufferPool::Lease>(uplink_pool_.acquire());
-    split::encode_into(features, wire_format_, **payload);
-    return pipeline_->submit(std::move(payload), images.dim(0), submitted);
-}
-
-InferenceResult RemoteSession::infer(Tensor images) { return submit(std::move(images)).get(); }
+    : ShardRouter(one_shard(std::move(channel)), head, noise, tail, std::move(selector),
+                  wire_format, handshake_timeout, max_inflight) {}
 
 }  // namespace ens::serve

@@ -5,20 +5,22 @@
 // The paper's deployment puts the N server bodies and the client on
 // DIFFERENT machines; this is that boundary made real. A host process
 // owns the bodies (BodyHost) and serves them to TCP clients through a
-// ReactorHost; a RemoteSession in the client process runs the private head/noise/selector/
-// tail locally and only ever ships split-point feature maps — the secret
-// selector never crosses the wire, exactly as §III requires.
+// ReactorHost; a RemoteSession in the client process runs the private
+// head/noise/selector/tail locally and only ever ships split-point feature
+// maps — the secret selector never crosses the wire, exactly as §III
+// requires. RemoteSession is the one-shard ShardRouter
+// (serve/shard_router.hpp), the single wire client.
 //
-// Protocol v3 (one Channel per connection, used bidirectionally,
+// Protocol v4 (one Channel per connection, used bidirectionally,
 // PIPELINED — see serve/protocol.hpp):
 //   1. handshake: the host sends one serve::HostInfo message (magic,
 //      version, total bodies, hosted body slice, accepted wire formats,
-//      per-connection in-flight window) so the client can validate its
-//      selector covers the deployment, negotiate the wire format and size
-//      its request window before any feature bytes flow. A BodyHost
-//      defaults to hosting the whole deployment; set_shard() turns it into
-//      one shard of a §III-D multiparty layout (the client side of that
-//      layout is serve::ShardRouter).
+//      per-connection in-flight window, deployment version) so the client
+//      can validate its selector covers the deployment, negotiate the wire
+//      format and size its request window before any feature bytes flow.
+//      A BodyHost defaults to hosting the whole deployment; set_shard()
+//      turns it into one shard of a §III-D multiparty layout (the client
+//      side of that layout is a many-shard serve::ShardRouter).
 //   2. per request: the client sends one request-id-tagged encoded feature
 //      tensor; the host replies with body_count tagged feature maps (one
 //      per body, each naming the request id and body index), each encoded
@@ -44,17 +46,16 @@
 
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/selector.hpp"
 #include "nn/layer.hpp"
-#include "serve/pipeline.hpp"
 #include "serve/protocol.hpp"
-#include "serve/stats.hpp"
-#include "serve/types.hpp"
+#include "serve/shard_router.hpp"
 #include "split/channel.hpp"
 #include "split/codec.hpp"
 
@@ -167,83 +168,44 @@ private:
     std::vector<std::mutex> forward_mutexes_;
 };
 
-/// Client-side handle on a BodyHost: the remote analogue of ClientSession.
-/// Owns the private client bundle references, the secret selector, the
-/// wire channel and its persistent I/O workers (created at connect time —
-/// never per request). submit() keeps up to window() requests in flight
-/// (futures may resolve out of order); infer() is submit + wait. submit()
-/// itself must be called from one thread at a time (the shared head
-/// layer's forward cache is not thread-safe), like a client device.
-class RemoteSession {
+/// Client-side handle on ONE whole-deployment BodyHost: the remote
+/// analogue of ClientSession, and the K = 1 case of ShardRouter (it IS a
+/// one-shard router — same I/O workers, window, finish and failure
+/// semantics). Owns the private client bundle references, the secret
+/// selector, the wire channel and its persistent I/O workers (created at
+/// connect time — never per request). submit() keeps up to window()
+/// requests in flight (futures may resolve out of order); infer() is
+/// submit + wait. submit() itself must be called from one thread at a time
+/// (the shared head layer's forward cache is not thread-safe), like a
+/// client device.
+class RemoteSession final : public ShardRouter {
 public:
     /// Takes the connected channel; `noise` may be null (plain split CI).
     /// Reads the host handshake under a bounded timeout (so pointing at a
     /// silent endpoint fails typed instead of wedging construction) and
-    /// requires the host to serve the WHOLE deployment (a shard host needs
-    /// a ShardRouter), selector.n() == the host's body count, and the host
-    /// to accept `wire_format`. The in-flight window is
-    /// min(max_inflight, the host's advertised cap). After construction
-    /// the channel waits without limit — use set_recv_timeout to bound
-    /// per-request waits.
+    /// requires the host to serve the WHOLE deployment (a lone shard host
+    /// fails the router's tiling check with a typed protocol_error),
+    /// selector.n() == the host's body count, and the host to accept
+    /// `wire_format`. The in-flight window is min(max_inflight, the host's
+    /// advertised cap). After construction the channel waits without
+    /// limit — use set_recv_timeout to bound per-request waits.
     RemoteSession(std::unique_ptr<split::Channel> channel, nn::Layer& head, nn::Layer* noise,
                   nn::Layer& tail, core::Selector selector,
                   split::WireFormat wire_format = split::WireFormat::f32,
                   std::chrono::milliseconds handshake_timeout = std::chrono::seconds(30),
                   std::size_t max_inflight = kDefaultMaxInflight);
 
-    /// Pipelined submission: runs the client phase (head + noise + encode)
-    /// on the calling thread, ships the tagged request, and returns a
-    /// future that resolves — possibly out of order with other in-flight
-    /// requests — once the host's body maps are back and the secret
-    /// selector + tail have run. Blocks while window() requests are
-    /// already in flight (backpressure). On transport/protocol failure the
-    /// future faults with a typed ens::Error.
-    std::future<InferenceResult> submit(Tensor images);
-
-    /// One blocking round trip over the wire (submit + wait).
-    InferenceResult infer(Tensor images);
-
-    /// Caps how long each in-flight request waits for the host (0 =
-    /// forever).
-    void set_recv_timeout(std::chrono::milliseconds timeout) {
-        pipeline_->set_recv_timeout(timeout);
-    }
-
-    std::size_t body_count() const { return body_count_; }
-    /// Deployment generation this session is pinned to (from the v4
-    /// handshake; 0 = unversioned host). A live hot-swap never changes
-    /// this — only connections opened after the swap see the new version.
-    std::uint32_t deployment_version() const { return deployment_version_; }
     /// The full handshake the host sent at connect time (slice, wire mask,
     /// advertised in-flight cap, deployment version). Harness-facing: the
     /// wiretap tests compare this against what a passive observer decodes
     /// from the captured handshake frame.
-    const HostInfo& host_info() const { return host_info_; }
-    /// Effective in-flight window negotiated with the host.
-    std::size_t window() const { return pipeline_->window(); }
-    split::WireFormat wire_format() const { return wire_format_; }
-    const core::Selector& selector() const { return selector_; }
-    const SessionStats& stats() const { return stats_; }
-
+    HostInfo host_info() const { return shard_map().front(); }
+    /// Deployment generation this session is pinned to (from the v4
+    /// handshake; 0 = unversioned host). A live hot-swap never changes
+    /// this — only connections opened after the swap see the new version.
+    std::uint32_t deployment_version() const { return host_info().deployment_version; }
     /// Combined both-direction traffic (one socket carries up and down).
-    split::TrafficStats traffic_stats() const { return pipeline_->channel_traffic(0); }
-
-    /// Disconnects from the host (the host drops this connection).
-    /// Outstanding futures fault typed.
-    void close() { pipeline_->close(); }
-
-private:
-    nn::Layer& head_;
-    nn::Layer* noise_;
-    nn::Layer& tail_;
-    core::Selector selector_;
-    split::WireFormat wire_format_;
-    std::size_t body_count_ = 0;
-    std::uint32_t deployment_version_ = 0;
-    HostInfo host_info_;
-    split::WireBufferPool uplink_pool_;
-    SessionStats stats_;
-    std::unique_ptr<ShardPipeline> pipeline_;
+    split::TrafficStats traffic_stats() const { return shard_traffic(0); }
 };
 
 }  // namespace ens::serve

@@ -1,7 +1,7 @@
 #pragma once
 // Retry/backoff policy shared by everything in ens::serve that redials a
-// shard replica: ShardPipeline's in-flight failover (how many times one
-// request may be replayed onto a sibling replica), ShardRouter's background
+// shard replica: ShardRouter's in-flight failover (how many times one
+// request may be replayed onto a sibling replica), its background
 // re-admission loop (how long to wait between redial attempts), and
 // replicated client construction (per-attempt connect/handshake budget, so
 // a black-holed endpoint cannot stall the constructor — see the

@@ -1,6 +1,8 @@
 #pragma once
-// Client-side router over K shard hosts — the §III-D multiparty deployment
-// made real across process (and machine) boundaries.
+// The wire client: a router over K body hosts — the §III-D multiparty
+// deployment made real across process (and machine) boundaries. One
+// whole-deployment host is just K = 1 (RemoteSession, serve/remote.hpp,
+// is exactly that).
 //
 // Each shard is a BodyHost process hosting a disjoint contiguous slice of
 // the deployment's N bodies (BodyHost::set_shard + serve_daemon
@@ -23,45 +25,61 @@
 // property: replicas duplicate a slice, they never concentrate more of the
 // ensemble on one box (see docs/ARCHITECTURE.md "Replication & failover").
 //
-// Pipelining (protocol v3): the router keeps up to window() requests in
-// flight per shard connection. submit() runs the client phase, encodes the
-// feature map ONCE into a pooled buffer, enqueues it on the chosen
-// replicas' persistent sender threads, and returns a future; each
-// replica's persistent recv-demux thread matches tagged replies to
-// requests by id and deposits decoded maps straight into the request's
-// global body slots. The demux that delivers a request's LAST map runs
-// selector + tail and resolves the future — out of order when a later
-// request finishes first. infer() is submit + wait. All I/O threads are
-// created at connect (and reconnect) time — NEVER per request — so
-// steady-state throughput scales with shard compute, not with round-trip
-// count (ISSUE 4 / ROADMAP pipelining item).
+// Pipelining (protocol v4, serve/protocol.hpp): every frame carries a
+// request id, so the router keeps up to window() requests in flight per
+// connection and matches replies to futures by id, not stream position.
+// submit() runs the client phase (head + noise) on the calling thread,
+// encodes the feature map ONCE into a pooled buffer, enqueues it on the
+// chosen replicas' send queues, and returns a future. Per replica LINK
+// there is one SENDER thread draining that FIFO queue (so submit() never
+// blocks on a slow shard's socket) and one RECV-DEMUX thread that parses
+// reply tags, decodes feature maps straight into the request's global body
+// slots, and turns unknown/duplicate/out-of-range tags into typed
+// protocol errors. The in-flight table is bounded by the negotiated window
+// — submit() parks while it is full (client-side backpressure; the host's
+// reactor applies the same bound by not reading past it). The demux that
+// delivers a request's LAST map runs selector + tail (serialized: the
+// shared tail's forward cache is not thread-safe) and resolves the future
+// — out of order when a later request finishes first; ids never cross.
+// infer() is submit + wait. All I/O threads are created at connect (and
+// reconnect) time — NEVER per request.
 //
-// Failure isolation and failover: a dead or misbehaving replica surfaces
-// as a typed ens::Error on ITS link only; requests in flight on it are
-// replayed onto a surviving replica of the same shard (fresh wire ids,
-// identical retained payload bytes, bounded by RetryPolicy::max_attempts)
-// — the client future never notices. Only when a shard's LAST replica is
-// gone do futures fault typed (channel_closed / channel_timeout /
-// io_error / protocol_error, tagged with the replica), submission is
-// refused typed (shard_needs_reconnect) and reconnect_shard() swaps in a
-// fresh channel to a replacement host (which must advertise the identical
-// body slice). When the router was constructed from ENDPOINTS (not bare
-// channels), a background maintenance thread also redials failed replicas
-// on the RetryPolicy backoff schedule and re-admits them automatically.
+// Failure isolation and failover: a transport or protocol error on a
+// replica closes that link only; the other shards' tagged streams cannot
+// desynchronize. Requests in flight on the dead link are replayed onto a
+// surviving replica of the same shard under a FRESH wire id (the dead
+// stream's ids are unknowable — a stale reply must never match the
+// replay) with the identical retained payload bytes, bounded by
+// RetryPolicy::max_attempts — the client future never notices. Replay is
+// at-least-once towards the hosts and exactly-once towards the future (a
+// settled flag; the dead channel is closed before its pending moves).
+// Only when a shard's LAST replica is gone do futures fault typed
+// (channel_closed / channel_timeout / io_error / protocol_error, tagged
+// "shard 2 replica 1: ..."), submission is refused typed
+// (shard_needs_reconnect) and reconnect_shard() swaps in a fresh channel
+// to a replacement host (which must advertise the identical body slice).
+// When the router was constructed from ENDPOINTS (not bare channels), a
+// background maintenance thread also redials failed replicas on the
+// RetryPolicy backoff schedule and re-admits them automatically.
 //
-// Like RemoteSession, submit() must be called from one thread at a time
-// (the shared head layer's forward cache is not thread-safe) — but up to
-// window() submissions can be outstanding at once.
+// submit() must be called from one thread at a time (the shared head
+// layer's forward cache is not thread-safe) — but up to window()
+// submissions can be outstanding at once.
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "common/stopwatch.hpp"
 #include "core/selector.hpp"
 #include "nn/layer.hpp"
 #include "serve/pipeline.hpp"
@@ -82,14 +100,6 @@ struct ReplicaEndpoint {
 
 class ShardRouter {
 public:
-    /// One entry per connected shard, in construction order.
-    struct ShardInfo {
-        std::size_t body_begin = 0;  ///< first global body index on this shard
-        std::size_t body_count = 0;  ///< contiguous bodies on this shard
-
-        std::size_t body_end() const { return body_begin + body_count; }
-    };
-
     /// Replica health of one shard (for --stats output and tests).
     struct ReplicaStatus {
         std::size_t configured = 0;
@@ -141,26 +151,31 @@ public:
                 split::WireFormat wire_format = split::WireFormat::f32, RetryPolicy retry = {},
                 std::size_t max_inflight = kDefaultMaxInflight);
 
+    /// close()s: joins every thread; outstanding futures fault typed.
     ~ShardRouter();
+
+    ShardRouter(const ShardRouter&) = delete;
+    ShardRouter& operator=(const ShardRouter&) = delete;
 
     /// Pipelined submission: head (+noise) on the calling thread, encode
     /// once, fan the tagged request out through one healthy replica per
     /// shard, return a future that resolves — possibly out of order —
     /// with the merged + selected + tailed result. Blocks while window()
-    /// requests are in flight. On replica failure the request fails over
-    /// to a surviving replica; only when a shard has none left does the
-    /// future fault with a typed ens::Error naming the replica, and that
-    /// shard is marked desynchronized (shard_needs_reconnect) — further
-    /// submission fails typed until reconnect_shard() or the background
-    /// redial restores a replica.
+    /// requests are in flight (the wait is the result's queue_ms). On
+    /// replica failure the request fails over to a surviving replica; only
+    /// when a shard has none left does the future fault with a typed
+    /// ens::Error naming the replica, and that shard is marked
+    /// desynchronized (shard_needs_reconnect) — further submission fails
+    /// typed until reconnect_shard() or the background redial restores a
+    /// replica.
     std::future<InferenceResult> submit(Tensor images);
 
     /// One blocking round trip (submit + wait).
     InferenceResult infer(Tensor images);
 
-    /// Caps how long a pending request may wait on each shard (applies to
-    /// every current channel and to channels adopted later by
-    /// reconnect_shard; 0 = forever).
+    /// Caps how long a pending request may wait on each replica before the
+    /// link is declared failed (applies to every current channel and to
+    /// channels adopted later by reconnect; 0 = forever).
     void set_recv_timeout(std::chrono::milliseconds timeout);
 
     /// Replaces the channel of a FAILED replica of shard `shard` after a
@@ -192,11 +207,13 @@ public:
 
     std::size_t shard_count() const { return shards_.size(); }
     /// Total bodies N across all shards.
-    std::size_t body_count() const { return total_bodies_; }
+    std::size_t body_count() const { return shards_.front().host.total_bodies; }
     /// Effective in-flight window negotiated across all shards.
-    std::size_t window() const { return pipeline_->window(); }
-    /// Shard slices in construction order (the shard map).
-    const std::vector<ShardInfo>& shard_map() const { return shards_; }
+    std::size_t window() const { return window_; }
+    /// Each shard's handshake (slice, wire mask, window, deployment
+    /// version) in construction order — the shard map. A replicated
+    /// shard reports its first live replica's.
+    std::vector<HostInfo> shard_map() const;
     /// Index of the shard hosting global body `body_index`.
     std::size_t shard_of_body(std::size_t body_index) const;
 
@@ -204,41 +221,112 @@ public:
     const core::Selector& selector() const { return selector_; }
     const RetryPolicy& retry_policy() const { return retry_; }
 
-    /// Whole-request latency stats (same meaning as RemoteSession's), plus
-    /// the session-level failover/retry counters.
+    /// Whole-request latency stats, plus the session-level failover/retry
+    /// counters.
     const SessionStats& stats() const { return stats_; }
     /// Round-trip stats of one shard (send -> last feature map decoded),
     /// shared by the shard's replicas and surviving reconnects; the spread
     /// across shards is the §III-D straggler picture.
     const SessionStats& shard_stats(std::size_t shard) const;
-    /// Traffic of one shard's current channels, summed across replicas
-    /// (resets on reconnect).
+    /// Both-direction traffic of one shard's current channels (one socket
+    /// carries up and down), summed across replicas (resets on reconnect).
     split::TrafficStats shard_traffic(std::size_t shard) const;
     /// In-flight requests moved onto a sibling replica since construction.
-    std::uint64_t failovers_total() const { return pipeline_->failovers_total(); }
+    std::uint64_t failovers_total() const { return stats_.failovers(); }
 
     /// Disconnects every shard (each host ends that connection's loop) and
     /// stops the background redialer. Outstanding futures fault typed.
+    /// Idempotent.
     void close();
 
 private:
-    /// Handshakes `channel` and returns the advertised slice; used by
-    /// construction, reconnect and the background redialer.
-    HostInfo adopt(split::Channel& channel, std::chrono::milliseconds handshake_timeout) const;
-    /// Shared constructor body over per-shard replica channel groups.
+    struct SendItem {
+        std::uint64_t id = 0;
+        SharedPayload payload;
+    };
+
+    /// A link's view of one in-flight request, keyed by WIRE id (equal to
+    /// the request id on first assignment, fresh on every replay).
+    struct LinkPending {
+        std::shared_ptr<InflightRequest> request;
+        std::vector<bool> seen;  // per body_seq duplicate guard
+        std::size_t delivered = 0;
+        bool sent = false;
+        Stopwatch started;  // stamped at actual send time (shard stats)
+    };
+
+    /// One replica connection with its two I/O workers. A NULL channel
+    /// marks a BORN-FAILED replica (its endpoint was unreachable at dial
+    /// time): it starts failed with no workers and joins the rotation
+    /// through reconnect(), like a replica that died mid-session.
+    struct Link {
+        std::size_t shard = 0;     ///< index into shards_
+        std::string label;         ///< "shard 0 replica 1" — error tagging
+        ReplicaEndpoint endpoint;  ///< redial address (port 0 = none)
+
+        std::mutex mutex;  // guards channel swaps, queue, pending, stop, failed
+        std::unique_ptr<split::Channel> channel;
+        std::condition_variable send_cv;
+        std::deque<SendItem> queue;  // FIFO: wire order = submit order
+        std::unordered_map<std::uint64_t, LinkPending> pending;
+        bool stop = false;
+        bool failed = false;
+        /// Published failure (guarded by table_mutex_): set by fail_link,
+        /// cleared by reconnect; what replica health and redial read.
+        bool needs_reconnect = false;
+
+        std::thread sender;
+        std::thread demux;
+    };
+
+    /// One body slice and the replicas serving it; a request rides exactly
+    /// one healthy replica per shard.
+    struct Shard {
+        HostInfo host;  ///< the slice (first live replica's handshake)
+        std::vector<std::unique_ptr<Link>> replicas;
+        std::size_t rr = 0;  ///< round-robin cursor (table_mutex_)
+        bool down = false;   ///< no healthy replica left (table_mutex_)
+        SessionStats stats;  ///< survives reconnects
+    };
+
+    /// Shared constructor body over per-shard replica channels: handshakes,
+    /// shard-map validation, then the per-link I/O workers.
     void init(std::vector<std::vector<std::unique_ptr<split::Channel>>> shard_replicas,
               std::size_t max_inflight);
+    /// Handshakes `channel` and returns what the host advertised; used by
+    /// construction, reconnect and the background redialer.
+    HostInfo adopt(split::Channel& channel, std::chrono::milliseconds handshake_timeout) const;
     /// Validates a replacement host's slice against shard `shard` (typed
     /// protocol_error on mismatch).
     void require_slice(std::size_t shard, const HostInfo& host) const;
-    /// Swaps `channel` into pipeline link `link` if it still needs it
-    /// (serialized against concurrent manual/background reconnects).
-    void admit(std::size_t link, std::unique_ptr<split::Channel> channel);
+    /// Swaps an already-validated `channel` into FAILED `link` and restarts
+    /// its workers. The caller holds reconnect_mutex_ (manual reconnects
+    /// and the background redialer are serialized).
+    void reconnect(Link& link, std::unique_ptr<split::Channel> channel);
+    /// The link's published failure flag.
+    bool link_failed(const Link& link) const;
     void maintenance_loop();
 
-    std::vector<ShardInfo> shards_;
-    std::vector<std::vector<std::size_t>> link_of_;  ///< [shard][replica] -> link
-    std::size_t total_bodies_ = 0;
+    void start_link(Link& link);
+    void sender_loop(Link& link);
+    void demux_loop(Link& link);
+    /// Handles one reply frame; throws to fail the link.
+    void handle_frame(Link& link, const std::string& frame);
+    /// Marks the link failed and either fails its pending requests over to
+    /// a sibling replica or faults them (labeled) when none survives.
+    /// First caller wins; later calls are no-ops.
+    void fail_link(Link& link, const std::exception_ptr& error);
+    /// Enqueues `request` under `wire_id` on one healthy replica of `shard`
+    /// (round-robin); false when the shard has no healthy replica.
+    bool assign(const std::shared_ptr<InflightRequest>& request, std::size_t shard,
+                std::uint64_t wire_id);
+    /// Publishes "this shard has no healthy replica" (submit refusals).
+    void mark_shard_down(std::size_t shard);
+    /// Completes `request` (selector + tail + stats + promise) exactly once.
+    void complete(const std::shared_ptr<InflightRequest>& request);
+    /// A shard finished (delivered or failed) its share of `request`.
+    void shard_done_with(const std::shared_ptr<InflightRequest>& request);
+
     nn::Layer& head_;
     nn::Layer* noise_;
     nn::Layer& tail_;
@@ -246,23 +334,30 @@ private:
     split::WireFormat wire_format_;
     RetryPolicy retry_;
     std::chrono::milliseconds handshake_timeout_;
-    std::chrono::milliseconds recv_timeout_{0};
+    /// Per-request wait cap in ms (0 = forever). Atomic: the demux loops
+    /// and the background redialer read it while set_recv_timeout writes.
+    std::atomic<long long> recv_timeout_ms_{0};
+    std::size_t window_ = kDefaultMaxInflight;
     split::WireBufferPool uplink_pool_;
     SessionStats stats_;
-    // SessionStats owns a mutex (immovable), hence the indirection; held
-    // here (not in the pipeline) so per-shard stats survive reconnects.
-    std::vector<std::unique_ptr<SessionStats>> shard_stats_;
-    // Serializes manual reconnect_shard against the background redialer.
+    std::vector<Shard> shards_;  // sized once in init (Shard is immovable)
+
+    std::mutex finish_mutex_;  // serializes the shared tail forward
+    // Guards table_, closed_, and every shard's rr/down and link's
+    // needs_reconnect.
+    mutable std::mutex table_mutex_;
+    std::condition_variable window_cv_;
+    std::unordered_map<std::uint64_t, std::shared_ptr<InflightRequest>> table_;
+    bool closed_ = false;
+    std::atomic<std::uint64_t> next_id_{1};
+
+    // Serializes manual reconnects against the background redialer.
     std::mutex reconnect_mutex_;
-    // Background redial state (endpoint-based construction only).
-    std::vector<ReplicaEndpoint> link_endpoints_;  ///< by link; empty port = none
+    // Background redial (endpoint-based construction only).
     std::mutex maint_mutex_;
     std::condition_variable maint_cv_;
     bool maint_stop_ = false;
     std::thread maintenance_;
-    // Destroyed first (declared last): its I/O workers reference the
-    // members above.
-    std::unique_ptr<ShardPipeline> pipeline_;
 };
 
 }  // namespace ens::serve

@@ -70,7 +70,7 @@ public:
     void record(double total_ms, double queue_ms, std::int64_t images);
 
     /// Records one in-flight request moved onto a surviving replica after
-    /// its link died (ShardPipeline failover). The request is NOT double
+    /// its link died (ShardRouter failover). The request is NOT double
     /// counted by record() — it completes once, on whichever replica
     /// delivered it.
     void record_failover();

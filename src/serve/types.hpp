@@ -5,8 +5,8 @@
 // InferenceService owns the N deployed server bodies once and serves many
 // concurrent ClientSessions, each carrying its own secret Selector, wire
 // format, channels and traffic/latency accounting (the per-client state of
-// the Ensembler paper's deployment, §III). RemoteSession and ShardRouter
-// return the same InferenceResult over a real wire.
+// the Ensembler paper's deployment, §III). ShardRouter (and RemoteSession,
+// its one-host case) returns the same InferenceResult over a real wire.
 
 #include <cstdint>
 

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -17,6 +19,7 @@
 
 #include "common/error.hpp"
 #include "common/serialize.hpp"
+#include "common/stopwatch.hpp"
 #include "core/selector.hpp"
 #include "serve/protocol.hpp"
 #include "serve/remote.hpp"
@@ -413,6 +416,76 @@ TEST(ServeProtocol, TruncatedAndCorruptFeatureFramesAreTyped) {
     expect_protocol_error(
         [&] { (void)session.infer(Tensor::randn(Shape{1, harness::kIn}, data_rng)); },
         "infer vs truncated feature frame");
+}
+
+TEST(ServeProtocol, IdleSessionOutlivesRecvCapButStalledRequestTimesOut) {
+    // The demux recv runs continuously under the per-request cap, so a
+    // recv timeout on an IDLE link must re-arm, while one with a sent
+    // request older than the cap fails the link typed. A cap far below
+    // kShortTimeout keeps the idle-then-stall script near one second.
+    //
+    // The host answers one warm-up request before it stalls: a socket's
+    // recv timeout is sampled when a recv starts, so the demux recv that
+    // was already blocked when set_recv_timeout ran keeps waiting without
+    // limit until a frame arrives. After the warm-up reply every demux
+    // recv runs under the cap.
+    constexpr std::chrono::milliseconds kCap{250};
+    ClientParts client = make_client();
+    HostInfo whole;
+    whole.total_bodies = 1;
+    whole.body_begin = 0;
+    whole.body_count = 1;
+    whole.wire_mask = split::all_wire_formats_mask();
+    std::atomic<bool> stalled_read{false};
+    ScriptedHost host([&, msg = encode_handshake(whole)](split::Channel& channel) {
+        channel.send(msg);
+        std::string_view payload;
+        const std::string warmup = channel.recv();
+        const std::uint64_t id = parse_request_frame(warmup, payload);
+        const Tensor features = client.model.body->forward(split::decode_tensor(payload));
+        unsigned char tag[kReplyTagBytes];
+        encode_reply_tag(id, 0, tag);
+        channel.send_parts(std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
+                           split::encode_tensor(features, split::encoded_wire_format(payload)));
+        (void)channel.recv();  // read the next request, never reply
+        stalled_read = true;
+    });
+    RemoteSession session(split::tcp_connect("127.0.0.1", host.port()), *client.model.head,
+                          nullptr, *client.model.tail, client.selector, split::WireFormat::f32,
+                          kShortTimeout);
+    session.set_recv_timeout(kCap);
+    Rng data_rng(13);
+    (void)session.infer(Tensor::randn(Shape{1, harness::kIn}, data_rng));
+
+    // Idle past the cap several times over: the link stays healthy.
+    std::this_thread::sleep_for(3 * kCap);
+    EXPECT_FALSE(session.shard_needs_reconnect(0));
+    EXPECT_EQ(session.replica_status(0).healthy, 1u);
+
+    // The stalled request faults with channel_timeout, no sooner than the
+    // cap after it was sent.
+    const Stopwatch waited;
+    std::future<InferenceResult> stalled =
+        session.submit(Tensor::randn(Shape{1, harness::kIn}, data_rng));
+    try {
+        (void)stalled.get();
+        FAIL() << "stalled request resolved";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::channel_timeout) << e.what();
+    }
+    EXPECT_GE(waited.elapsed_ms(), static_cast<double>(kCap.count()));
+    EXPECT_TRUE(stalled_read.load()) << "the stalled request never reached the host";
+
+    // The stream is desynchronized now (the reply may still arrive):
+    // further submission is refused typed until a reconnect.
+    EXPECT_TRUE(session.shard_needs_reconnect(0));
+    try {
+        (void)session.submit(Tensor::randn(Shape{1, harness::kIn}, data_rng));
+        FAIL() << "submit accepted on a timed-out link";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::channel_closed) << e.what();
+        EXPECT_NE(std::string(e.what()).find("reconnect"), std::string::npos) << e.what();
+    }
 }
 
 }  // namespace
