@@ -11,6 +11,11 @@
 //   blocked_mt - same kernel with parallel i-strip tiling on the pool
 //   packed     - weights pre-packed once (the serving path after
 //                prepare_inference), activations packed per call, parallel
+//   packed_t   - the same product computed transposed, C^T = B^T A^T:
+//                weights pre-packed as the B operand, activations packed
+//                per call as a transposed A, parallel. nn::Conv2d runs
+//                this below kNR output positions (n < kNR here), where
+//                packed wastes most of each register tile on padding
 //
 // The CI acceptance signal is speedup_naive of blocked/packed at the
 // >= 256^3 shapes, so every scale (including tiny, which the Release smoke
@@ -48,6 +53,8 @@ std::vector<ShapeSpec> shapes_for(ens::bench::Scale scale) {
     std::vector<ShapeSpec> shapes = {
         {"conv3x3-w8", 8, 256, 72},        // [8, 8*9] @ [72, 16*16]
         {"conv3x3-w64", 64, 256, 576},     // [64, 64*9] @ [576, 16*16]
+        {"conv3x3-w16-s3", 64, 16, 576},   // width-16 stage 3: 4x4 map, n = kNR
+        {"conv3x3-w16-s4", 128, 4, 1152},  // width-16 stage 4: 2x2 map, n < kNR
         {"tail-linear", 32, 10, 640},      // [batch, 10*width] @ W^T
         {"square-64", 64, 64, 64},
         {"square-128", 128, 128, 128},
@@ -98,6 +105,8 @@ int main() {
 
         const kernel::PackedMatrix packed_a =
             kernel::pack_a(a.data(), s.k, /*trans_a=*/false, s.m, s.k);
+        const kernel::PackedMatrix packed_at =
+            kernel::pack_b(a.data(), s.k, /*trans_b=*/true, s.k, s.m);
 
         struct Variant {
             const char* name;
@@ -119,6 +128,12 @@ int main() {
              [&] {
                  kernel::gemm_packed_a(packed_a, b.data(), s.n, false, s.n, c.data(), s.n, 1.0f,
                                        0.0f, /*parallel=*/true);
+             }},
+            {"packed_t",
+             [&] {
+                 // c holds C^T [n, m] here; same size, ldc = m.
+                 kernel::gemm_packed_b(b.data(), s.n, /*trans_a=*/true, s.n, packed_at, c.data(),
+                                       s.m, 1.0f, 0.0f, /*parallel=*/true);
              }},
         };
 

@@ -84,18 +84,30 @@ Tensor Conv2d::forward(const Tensor& input) {
     // every request — the pack survives between forwards). The packed and
     // unpacked paths are bit-identical (see gemm_kernel.hpp), so toggling
     // modes never changes outputs.
+    //
+    // The GEMM orientation follows the geometry. W · col puts the output
+    // positions on the kNR side of the register tile, so below kNR
+    // positions (the 2x2 stage-4 maps) most of every FMA is padding. There
+    // the layer computes out^T[positions, C_out] = col^T · W^T instead,
+    // with channels filling the tile. Each C element is still the same FMA
+    // chain over the same kKC slabs, only the operand roles swap, so the
+    // result is bit-identical either way.
     const bool use_packed = !training_;
-    if (use_packed && !packed_weight_.defined()) {
-        kernel::pack_a_into(packed_weight_, weight_.value.data(), weight_.value.dim(1),
-                            /*trans_a=*/false, out_channels_, weight_.value.dim(1));
+    const bool transposed = use_packed && positions < kernel::kNR;
+    if (use_packed && (!packed_weight_.defined() || packed_weight_.is_a() == transposed)) {
+        pack_weight(/*as_b=*/transposed);
     }
 
     parallel_for(0, static_cast<std::size_t>(batch), [&](std::size_t lo, std::size_t hi) {
         Tensor col(Shape{geom.patch_size(), positions});
-        Tensor out_mat(Shape{out_channels_, positions});
+        Tensor out_mat(Shape{out_channels_, positions});  // [positions, C_out] when transposed
         for (std::size_t n = lo; n < hi; ++n) {
             im2col(input.data() + static_cast<std::int64_t>(n) * in_plane, geom, col.data());
-            if (use_packed) {
+            if (transposed) {
+                kernel::gemm_packed_b(col.data(), positions, /*trans_a=*/true, positions,
+                                      packed_weight_, out_mat.data(), out_channels_, 1.0f, 0.0f,
+                                      /*parallel=*/false);
+            } else if (use_packed) {
                 kernel::gemm_packed_a(packed_weight_, col.data(), positions, /*trans_b=*/false,
                                       positions, out_mat.data(), positions, 1.0f, 0.0f,
                                       /*parallel=*/false);
@@ -104,8 +116,15 @@ Tensor Conv2d::forward(const Tensor& input) {
             }
             float* dst = output.data() + static_cast<std::int64_t>(n) * out_plane;
             const float* src = out_mat.data();
-            if (with_bias_) {
-                const float* b = bias_.value.data();
+            const float* b = with_bias_ ? bias_.value.data() : nullptr;
+            if (transposed) {
+                for (std::int64_t c = 0; c < out_channels_; ++c) {
+                    for (std::int64_t p = 0; p < positions; ++p) {
+                        const float v = src[p * out_channels_ + c];
+                        dst[c * positions + p] = b != nullptr ? v + b[c] : v;
+                    }
+                }
+            } else if (b != nullptr) {
                 for (std::int64_t c = 0; c < out_channels_; ++c) {
                     for (std::int64_t p = 0; p < positions; ++p) {
                         dst[c * positions + p] = src[c * positions + p] + b[c];
@@ -118,6 +137,17 @@ Tensor Conv2d::forward(const Tensor& input) {
         }
     });
     return output;
+}
+
+void Conv2d::pack_weight(bool as_b) {
+    const std::int64_t patch = weight_.value.dim(1);
+    if (as_b) {
+        kernel::pack_b_into(packed_weight_, weight_.value.data(), patch, /*trans_b=*/true, patch,
+                            out_channels_);
+    } else {
+        kernel::pack_a_into(packed_weight_, weight_.value.data(), patch, /*trans_a=*/false,
+                            out_channels_, patch);
+    }
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
@@ -232,8 +262,10 @@ void Conv2d::set_epilogue(Epilogue epilogue, float slope) {
 
 void Conv2d::prepare_inference() {
     set_training(false);
-    kernel::pack_a_into(packed_weight_, weight_.value.data(), weight_.value.dim(1),
-                        /*trans_a=*/false, out_channels_, weight_.value.dim(1));
+    // The input geometry is unknown here. Keep the orientation a forward
+    // already chose; before any forward, pack for W · col, and let the
+    // first forward of a small-spatial layer repack it once as W^T.
+    pack_weight(/*as_b=*/packed_weight_.defined() && !packed_weight_.is_a());
 }
 
 std::string Conv2d::name() const {

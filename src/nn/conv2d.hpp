@@ -34,9 +34,9 @@ public:
     std::string name() const override;
 
     /// Eval-mode forwards run the GEMM against a per-instance packed copy
-    /// of the weight (A-operand panels, packed lazily on first eval forward
-    /// or eagerly by prepare_inference). Training mode, checkpoint loads
-    /// and copy_parameters drop the pack so it can never go stale.
+    /// of the weight (packed lazily on first eval forward or eagerly by
+    /// prepare_inference). Training mode, checkpoint loads and
+    /// copy_parameters drop the pack so it can never go stale.
     void set_training(bool training) override;
     void on_parameters_changed() override;
     void prepare_inference() override;
@@ -70,6 +70,9 @@ public:
 
 private:
     ConvGeometry geometry_for(const Tensor& input) const;
+    /// Packs the weight into packed_weight_ as W (the A operand of
+    /// W · col) or, when `as_b`, as W^T (the B operand of col^T · W^T).
+    void pack_weight(bool as_b);
 
     std::int64_t in_channels_;
     std::int64_t out_channels_;
@@ -82,8 +85,11 @@ private:
     Parameter weight_;
     Parameter bias_;
     Tensor cached_input_;
-    // Weight repacked for the blocked kernel ([out_channels, patch] as the
-    // GEMM's A operand). Per-instance, so hot-swapped deployment
+    // Weight repacked for the blocked kernel, in the orientation the last
+    // eval forward's geometry needed: [out_channels, patch] as the A
+    // operand of W · col, or, below kernel::kNR output positions, W^T as
+    // the B operand of col^T · W^T. One pack per layer, repacked in place
+    // when the geometry flips. Per-instance, so hot-swapped deployment
     // generations can never alias another generation's pack.
     kernel::PackedMatrix packed_weight_;
 };

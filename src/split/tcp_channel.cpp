@@ -274,6 +274,17 @@ bool TcpChannel::has_pending() const {
     return ::poll(&pfd, 1, 0) > 0 && (pfd.revents & (POLLIN | POLLHUP)) != 0;
 }
 
+bool TcpChannel::wait_readable(std::chrono::milliseconds timeout) {
+    // close() shuts the socket down, which wakes this poll too.
+    pollfd pfd{};
+    pfd.fd = fd_;
+    pfd.events = POLLIN;
+    const int ready = ::poll(&pfd, 1, static_cast<int>(timeout.count()));
+    // EINTR reads as a timeout (the caller polls again); any other poll
+    // failure as ready, so recv() surfaces it typed.
+    return ready > 0 || (ready < 0 && errno != EINTR);
+}
+
 // -------------------------------------------------------- ChannelListener
 
 ChannelListener::ChannelListener(std::uint16_t port, const std::string& host, int backlog) {

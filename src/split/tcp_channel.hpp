@@ -53,6 +53,10 @@ public:
 
     std::string recv() override;
     bool has_pending() const override;
+    /// poll() for POLLIN on the socket; true on data, EOF, error or a
+    /// locally closed channel (recv() then reports which), false on
+    /// timeout or EINTR.
+    bool wait_readable(std::chrono::milliseconds timeout) override;
 
     /// Shuts both directions down and wakes blocked peers/receivers. The fd
     /// stays reserved until destruction so no in-flight call can race a

@@ -2,10 +2,11 @@
 // Blocked, register-tiled GEMM micro-kernel with packed operand panels.
 //
 // This is the compute core every request bottoms out in: Conv2d lowers to
-// GEMM via im2col, Linear IS a GEMM, and the serve fan-out just schedules
-// many of them. The structure is the classic three-level blocking of
-// production BLAS (BLIS/oneDNN style), sized for the L1/L2 of commodity
-// serving hardware:
+// GEMM via im2col (W · col, or col^T · W^T below kNR output positions so
+// the channels fill the register tile), Linear IS a GEMM, and the serve
+// fan-out just schedules many of them. The structure is the classic
+// three-level blocking of production BLAS (BLIS/oneDNN style), sized for
+// the L1/L2 of commodity serving hardware:
 //
 //   - micro-kernel: a kMR x kNR register tile updated along kc with FMA —
 //     runtime-dispatched between an AVX2+FMA path, a NEON path and a

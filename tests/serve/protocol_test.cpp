@@ -488,5 +488,47 @@ TEST(ServeProtocol, IdleSessionOutlivesRecvCapButStalledRequestTimesOut) {
     }
 }
 
+TEST(ServeProtocol, StalledFirstRequestTimesOutUnderCapSetAfterConnect) {
+    // The same cap as above, but with no warm-up request: the demux has
+    // been waiting without limit since construction when set_recv_timeout
+    // runs, and the very first request stalls. The demux must apply the
+    // new cap to it rather than wait until the host closes (ScriptedHost
+    // holds the connection for 30 s).
+    constexpr std::chrono::milliseconds kCap{250};
+    ClientParts client = make_client();
+    HostInfo whole;
+    whole.total_bodies = 1;
+    whole.body_begin = 0;
+    whole.body_count = 1;
+    whole.wire_mask = split::all_wire_formats_mask();
+    std::atomic<bool> stalled_read{false};
+    ScriptedHost host([&, msg = encode_handshake(whole)](split::Channel& channel) {
+        channel.send(msg);
+        (void)channel.recv();  // read the first request, never reply
+        stalled_read = true;
+    });
+    RemoteSession session(split::tcp_connect("127.0.0.1", host.port()), *client.model.head,
+                          nullptr, *client.model.tail, client.selector, split::WireFormat::f32,
+                          kShortTimeout);
+    std::this_thread::sleep_for(kCap);  // the demux is now blocked, uncapped
+    session.set_recv_timeout(kCap);
+
+    Rng data_rng(17);
+    const Stopwatch waited;
+    std::future<InferenceResult> stalled =
+        session.submit(Tensor::randn(Shape{1, harness::kIn}, data_rng));
+    try {
+        (void)stalled.get();
+        FAIL() << "stalled request resolved";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::channel_timeout) << e.what();
+    }
+    EXPECT_GE(waited.elapsed_ms(), static_cast<double>(kCap.count()));
+    EXPECT_LT(waited.elapsed_ms(), static_cast<double>(kShortTimeout.count()))
+        << "the cap was not applied; the request waited for the host to close";
+    EXPECT_TRUE(stalled_read.load()) << "the stalled request never reached the host";
+    EXPECT_TRUE(session.shard_needs_reconnect(0));
+}
+
 }  // namespace
 }  // namespace ens::serve

@@ -128,42 +128,75 @@ TEST_P(KernelSweep, AgreesWithNaiveKernel) {
 }
 
 TEST(Kernel, PackedUnpackedAndParallelAreBitIdentical) {
-    // One C, five ways: unpacked serial, unpacked parallel, pre-packed A,
-    // pre-packed B, both pre-packed. All five must agree to the bit.
-    const std::int64_t m = 97, n = 65, k = 300;
-    Rng rng(0xB17);
-    const Tensor a = Tensor::randn(Shape{m, k}, rng);
-    const Tensor bt = Tensor::randn(Shape{n, k}, rng);  // used as op(B) via trans_b
-
-    const auto run = [&](auto&& fn) {
-        Tensor c(Shape{m, n});
-        c.fill(std::nanf(""));
-        fn(c);
-        return c.to_vector();
+    // One C, six ways: unpacked serial, unpacked parallel, pre-packed A,
+    // pre-packed B, both pre-packed, and C^T = op(B)^T · op(A)^T with the
+    // roles swapped (B's source as a transposed A, A's source pre-packed
+    // as a transposed B) — the symmetry Conv2d's small-spatial path rests
+    // on. All six must agree to the bit, also at a ragged n that becomes
+    // the transposed product's m, and at a k spanning several kKC slabs.
+    struct Dims {
+        std::int64_t m, n, k;
     };
-    const std::vector<float> serial = run([&](Tensor& c) {
-        kernel::gemm_blocked(m, n, k, a.data(), k, false, bt.data(), k, true, c.data(), n, 1.0f,
-                             0.0f, false);
-    });
-    const std::vector<float> parallel = run([&](Tensor& c) {
-        kernel::gemm_blocked(m, n, k, a.data(), k, false, bt.data(), k, true, c.data(), n, 1.0f,
-                             0.0f, true);
-    });
-    const kernel::PackedMatrix pa = kernel::pack_a(a.data(), k, false, m, k);
-    const kernel::PackedMatrix pb = kernel::pack_b(bt.data(), k, true, k, n);
-    const std::vector<float> packed_a = run([&](Tensor& c) {
-        kernel::gemm_packed_a(pa, bt.data(), k, true, n, c.data(), n, 1.0f, 0.0f, true);
-    });
-    const std::vector<float> packed_b = run([&](Tensor& c) {
-        kernel::gemm_packed_b(a.data(), k, false, m, pb, c.data(), n, 1.0f, 0.0f, false);
-    });
-    const std::vector<float> packed_both = run(
-        [&](Tensor& c) { kernel::gemm_packed(pa, pb, c.data(), n, 1.0f, 0.0f, true); });
+    for (const Dims d : {Dims{97, 65, 300}, Dims{128, 4, 1152}, Dims{70, 7, 1152}}) {
+        const std::int64_t m = d.m, n = d.n, k = d.k;
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        Rng rng(0xB17);
+        const Tensor a = Tensor::randn(Shape{m, k}, rng);
+        const Tensor bt = Tensor::randn(Shape{n, k}, rng);  // used as op(B) via trans_b
 
-    EXPECT_EQ(serial, parallel);
-    EXPECT_EQ(serial, packed_a);
-    EXPECT_EQ(serial, packed_b);
-    EXPECT_EQ(serial, packed_both);
+        const auto run = [&](auto&& fn) {
+            Tensor c(Shape{m, n});
+            c.fill(std::nanf(""));
+            fn(c);
+            return c.to_vector();
+        };
+        const std::vector<float> serial = run([&](Tensor& c) {
+            kernel::gemm_blocked(m, n, k, a.data(), k, false, bt.data(), k, true, c.data(), n,
+                                 1.0f, 0.0f, false);
+        });
+        const std::vector<float> parallel = run([&](Tensor& c) {
+            kernel::gemm_blocked(m, n, k, a.data(), k, false, bt.data(), k, true, c.data(), n,
+                                 1.0f, 0.0f, true);
+        });
+        const kernel::PackedMatrix pa = kernel::pack_a(a.data(), k, false, m, k);
+        const kernel::PackedMatrix pb = kernel::pack_b(bt.data(), k, true, k, n);
+        const std::vector<float> packed_a = run([&](Tensor& c) {
+            kernel::gemm_packed_a(pa, bt.data(), k, true, n, c.data(), n, 1.0f, 0.0f, true);
+        });
+        const std::vector<float> packed_b = run([&](Tensor& c) {
+            kernel::gemm_packed_b(a.data(), k, false, m, pb, c.data(), n, 1.0f, 0.0f, false);
+        });
+        const std::vector<float> packed_both = run(
+            [&](Tensor& c) { kernel::gemm_packed(pa, pb, c.data(), n, 1.0f, 0.0f, true); });
+
+        // C^T[n, m] = col^T · a^T, laid out exactly as Conv2d's col^T · W^T:
+        // col = op(B) stored [k, n] like an im2col matrix and read as a
+        // transposed A; a ([m, k], the weight) pre-packed as a transposed B.
+        Tensor col(Shape{k, n});
+        for (std::int64_t p = 0; p < k; ++p) {
+            for (std::int64_t j = 0; j < n; ++j) {
+                col.data()[p * n + j] = bt.data()[j * k + p];
+            }
+        }
+        const kernel::PackedMatrix a_as_b = kernel::pack_b(a.data(), k, true, k, m);
+        Tensor ct(Shape{n, m});
+        ct.fill(std::nanf(""));
+        kernel::gemm_packed_b(col.data(), n, /*trans_a=*/true, n, a_as_b, ct.data(), m, 1.0f,
+                              0.0f, false);
+        std::vector<float> transposed(static_cast<std::size_t>(m * n));
+        for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+                transposed[static_cast<std::size_t>(i * n + j)] = ct.data()[j * m + i];
+            }
+        }
+
+        EXPECT_EQ(serial, parallel);
+        EXPECT_EQ(serial, packed_a);
+        EXPECT_EQ(serial, packed_b);
+        EXPECT_EQ(serial, packed_both);
+        EXPECT_EQ(serial, transposed);
+    }
 }
 
 TEST(Kernel, TensorGemmAndGemmSerialAreBitIdentical) {
@@ -220,16 +253,51 @@ TEST(PackedWeights, LinearEvalForwardIsBitIdenticalToTrainAndPacksLazily) {
 }
 
 TEST(PackedWeights, Conv2dEvalForwardIsBitIdenticalToTrain) {
+    // Eval picks the GEMM orientation from the geometry: W · col from
+    // kNR output positions up, col^T · W^T below. Both sides of the rule
+    // must match the unpacked train path to the bit.
+    struct Case {
+        const char* label;
+        std::int64_t in_ch, out_ch, kernel, stride, padding;
+        bool bias;
+        Shape input;
+    };
+    const Case cases[] = {
+        {"8x8, 64 positions", 3, 5, 3, 1, 1, true, Shape{1, 3, 8, 8}},
+        {"4x4, 16 positions = kNR", 16, 20, 3, 1, 1, false, Shape{1, 16, 4, 4}},
+        {"2x2, 3x3 kernel, 4 positions", 32, 20, 3, 1, 1, true, Shape{1, 32, 2, 2}},
+        {"1x1 stride-2 projection onto 2x2", 24, 40, 1, 2, 0, false, Shape{1, 24, 4, 4}},
+        {"batch 2 at 2x2", 32, 13, 3, 1, 1, true, Shape{2, 32, 2, 2}},
+    };
     Rng rng(0xC0DE);
-    nn::Conv2d layer(3, 5, /*kernel=*/3, /*stride=*/1, /*padding=*/1, rng, /*with_bias=*/true);
-    const Tensor x = Tensor::randn(Shape{2, 3, 8, 8}, rng);
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.label);
+        nn::Conv2d layer(c.in_ch, c.out_ch, c.kernel, c.stride, c.padding, rng, c.bias);
+        if (c.bias) {
+            layer.bias().value.copy_from(Tensor::randn(Shape{c.out_ch}, rng));
+        }
+        const Tensor x = Tensor::randn(c.input, rng);
 
-    const Tensor out_train = layer.forward(x);
-    EXPECT_FALSE(layer.weights_packed());
+        const Tensor out_train = layer.forward(x);
+        EXPECT_FALSE(layer.weights_packed());
+        layer.set_training(false);
+        const Tensor out_eval = layer.forward(x);
+        EXPECT_TRUE(layer.weights_packed());
+        EXPECT_EQ(out_train.to_vector(), out_eval.to_vector());
+    }
+
+    // One layer whose geometry flips back and forth: the single pack
+    // follows it (A pack at 8x8, B pack at 2x2) and every output matches.
+    nn::Conv2d layer(32, 24, 3, 1, 1, rng, /*with_bias=*/true);
+    layer.bias().value.copy_from(Tensor::randn(Shape{24}, rng));
+    const Tensor big = Tensor::randn(Shape{1, 32, 8, 8}, rng);
+    const Tensor small = Tensor::randn(Shape{1, 32, 2, 2}, rng);
+    const std::vector<float> big_train = layer.forward(big).to_vector();
+    const std::vector<float> small_train = layer.forward(small).to_vector();
     layer.set_training(false);
-    const Tensor out_eval = layer.forward(x);
-    EXPECT_TRUE(layer.weights_packed());
-    EXPECT_EQ(out_train.to_vector(), out_eval.to_vector());
+    EXPECT_EQ(big_train, layer.forward(big).to_vector()) << "8x8";
+    EXPECT_EQ(small_train, layer.forward(small).to_vector()) << "then 2x2";
+    EXPECT_EQ(big_train, layer.forward(big).to_vector()) << "then 8x8 again";
 }
 
 TEST(PackedWeights, SetTrainingDropsThePackAndRepackReflectsNewWeights) {
