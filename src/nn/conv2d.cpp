@@ -91,7 +91,9 @@ Tensor Conv2d::forward(const Tensor& input) {
     // the layer computes out^T[positions, C_out] = col^T · W^T instead,
     // with channels filling the tile. Each C element is still the same FMA
     // chain over the same kKC slabs, only the operand roles swap, so the
-    // result is bit-identical either way.
+    // result is bit-identical either way. The cutoff is strict: also
+    // transposing the 4x4 maps (exactly kNR positions) cost ~6% more host
+    // CPU per ens_saturate request on a 4-vCPU AVX2 VM (10/10 pairs).
     const bool use_packed = !training_;
     const bool transposed = use_packed && positions < kernel::kNR;
     if (use_packed && (!packed_weight_.defined() || packed_weight_.is_a() == transposed)) {

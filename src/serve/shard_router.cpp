@@ -21,11 +21,6 @@ std::string replica_label(std::size_t shard, std::size_t replica, std::size_t re
 
 std::string shard_label(std::size_t shard) { return replica_label(shard, 0, 1); }
 
-/// Longest a demux waits before re-reading recv_timeout_ms_: a cap set
-/// while the link sits idle takes effect within this much, and a stalled
-/// request fails at most this long after its cap ran out.
-constexpr long long kDemuxRecheckMs = 100;
-
 }  // namespace
 
 // ----------------------------------------------------------- construction
@@ -713,68 +708,48 @@ void ShardRouter::sender_loop(Link& link) {
     }
 }
 
-double ShardRouter::oldest_sent_wait_ms(Link& link) {
-    double oldest = 0.0;  // stays 0 on an idle link
-    const std::lock_guard<std::mutex> lock(link.mutex);
-    for (const auto& [id, pending] : link.pending) {
-        if (pending.sent) {
-            oldest = std::max(oldest, pending.started.elapsed_ms());
-        }
-    }
-    return oldest;
-}
-
 void ShardRouter::demux_loop(Link& link) {
-    const auto stopping = [&link] {
-        const std::lock_guard<std::mutex> lock(link.mutex);
-        return link.stop;
-    };
     for (;;) {
-        // Wait with poll() on a deadline re-read from recv_timeout_ms_ on
-        // every turn. A socket's own SO_RCVTIMEO is sampled when a recv
-        // starts, so a recv that began with no limit would never see a
-        // later set_recv_timeout, and a stalled first request would hang
-        // until the host closed. The timeout is a failure only when some
-        // sent request has waited the whole cap; an idle link re-arms.
-        const long long cap_ms = recv_timeout_ms_.load();
-        const long long wait_ms = cap_ms > 0 ? std::min(cap_ms, kDemuxRecheckMs) : kDemuxRecheckMs;
-        if (!link.channel->wait_readable(std::chrono::milliseconds(wait_ms))) {
-            if (cap_ms > 0 && oldest_sent_wait_ms(link) >= static_cast<double>(cap_ms)) {
-                if (stopping()) {
-                    return;
-                }
-                fail_link(link, std::make_exception_ptr(Error(
-                                    ErrorCode::channel_timeout,
-                                    "no reply within the " + std::to_string(cap_ms) +
-                                        " ms recv timeout")));
-                return;
-            }
-            continue;
-        }
-
         std::string frame;
         try {
             frame = link.channel->recv();
         } catch (const Error& e) {
-            if (stopping()) {
-                return;
+            {
+                const std::lock_guard<std::mutex> lock(link.mutex);
+                if (link.stop) {
+                    return;
+                }
             }
             if (e.code() == ErrorCode::channel_timeout) {
-                // recv itself timed out (a transport that cannot wait
-                // above, or a decorator that swallowed the frame). Same
-                // rule: re-arm unless a sent request waited the whole cap.
-                // A mid-frame timeout poisoned the channel already; the
-                // next recv surfaces channel_closed.
-                const long long cap_now = recv_timeout_ms_.load();
-                if (cap_now <= 0 || oldest_sent_wait_ms(link) < static_cast<double>(cap_now)) {
+                // The demux recv runs CONTINUOUSLY, so a recv timeout is
+                // only a failure when some pending request has actually
+                // waited that long — an idle connection (or one whose
+                // request was submitted moments before an old recv's clock
+                // ran out) just re-arms. A mid-frame timeout poisoned the
+                // channel already; the next recv surfaces channel_closed.
+                double oldest_wait_ms = 0.0;  // stays 0 on an idle link
+                {
+                    const std::lock_guard<std::mutex> lock(link.mutex);
+                    for (const auto& [id, pending] : link.pending) {
+                        if (pending.sent) {
+                            oldest_wait_ms =
+                                std::max(oldest_wait_ms, pending.started.elapsed_ms());
+                        }
+                    }
+                }
+                const long long cap_ms = recv_timeout_ms_.load();
+                if (cap_ms <= 0 || oldest_wait_ms < static_cast<double>(cap_ms)) {
                     continue;
                 }
             }
             fail_link(link, std::current_exception());
             return;
         } catch (...) {
-            if (stopping()) {
-                return;
+            {
+                const std::lock_guard<std::mutex> lock(link.mutex);
+                if (link.stop) {
+                    return;
+                }
             }
             fail_link(link, std::current_exception());
             return;

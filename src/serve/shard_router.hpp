@@ -310,9 +310,6 @@ private:
     void start_link(Link& link);
     void sender_loop(Link& link);
     void demux_loop(Link& link);
-    /// How long the oldest SENT request on `link` has waited for its
-    /// replies, in ms (0 when none is outstanding).
-    static double oldest_sent_wait_ms(Link& link);
     /// Handles one reply frame; throws to fail the link.
     void handle_frame(Link& link, const std::string& frame);
     /// Marks the link failed and either fails its pending requests over to

@@ -84,18 +84,6 @@ public:
     /// readable on the socket, possibly a partial frame or pending EOF).
     virtual bool has_pending() const = 0;
 
-    /// Waits up to `timeout` for recv() to have something to act on (a
-    /// message, EOF or an error); false when the wait ran out (or was
-    /// interrupted) first. The limit is per call, so a reader looping on
-    /// it sees a changed cap on its next turn — unlike set_recv_timeout,
-    /// which a recv already blocked on a socket never sees. Transports
-    /// that cannot wait return true at once and leave recv() to block
-    /// under its own timeout.
-    virtual bool wait_readable(std::chrono::milliseconds timeout) {
-        (void)timeout;
-        return true;
-    }
-
     /// Shuts the channel down (idempotent); see the contract above.
     virtual void close() = 0;
 

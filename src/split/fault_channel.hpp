@@ -110,9 +110,6 @@ public:
     void send(std::string message) override;
     std::string recv() override;
     bool has_pending() const override;
-    bool wait_readable(std::chrono::milliseconds timeout) override {
-        return inner_->wait_readable(timeout);
-    }
     void close() override;
     void set_recv_timeout(std::chrono::milliseconds timeout) override;
 

@@ -84,9 +84,6 @@ public:
     void send_parts(std::string_view header, std::string_view payload) override;
     std::string recv() override;
     bool has_pending() const override;
-    bool wait_readable(std::chrono::milliseconds timeout) override {
-        return inner_->wait_readable(timeout);
-    }
     void close() override;
     void set_recv_timeout(std::chrono::milliseconds timeout) override;
 

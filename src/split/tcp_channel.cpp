@@ -7,10 +7,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -25,6 +25,10 @@ namespace {
 // Frames larger than this are treated as stream desync / a corrupt peer
 // rather than a legitimate feature map (the largest bench tensors are MBs).
 constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 30;
+
+// Longest one poll() in TcpChannel::wait_readable sleeps before it re-reads
+// the recv cap: a cap set while a recv is blocked takes effect within this.
+constexpr long long kRecvSliceMs = 100;
 
 std::string errno_text(const char* what) {
     return std::string(what) + ": " + std::strerror(errno);
@@ -82,15 +86,9 @@ void TcpChannel::close() {
 }
 
 void TcpChannel::set_recv_timeout(std::chrono::milliseconds timeout) {
-    // SO_RCVTIMEO bounds each ::recv syscall (idle waits); the whole-
-    // message deadline in recv()/read_all bounds a peer that trickles a
-    // frame byte by byte, which per-syscall timeouts alone cannot.
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-    tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-    if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
-        throw Error(ErrorCode::io_error, errno_text("TcpChannel: setsockopt(SO_RCVTIMEO)"));
-    }
+    // No SO_RCVTIMEO: a socket samples that when a ::recv starts, so a recv
+    // already blocked would never see a new cap. wait_readable re-reads
+    // this on every poll() slice instead.
     recv_timeout_ms_.store(timeout.count());
 }
 
@@ -175,23 +173,54 @@ void TcpChannel::send_parts(std::string_view header, std::string_view payload) {
     send_spans(header, payload, payload.size());
 }
 
-void TcpChannel::read_all(unsigned char* data, std::size_t size, std::size_t frame_offset,
-                          std::chrono::steady_clock::time_point deadline) {
-    std::size_t got = 0;
-    while (got < size) {
-        const ssize_t n = ::recv(fd_, data + got, size - got, 0);
-        if (n > 0) {
-            got += static_cast<std::size_t>(n);
-            // Whole-message deadline: a peer trickling bytes fast enough to
-            // renew SO_RCVTIMEO every syscall must still not stretch recv()
-            // past the configured cap. Any progress means we are mid-frame,
-            // so the stream is poisoned.
-            if (std::chrono::steady_clock::now() > deadline) {
+void TcpChannel::wait_readable(std::chrono::steady_clock::time_point started, bool mid_frame) {
+    for (;;) {
+        const long long cap_ms = recv_timeout_ms_.load();
+        long long wait_ms = kRecvSliceMs;
+        if (cap_ms > 0) {
+            const long long left_ms =
+                std::chrono::ceil<std::chrono::milliseconds>(
+                    started + std::chrono::milliseconds(cap_ms) - std::chrono::steady_clock::now())
+                    .count();
+            if (left_ms <= 0) {
+                if (!mid_frame) {
+                    // Idle timeout between frames: retryable, stream intact.
+                    throw Error(ErrorCode::channel_timeout, "TcpChannel::recv timed out");
+                }
+                // Part of a frame was consumed (or a peer is trickling
+                // one); a retry would read from the middle of it. Poison
+                // the channel.
                 close();
                 throw Error(ErrorCode::channel_timeout,
-                            "TcpChannel::recv exceeded the message deadline mid-message; "
-                            "channel closed (frame stream desynced)");
+                            "TcpChannel::recv timed out mid-message; channel closed "
+                            "(frame stream desynced)");
             }
+            wait_ms = std::min(left_ms, kRecvSliceMs);
+        }
+        // Data, EOF, a socket error or a local close() (its shutdown wakes
+        // poll too): the caller's next ::recv reports which.
+        pollfd pfd{};
+        pfd.fd = fd_;
+        pfd.events = POLLIN;
+        const int ready = ::poll(&pfd, 1, static_cast<int>(wait_ms));
+        if (ready > 0) {
+            return;
+        }
+        if (ready < 0 && errno != EINTR) {
+            throw Error(ErrorCode::io_error, errno_text("TcpChannel::recv: poll"));
+        }
+    }
+}
+
+void TcpChannel::read_all(unsigned char* data, std::size_t size, std::size_t frame_offset,
+                          std::chrono::steady_clock::time_point started) {
+    std::size_t got = 0;
+    while (got < size) {
+        // MSG_DONTWAIT: bytes already buffered cost one syscall; only an
+        // empty socket waits, in wait_readable, under the recv cap.
+        const ssize_t n = ::recv(fd_, data + got, size - got, MSG_DONTWAIT);
+        if (n > 0) {
+            got += static_cast<std::size_t>(n);
             continue;
         }
         const bool mid_frame = frame_offset + got > 0;
@@ -205,16 +234,8 @@ void TcpChannel::read_all(unsigned char* data, std::size_t size, std::size_t fra
             continue;
         }
         if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            if (!mid_frame) {
-                // Idle timeout between frames: retryable, stream intact.
-                throw Error(ErrorCode::channel_timeout, "TcpChannel::recv timed out");
-            }
-            // Part of a frame was consumed; a retry would read from the
-            // middle of it. Poison the channel.
-            close();
-            throw Error(ErrorCode::channel_timeout,
-                        "TcpChannel::recv timed out mid-message; channel closed "
-                        "(frame stream desynced)");
+            wait_readable(started, mid_frame);
+            continue;
         }
         const bool was_closed = [this] {
             const std::lock_guard<std::mutex> lock(state_mutex_);
@@ -239,13 +260,11 @@ std::string TcpChannel::recv() {
             throw Error(ErrorCode::channel_closed, "TcpChannel::recv on closed channel");
         }
     }
-    const long long timeout_ms = recv_timeout_ms_.load();
-    const auto deadline = timeout_ms > 0
-                              ? std::chrono::steady_clock::now() +
-                                    std::chrono::milliseconds(timeout_ms)
-                              : std::chrono::steady_clock::time_point::max();
+    // The cap bounds the whole message from here, so a peer trickling a
+    // frame byte by byte cannot stretch recv() past it either.
+    const auto started = std::chrono::steady_clock::now();
     unsigned char header[8];
-    read_all(header, sizeof(header), 0, deadline);
+    read_all(header, sizeof(header), 0, started);
     const std::uint64_t payload_size = decode_frame_header(header);
     if (payload_size > kMaxFrameBytes) {
         close();
@@ -256,7 +275,7 @@ std::string TcpChannel::recv() {
     std::string message(static_cast<std::size_t>(payload_size), '\0');
     if (payload_size > 0) {
         read_all(reinterpret_cast<unsigned char*>(message.data()),
-                 static_cast<std::size_t>(payload_size), sizeof(header), deadline);
+                 static_cast<std::size_t>(payload_size), sizeof(header), started);
     }
     return message;
 }
@@ -272,17 +291,6 @@ bool TcpChannel::has_pending() const {
     pfd.fd = fd_;
     pfd.events = POLLIN;
     return ::poll(&pfd, 1, 0) > 0 && (pfd.revents & (POLLIN | POLLHUP)) != 0;
-}
-
-bool TcpChannel::wait_readable(std::chrono::milliseconds timeout) {
-    // close() shuts the socket down, which wakes this poll too.
-    pollfd pfd{};
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, static_cast<int>(timeout.count()));
-    // EINTR reads as a timeout (the caller polls again); any other poll
-    // failure as ready, so recv() surfaces it typed.
-    return ready > 0 || (ready < 0 && errno != EINTR);
 }
 
 // -------------------------------------------------------- ChannelListener

@@ -53,10 +53,6 @@ public:
 
     std::string recv() override;
     bool has_pending() const override;
-    /// poll() for POLLIN on the socket; true on data, EOF, error or a
-    /// locally closed channel (recv() then reports which), false on
-    /// timeout or EINTR.
-    bool wait_readable(std::chrono::milliseconds timeout) override;
 
     /// Shuts both directions down and wakes blocked peers/receivers. The fd
     /// stays reserved until destruction so no in-flight call can race a
@@ -64,9 +60,9 @@ public:
     void close() override;
 
     /// Caps the WHOLE-message wait: a peer trickling a frame byte by byte
-    /// cannot stretch recv() past the cap (enforced to within one socket-
-    /// timeout granularity, i.e. recv() returns or throws within at most
-    /// ~2x the configured timeout).
+    /// cannot stretch recv() past the cap. A recv waits in poll() slices of
+    /// at most 100 ms and re-reads the cap on each, so a new cap also
+    /// bounds a recv that is already blocked (measured from its start).
     void set_recv_timeout(std::chrono::milliseconds timeout) override;
 
     /// The underlying socket descriptor, for readiness registration
@@ -91,12 +87,17 @@ private:
     /// billing (`billed` bytes — payload only, framing excluded).
     void send_spans(std::string_view header, std::string_view payload, std::size_t billed);
 
-    /// Reads exactly `size` bytes, honoring the whole-message `deadline`.
-    /// `frame_offset` is how much of the current frame was already consumed
-    /// — it decides whether EOF/timeout is a clean between-frames condition
-    /// or a mid-frame fault (which poisons the channel).
+    /// Reads exactly `size` bytes of the message whose recv() began at
+    /// `started`. `frame_offset` is how much of the current frame was
+    /// already consumed — it decides whether EOF/timeout is a clean
+    /// between-frames condition or a mid-frame fault (which poisons the
+    /// channel).
     void read_all(unsigned char* data, std::size_t size, std::size_t frame_offset,
-                  std::chrono::steady_clock::time_point deadline);
+                  std::chrono::steady_clock::time_point started);
+    /// Blocks until the socket is readable (or at EOF/error). Throws
+    /// channel_timeout once the current recv cap, counted from `started`,
+    /// has run out, closing the channel first when `mid_frame`.
+    void wait_readable(std::chrono::steady_clock::time_point started, bool mid_frame);
 
     void mark_closed();
 

@@ -12,7 +12,9 @@
 #include "core/selector.hpp"
 #include "data/synth_cifar10.hpp"
 #include "defense/protected_model.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "nn/pooling.hpp"
 #include "nn/resnet.hpp"
 #include "nn/sequential.hpp"
 #include "serve/service.hpp"
@@ -82,10 +84,38 @@ defense::ProtectedModel make_three_body_baseline(std::uint64_t seed, int fail_at
     return model;
 }
 
+/// Three-body baseline whose bodies are convolutions on the head's
+/// feature map (Conv2d -> GlobalAvgPool), so a body's GEMM orientation
+/// follows the request's spatial size: 2x2 maps (4 positions) run
+/// transposed, 4x4 maps (16 = kNR positions) do not. Inputs are
+/// [B, kConvIn, S, S] for any S.
+constexpr std::int64_t kConvIn = 2;
+constexpr std::int64_t kConvMid = 4;
+constexpr std::int64_t kConvOut = 16;
+
+defense::ProtectedModel make_conv_baseline(std::uint64_t seed) {
+    Rng rng(seed);
+    defense::ProtectedModel model;
+    model.head = std::make_unique<nn::Sequential>();
+    model.head->emplace<nn::Conv2d>(kConvIn, kConvMid, /*kernel=*/3, /*stride=*/1,
+                                    /*padding=*/1, rng);
+    for (std::size_t k = 0; k < kBodies; ++k) {
+        auto body = std::make_unique<nn::Sequential>();
+        body->emplace<nn::Conv2d>(kConvMid, kConvOut, /*kernel=*/3, /*stride=*/1,
+                                  /*padding=*/1, rng);
+        body->emplace<nn::GlobalAvgPool>();
+        model.bodies.push_back(std::move(body));
+    }
+    model.tail = std::make_unique<nn::Sequential>();
+    model.tail->emplace<nn::Linear>(kBodies * kConvOut, kClasses, rng);
+    return model;
+}
+
 /// The sequential in-proc oracle over a three-body baseline: every body's
 /// map back, combined with the all-bodies selector the service defaults to.
 struct BaselineOracle {
-    explicit BaselineOracle(std::uint64_t seed) : model(make_three_body_baseline(seed)) {
+    explicit BaselineOracle(std::uint64_t seed) : BaselineOracle(make_three_body_baseline(seed)) {}
+    explicit BaselineOracle(defense::ProtectedModel baseline) : model(std::move(baseline)) {
         model.set_training(false);
         std::vector<nn::Layer*> bodies;
         for (const auto& body : model.bodies) {
@@ -271,6 +301,55 @@ TEST(Serve, SharedSessionAcrossThreadsMatchesOracle) {
     EXPECT_EQ(session->uplink_stats().messages, kThreads * kRequestsPerThread);
     EXPECT_EQ(session->downlink_stats().messages,
               kThreads * kRequestsPerThread * service.body_count());
+}
+
+// Many threads submit through one service whose bodies are convolutions,
+// alternating 2x2 and 4x4 inputs. Each body's first eval forward packs its
+// weight and every geometry flip repacks it in place, inside a served
+// forward on whichever submitting thread runs it. Every result must still
+// be its own input's oracle logits (and, under ThreadSanitizer, race-free).
+TEST(Serve, ConcurrentSmallSpatialConvBodiesMatchOracle) {
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kRequestsPerThread = 6;
+
+    BaselineOracle oracle(make_conv_baseline(107));
+    std::vector<std::vector<Tensor>> inputs(kThreads);
+    std::vector<std::vector<Tensor>> expected(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        Rng rng(300 + t);
+        for (std::size_t r = 0; r < kRequestsPerThread; ++r) {
+            const std::int64_t side = (t + r) % 2 == 0 ? 2 : 4;
+            inputs[t].push_back(Tensor::randn(Shape{1 + static_cast<std::int64_t>(r % 2),
+                                                    kConvIn, side, side},
+                                              rng));
+            expected[t].push_back(oracle.session->infer(inputs[t].back()));
+        }
+    }
+
+    InferenceService service = InferenceService::from_baseline(make_conv_baseline(107));
+    std::vector<std::shared_ptr<ClientSession>> sessions;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        sessions.push_back(service.create_session());
+    }
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t r = 0; r < kRequestsPerThread; ++r) {
+                try {
+                    if (!same_bits(sessions[t]->infer(inputs[t][r]).logits, expected[t][r])) {
+                        ++mismatches;
+                    }
+                } catch (const std::exception&) {
+                    ++mismatches;
+                }
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(Serve, ConcurrentSubmitFromManyThreadsAndSessions) {

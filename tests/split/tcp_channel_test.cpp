@@ -169,9 +169,9 @@ TEST(TcpChannel, MidMessageTimeoutPoisonsTheChannel) {
     ::close(a);
 }
 
-// SO_RCVTIMEO alone only bounds each syscall: a peer trickling bytes just
-// fast enough to renew it could stretch recv() forever. The whole-message
-// deadline must cut that off near the configured cap.
+// A per-read wait alone only bounds each syscall: a peer trickling bytes
+// just fast enough to renew it could stretch recv() forever. The whole-
+// message deadline must cut that off near the configured cap.
 TEST(TcpChannel, TricklingPeerCannotStretchRecvPastTimeout) {
     auto [a, b] = stream_pair();
     TcpChannel right(b);

@@ -263,7 +263,7 @@ TEST(PackedWeights, Conv2dEvalForwardIsBitIdenticalToTrain) {
         Shape input;
     };
     const Case cases[] = {
-        {"8x8, 64 positions", 3, 5, 3, 1, 1, true, Shape{1, 3, 8, 8}},
+        {"8x8, 64 positions, batch 2", 3, 5, 3, 1, 1, true, Shape{2, 3, 8, 8}},
         {"4x4, 16 positions = kNR", 16, 20, 3, 1, 1, false, Shape{1, 16, 4, 4}},
         {"2x2, 3x3 kernel, 4 positions", 32, 20, 3, 1, 1, true, Shape{1, 32, 2, 2}},
         {"1x1 stride-2 projection onto 2x2", 24, 40, 1, 2, 0, false, Shape{1, 24, 4, 4}},
