@@ -231,13 +231,64 @@ GaugeSnapshot ReactorHost::gauges() const {
     return snap;
 }
 
-void ReactorHost::notify(std::shared_ptr<Conn> conn, std::uint64_t id, bool completed) {
+void ReactorHost::notify(std::shared_ptr<Conn> conn, std::uint64_t id) {
     {
         const std::lock_guard<std::mutex> lock(notice_mutex_);
-        notices_.push_back(Notice{std::move(conn), id, completed});
+        notices_.push_back(Notice{std::move(conn), id});
     }
     const unsigned char byte = 0;
     (void)::write(wake_write_fd_, &byte, 1);
+}
+
+void ReactorHost::run_item(WorkItem& item, split::WireBufferPool& reply_pool) {
+    Request& request = *item.request;
+    Conn& conn = *request.conn;
+    bool replied = false;
+    if (!conn.dead.load()) {
+        try {
+            std::call_once(request.decoded, [&request] {
+                try {
+                    request.input = BodyHost::decode_request(
+                        std::string_view(request.frame).substr(kRequestTagBytes));
+                } catch (...) {
+                    request.decode_error = std::current_exception();
+                }
+            });
+            if (request.decode_error) {
+                std::rethrow_exception(request.decode_error);
+            }
+            conn.pinned.host->serve_body(request.id, item.body, request.input, reply_pool,
+                                         *conn.channel);
+            replied = true;
+        } catch (const Error& e) {
+            // channel_closed here is the reactor (or the peer) tearing
+            // the connection down with requests still admitted —
+            // normal pipelined teardown, not worth a log line.
+            if (e.code() != ErrorCode::channel_closed) {
+                ENS_LOG(LogLevel::kWarn)
+                    << "ReactorHost: request failed, dropping connection: " << e.what();
+                conn.failed.store(true);
+            }
+            conn.dead.store(true);
+        } catch (const std::exception& e) {
+            ENS_LOG(LogLevel::kWarn)
+                << "ReactorHost: request failed, dropping connection: " << e.what();
+            conn.failed.store(true);
+            conn.dead.store(true);
+        }
+    }
+    if (!replied) {
+        request.all_replied.store(false);
+    }
+    if (request.bodies_left.fetch_sub(1) != 1) {
+        return;  // a sibling body of this request is still running
+    }
+    conn.inflight.fetch_sub(1);
+    gauges_.active_requests.fetch_sub(1);
+    if (request.all_replied.load()) {
+        gauges_.requests_served.fetch_add(1);
+    }
+    notify(request.conn, request.id);
 }
 
 void ReactorHost::worker_main() {
@@ -256,48 +307,27 @@ void ReactorHost::worker_main() {
             item = std::move(work_queue_.front());
             work_queue_.pop_front();
         }
-        bool completed = false;
-        if (!item.conn->dead.load()) {
-            try {
-                item.conn->pinned.host->process_request(
-                    item.request_id, std::string_view(item.frame).substr(kRequestTagBytes),
-                    reply_pool, *item.conn->channel);
-                completed = true;
-            } catch (const Error& e) {
-                // channel_closed here is the reactor (or the peer) tearing
-                // the connection down with requests still admitted —
-                // normal pipelined teardown, not worth a log line.
-                if (e.code() != ErrorCode::channel_closed) {
-                    ENS_LOG(LogLevel::kWarn)
-                        << "ReactorHost: request failed, dropping connection: " << e.what();
-                    item.conn->failed.store(true);
-                }
-                item.conn->dead.store(true);
-            } catch (const std::exception& e) {
-                ENS_LOG(LogLevel::kWarn)
-                    << "ReactorHost: request failed, dropping connection: " << e.what();
-                item.conn->failed.store(true);
-                item.conn->dead.store(true);
-            }
-        }
-        item.conn->inflight.fetch_sub(1);
-        gauges_.active_requests.fetch_sub(1);
-        if (completed) {
-            gauges_.requests_served.fetch_add(1);
-        }
-        notify(std::move(item.conn), item.request_id, true);
+        run_item(item, reply_pool);
     }
 }
 
 void ReactorHost::dispatch(const std::shared_ptr<Conn>& conn, std::uint64_t id,
                            std::string frame) {
+    const std::size_t bodies = conn->pinned.host->body_count();
+    const auto request = std::make_shared<Request>(conn, id, std::move(frame), bodies);
     conn->inflight.fetch_add(1);
     gauges_.active_requests.fetch_add(1);
     {
         const std::lock_guard<std::mutex> lock(work_mutex_);
-        work_queue_.push_back(WorkItem{conn, id, std::move(frame)});
+        for (std::size_t body = 0; body < bodies; ++body) {
+            work_queue_.push_back(WorkItem{request, body});
+        }
     }
-    work_cv_.notify_one();
+    // One wake-up per item, capped by the pool: a worker that finds the
+    // queue non-empty keeps draining it without another signal.
+    for (std::size_t i = 0; i < std::min(bodies, config_.worker_threads); ++i) {
+        work_cv_.notify_one();
+    }
 }
 
 bool ReactorHost::parse_and_dispatch(const std::shared_ptr<Conn>& conn, Poller& poller) {
@@ -452,10 +482,8 @@ void ReactorHost::drain_notices(Poller& poller) {
     }
     for (Notice& notice : batch) {
         last_activity_ = std::chrono::steady_clock::now();
-        if (notice.completed) {
-            auto& ids = notice.conn->pending_ids;
-            ids.erase(std::remove(ids.begin(), ids.end(), notice.request_id), ids.end());
-        }
+        auto& ids = notice.conn->pending_ids;
+        ids.erase(std::remove(ids.begin(), ids.end(), notice.request_id), ids.end());
         if (conns_.find(notice.conn->fd) == conns_.end() ||
             conns_[notice.conn->fd] != notice.conn) {
             continue;  // already gone (or the fd was recycled by a new conn)

@@ -8,19 +8,24 @@
 //   reactor thread   accepts (non-blocking, ChannelListener::try_accept),
 //                    sends the v4 handshake, does MSG_DONTWAIT framed
 //                    reads into per-connection buffers, parses complete
-//                    tagged requests and dispatches them to the workers.
+//                    tagged requests and dispatches each as body_count()
+//                    (request, body) work items.
 //   worker pool      config.worker_threads compute threads, shared by ALL
-//                    connections. Each worker runs
-//                    BodyHost::process_request (decode -> per-body
-//                    forward -> encode into its own WireBufferPool ->
-//                    tagged replies) — the reactor decides WHO runs a
-//                    request, never WHAT it computes.
+//                    connections. A worker runs one work item: the
+//                    request's one decode if no sibling item has done it
+//                    yet, then BodyHost::serve_body (one body's forward -> encode
+//                    into the worker's own WireBufferPool -> its tagged
+//                    reply) — the reactor decides WHO runs a body, never
+//                    WHAT it computes. One request's bodies therefore run
+//                    concurrently on idle workers; the last of them to
+//                    finish completes the request.
 //
 // Per-connection windows are enforced by READ INTEREST, not queues: once a
 // connection has max_inflight requests admitted, the reactor stops
 // reading its fd (interest drops to hangup-only) and TCP flow control
 // pushes back on the client without a blocked thread. The aggregate work
-// queue is therefore bounded by sum-of-windows, never by client behavior.
+// queue is therefore bounded by sum-of-windows x body_count items, never
+// by client behavior.
 //
 // Connection fds stay in BLOCKING mode: the reactor reads with
 // MSG_DONTWAIT (per-call non-blocking), while workers reply through the
@@ -48,6 +53,7 @@
 #include <csignal>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
@@ -56,6 +62,7 @@
 #include <vector>
 
 #include "serve/deployment.hpp"
+#include "serve/remote.hpp"
 #include "serve/stats.hpp"
 #include "split/tcp_channel.hpp"
 
@@ -127,17 +134,35 @@ private:
         std::atomic<bool> failed{false};  // ...and it was an error, not a hangup
     };
 
-    struct WorkItem {
-        std::shared_ptr<Conn> conn;
-        std::uint64_t request_id = 0;
-        std::string frame;  // payload at serve::kRequestTagBytes
+    /// One admitted request, shared by its body_count() work items. The
+    /// first item to run decodes the payload for all of them. Decoding on
+    /// a worker, not the reactor thread, keeps the decoded tensor in the
+    /// cache of a core that forwards it; a reactor-side decode measurably
+    /// raised host CPU per request.
+    struct Request {
+        const std::shared_ptr<Conn> conn;
+        const std::uint64_t id;
+        const std::string frame;               // payload at serve::kRequestTagBytes
+        std::atomic<std::size_t> bodies_left;  // items not yet finished
+        std::atomic<bool> all_replied{true};   // no item failed or skipped
+        // The decode runs under call_once and never throws out of it: a
+        // failure is kept here and rethrown by every item (ThreadSanitizer's
+        // call_once never releases waiters after a throwing callable).
+        std::once_flag decoded;
+        std::exception_ptr decode_error;
+        BodyHost::RequestInput input;  // written once, under `decoded`
     };
 
-    /// Completion/failure notice from a worker back to the reactor.
+    struct WorkItem {
+        std::shared_ptr<Request> request;
+        std::size_t body = 0;
+    };
+
+    /// Completion notice from a worker back to the reactor (also sent for a
+    /// failed request: the reactor then sees the connection dead).
     struct Notice {
         std::shared_ptr<Conn> conn;
         std::uint64_t request_id = 0;
-        bool completed = false;  // false = failure-only notice
     };
 
     class Poller;
@@ -153,7 +178,9 @@ private:
     /// Closes and forgets a connection; `dropped` counts it in
     /// connections_dropped (an error teardown, not a clean close).
     void teardown(const std::shared_ptr<Conn>& conn, Poller& poller, bool dropped);
-    void notify(std::shared_ptr<Conn> conn, std::uint64_t id, bool completed);
+    /// Runs one work item; the request's last item also completes it.
+    void run_item(WorkItem& item, split::WireBufferPool& reply_pool);
+    void notify(std::shared_ptr<Conn> conn, std::uint64_t id);
     void drain_notices(Poller& poller);
 
     std::shared_ptr<DeploymentManager> deployments_;

@@ -89,24 +89,32 @@ HostInfo BodyHost::host_info() const {
     return info;
 }
 
-void BodyHost::process_request(std::uint64_t request_id, std::string_view payload,
-                               split::WireBufferPool& reply_pool, split::Channel& out) {
+BodyHost::RequestInput BodyHost::decode_request(std::string_view payload) {
     // Mirror the request's payload encoding on the downlink so each round
     // trip stays byte-identical to the in-proc sequential transport.
-    const split::WireFormat wire = split::encoded_wire_format(payload);
-    const Tensor features = split::decode_tensor(payload);
+    return RequestInput{split::encoded_wire_format(payload), split::decode_tensor(payload)};
+}
+
+void BodyHost::serve_body(std::uint64_t request_id, std::size_t body, const RequestInput& input,
+                          split::WireBufferPool& reply_pool, split::Channel& out) {
+    Tensor output;
+    {
+        const std::lock_guard<std::mutex> body_lock(forward_mutexes_.at(body));
+        output = bodies_[body]->forward(input.features);
+    }
+    auto lease = reply_pool.acquire();
+    split::encode_into(output, input.wire, *lease);
+    unsigned char tag[kReplyTagBytes];
+    encode_reply_tag(request_id, static_cast<std::uint32_t>(body), tag);
+    out.send_parts(std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
+                   lease->view());
+}
+
+void BodyHost::process_request(std::uint64_t request_id, std::string_view payload,
+                               split::WireBufferPool& reply_pool, split::Channel& out) {
+    const RequestInput input = decode_request(payload);
     for (std::size_t n = 0; n < bodies_.size(); ++n) {
-        Tensor output;
-        {
-            const std::lock_guard<std::mutex> body_lock(forward_mutexes_[n]);
-            output = bodies_[n]->forward(features);
-        }
-        auto lease = reply_pool.acquire();
-        split::encode_into(output, wire, *lease);
-        unsigned char tag[kReplyTagBytes];
-        encode_reply_tag(request_id, static_cast<std::uint32_t>(n), tag);
-        out.send_parts(std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
-                       lease->view());
+        serve_body(request_id, n, input, reply_pool, out);
     }
 }
 

@@ -35,14 +35,17 @@
 //      connection.
 //
 // BodyHost is the deployment, not the server: it holds the bodies, the
-// advertised handshake and the per-request compute (process_request).
+// advertised handshake and the per-body compute (serve_body).
 // ReactorHost (serve/reactor.hpp) is the one socket server — it owns every
-// connection and runs process_request on a fixed worker pool. Forwards are
-// serialized PER BODY — each layer's forward cache is not thread-safe, but
-// distinct bodies are independent objects — so concurrent connections and
-// one connection's in-flight window overlap their compute across
-// different bodies (the body array behaves like a pipeline: request B runs
-// body 0 while request A runs body 1).
+// connection and runs each request's body_count() serve_body calls as
+// separate items on a fixed worker pool, decoding the request once.
+// Forwards are serialized PER BODY — each layer's forward cache is not
+// thread-safe, but distinct bodies are independent objects — so one
+// request's bodies run concurrently across workers, and concurrent
+// connections and one connection's in-flight window share those workers
+// (request B waits for body 0 only if request A is still forwarding it).
+// The in-proc InferenceService runs the same serve_body calls one after
+// another (process_request).
 
 #include <chrono>
 #include <cstdint>
@@ -138,17 +141,34 @@ public:
     const nn::Layer& body(std::size_t k) const { return *bodies_.at(k); }
     nn::Layer& body(std::size_t k) { return *bodies_.at(k); }
 
-    /// Computes and ships the replies for ONE tagged request: decodes
-    /// `payload` (the codec bytes after the request tag), runs every
-    /// hosted body (serialized per body via the forward mutexes, so any
-    /// number of callers may overlap on distinct bodies), and sends
-    /// body_count() tagged reply frames through `out`, each encoded into a
-    /// buffer leased from `reply_pool` with the request's own wire format
-    /// mirrored. This is the whole compute path of a served request: the
-    /// reactor host (serve/reactor.hpp) dispatches parsed frames from ANY
-    /// connection onto its shared bounded worker pool, and each worker
-    /// calls this. Thread-safe; throws typed ens::Error on decode/transport
+    /// One request's decoded uplink: the feature tensor every hosted body
+    /// forwards, and the wire format its replies mirror.
+    struct RequestInput {
+        split::WireFormat wire = split::WireFormat::f32;
+        Tensor features;
+    };
+
+    /// Decodes the codec bytes after a request tag. Throws typed
+    /// ens::Error{protocol_error} on a malformed payload.
+    static RequestInput decode_request(std::string_view payload);
+
+    /// Computes and ships ONE body's reply to a decoded request: forwards
+    /// hosted body `body` (serialized per body via the forward mutexes, so
+    /// any number of callers may overlap on distinct bodies), encodes the
+    /// output with the request's wire format into a buffer leased from
+    /// `reply_pool`, and sends the tagged reply frame through `out`. The
+    /// reactor host (serve/reactor.hpp) schedules one (request, body) work
+    /// item per call on its shared worker pool, so one request's bodies run
+    /// concurrently. Thread-safe; throws typed ens::Error on transport
     /// failure (the caller owns teardown policy).
+    void serve_body(std::uint64_t request_id, std::size_t body, const RequestInput& input,
+                    split::WireBufferPool& reply_pool, split::Channel& out);
+
+    /// Computes and ships all body_count() replies to ONE tagged request,
+    /// one body after another on the calling thread: decode_request, then
+    /// serve_body for every hosted body. The in-proc InferenceService's
+    /// host phase. Thread-safe; throws typed ens::Error on decode/transport
+    /// failure.
     void process_request(std::uint64_t request_id, std::string_view payload,
                          split::WireBufferPool& reply_pool, split::Channel& out);
 

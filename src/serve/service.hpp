@@ -13,9 +13,10 @@
 // channels (real serialized bytes through the split codec) and
 // SessionStats. submit() runs the whole round trip on the calling thread:
 // the client phase (head forward, split-point noise, encode), the uplink,
-// BodyHost::process_request — the same host core every ReactorHost worker
-// runs for a socket client — which sends one tagged reply per body down
-// the session's downlink, then the secret Selector combine and the tail.
+// BodyHost::process_request — the same per-body serve_body calls that
+// ReactorHost workers run for a socket client, here one body after
+// another — which sends one tagged reply per body down the session's
+// downlink, then the secret Selector combine and the tail.
 // The returned future is already resolved.
 //
 // The in-proc path is bit-identical to the sequential

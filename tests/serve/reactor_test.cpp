@@ -16,12 +16,18 @@
 //     generation retires (live_versions shrinks) once its last session
 //     closes.
 //   - Hostile frames: a duplicate in-flight request id, a frame header
-//     past the frame-size bound and a request frame too short for its tag
-//     each close ONLY their own connection (counted in
-//     connections_dropped) while a sibling session stays bit-exact.
-//   - Graceful shutdown: a forked reactor daemon receiving SIGTERM with a
-//     window of requests in flight answers every one of them (no torn
-//     replies), then exits 0.
+//     past the frame-size bound, a request frame too short for its tag and
+//     a payload that does not decode each close ONLY their own connection
+//     (counted in connections_dropped) while a sibling session stays
+//     bit-exact.
+//   - Body concurrency: the reactor schedules (request, body) work items,
+//     so the bodies of ONE window-1 request run on different workers at
+//     once (two bodies rendezvous inside their forwards), and a body that
+//     throws mid-request drops only its connection, exactly once, without
+//     counting the request as served.
+//
+// Graceful shutdown (a forked daemon) lives in reactor_drain_test, so
+// this suite stays fork-free and runs under TSan.
 //
 // Bit-parity oracle: the same in-proc sequential CollaborativeSession the
 // other serve suites compare against.
@@ -33,34 +39,28 @@
 
 #include <atomic>
 #include <chrono>
-#include <csignal>
+#include <condition_variable>
 #include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/selector.hpp"
+#include "reactor_harness.hpp"
 #include "serve/deployment.hpp"
 #include "serve/protocol.hpp"
 #include "serve/reactor.hpp"
 #include "serve/remote.hpp"
-#include "serve_harness.hpp"
-#include "split/channel.hpp"
-#include "split/codec.hpp"
-#include "split/session.hpp"
-#include "split/tcp_channel.hpp"
 
 namespace ens::serve {
 namespace {
 
-constexpr std::size_t kBodies = 3;
-constexpr std::uint64_t kSeed = 4100;
-constexpr std::chrono::milliseconds kRequestTimeout{120000};
+using namespace harness;
 
 /// Threads of this process right now (0 when /proc is unavailable — the
 /// caller skips the assertion then).
@@ -91,64 +91,6 @@ rlim_t ensure_fd_limit(rlim_t need) {
     return rl.rlim_cur;
 }
 
-/// In-memory whole-deployment host over the shared deterministic ensemble
-/// geometry (same seed -> bit-identical bodies everywhere).
-std::shared_ptr<BodyHost> make_ensemble_host(std::uint64_t seed) {
-    harness::EnsembleParts parts = harness::make_linear_ensemble(seed, kBodies,
-                                                                 /*num_selected=*/2);
-    return std::make_shared<BodyHost>(std::move(parts.bodies));
-}
-
-/// The sequential in-proc oracle (selector {0, 2} of 3). The client half
-/// (head/tail) and the body weights may come from DIFFERENT seeds: a hot
-/// swap replaces only the host's bodies, so a post-swap session is client
-/// seed + NEW body seed.
-struct Oracle {
-    harness::EnsembleParts client_parts;
-    harness::EnsembleParts body_parts;
-    core::Selector selector{kBodies, {0, 2}};
-    split::InProcChannel uplink;
-    split::InProcChannel downlink;
-    std::unique_ptr<split::CollaborativeSession> session;
-
-    Oracle(std::uint64_t client_seed, std::uint64_t body_seed, split::WireFormat wire)
-        : client_parts(harness::make_linear_ensemble(client_seed, kBodies, /*num_selected=*/2)),
-          body_parts(harness::make_linear_ensemble(body_seed, kBodies, /*num_selected=*/2)) {
-        harness::set_eval(client_parts);
-        harness::set_eval(body_parts);
-        std::vector<nn::Layer*> bodies;
-        for (nn::LayerPtr& body : body_parts.bodies) {
-            bodies.push_back(body.get());
-        }
-        session = std::make_unique<split::CollaborativeSession>(
-            *client_parts.head, bodies, *client_parts.tail,
-            [this](const std::vector<Tensor>& features) { return selector.apply(features); },
-            uplink, downlink, wire);
-    }
-};
-
-/// Client half for a RemoteSession against make_ensemble_host(seed).
-struct ClientHalf {
-    harness::EnsembleParts parts;
-    core::Selector selector{kBodies, {0, 2}};
-
-    explicit ClientHalf(std::uint64_t seed)
-        : parts(harness::make_linear_ensemble(seed, kBodies, /*num_selected=*/2)) {
-        harness::set_eval(parts);
-    }
-
-    // RemoteSession is deliberately pinned in place (mutex + stats
-    // members), so hand sessions out behind unique_ptr.
-    std::unique_ptr<RemoteSession> connect(std::uint16_t port, split::WireFormat wire,
-                                           std::size_t max_inflight = kDefaultMaxInflight) {
-        auto session = std::make_unique<RemoteSession>(
-            split::tcp_connect("127.0.0.1", port), *parts.head, nullptr, *parts.tail,
-            selector, wire, std::chrono::seconds(30), max_inflight);
-        session->set_recv_timeout(kRequestTimeout);
-        return session;
-    }
-};
-
 /// Runs `rounds` pipelined requests through `session` and bit-compares
 /// every reply against a fresh oracle: the session's client half is from
 /// `client_seed`, the generation it is pinned to hosts `body_seed` bodies.
@@ -172,8 +114,6 @@ void expect_parity(RemoteSession& session, std::uint64_t client_seed, std::uint6
     }
 }
 
-using harness::ReactorFixture;
-
 /// Polls `predicate` until true or `timeout` (reactor teardown and gauge
 /// updates are asynchronous to the test thread).
 bool eventually(const std::function<bool()>& predicate,
@@ -186,6 +126,40 @@ bool eventually(const std::function<bool()>& predicate,
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     return predicate();
+}
+
+/// Sends one tagged request frame on a raw connection.
+void send_request(split::TcpChannel& channel, std::uint64_t id, const std::string& payload) {
+    unsigned char tag[kRequestTagBytes];
+    encode_request_tag(id, tag);
+    channel.send_parts(std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
+                       payload);
+}
+
+/// Reads `channel` until the host closes it (channel_closed). Bodies are
+/// separate work items, so before the close up to kBodies - 1 replies to
+/// request `id` may arrive from bodies other than `silent_body` when
+/// `replies_allowed`; any other frame fails.
+void expect_close(split::TcpChannel& channel, bool replies_allowed, std::uint64_t id,
+                  std::uint32_t silent_body, const char* what) {
+    std::size_t replies = 0;
+    for (;;) {
+        std::string frame;
+        try {
+            frame = channel.recv();
+        } catch (const Error& e) {
+            EXPECT_EQ(e.code(), ErrorCode::channel_closed) << what << ": " << e.what();
+            return;
+        }
+        std::string_view payload;
+        const ReplyTag tag = parse_reply_frame(frame, payload);
+        if (!replies_allowed || tag.request_id != id || tag.body_seq == silent_body ||
+            ++replies > kBodies - 1) {
+            ADD_FAILURE() << what << ": host kept the connection open (reply "
+                          << tag.request_id << "/" << tag.body_seq << ")";
+            return;
+        }
+    }
 }
 
 TEST(ReactorSoak, Holds1024ConnectionsOnFixedThreadsWithPipelinedParity) {
@@ -400,12 +374,6 @@ TEST(ReactorHostile, HostileFramesDropOnlyTheirConnection) {
     Rng rng(9);
     const std::string payload =
         split::encode_tensor(Tensor::randn(Shape{1, harness::kHidden}, rng));
-    const auto send_request = [&payload](split::TcpChannel& channel, std::uint64_t id) {
-        unsigned char tag[kRequestTagBytes];
-        encode_request_tag(id, tag);
-        channel.send_parts(std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
-                           payload);
-    };
     struct HostileCase {
         const char* name;
         bool gated;  // un-park the gated request once the close is seen
@@ -415,9 +383,9 @@ TEST(ReactorHostile, HostileFramesDropOnlyTheirConnection) {
         {"duplicate in-flight id", true,
          [&](split::TcpChannel& channel) {
              gate.armed.store(true);
-             send_request(channel, 7);
+             send_request(channel, 7, payload);
              gate.entered.get_future().wait();  // request 7 is now mid-forward
-             send_request(channel, 7);
+             send_request(channel, 7, payload);
          }},
         {"oversize frame header", false,
          [](split::TcpChannel& channel) {
@@ -435,6 +403,11 @@ TEST(ReactorHostile, HostileFramesDropOnlyTheirConnection) {
          [](split::TcpChannel& channel) {
              channel.send(std::string(kRequestTagBytes - 1, '\0'));
          }},
+        {"payload that fails to decode", false,
+         [](split::TcpChannel& channel) {
+             // A well-formed tag; the workers' decode refuses the bytes.
+             send_request(channel, 9, "not a tensor");
+         }},
     };
 
     std::uint64_t hostile = 0;
@@ -444,15 +417,9 @@ TEST(ReactorHostile, HostileFramesDropOnlyTheirConnection) {
         (void)decode_handshake(channel->recv());
         hostile_case.send(*channel);
         ++hostile;
-        // The host refuses by closing the connection — observable here as
-        // channel_closed on the next recv.
-        try {
-            (void)channel->recv();
-            ADD_FAILURE() << hostile_case.name << ": host kept the connection open";
-        } catch (const Error& e) {
-            EXPECT_EQ(e.code(), ErrorCode::channel_closed) << hostile_case.name << ": "
-                                                           << e.what();
-        }
+        // The host refuses by closing the connection. The gated request's
+        // other bodies may reply while body 0 is parked.
+        expect_close(*channel, hostile_case.gated, 7, /*silent_body=*/0, hostile_case.name);
         if (hostile_case.gated) {
             release.set_value();
         }
@@ -470,55 +437,136 @@ TEST(ReactorHostile, HostileFramesDropOnlyTheirConnection) {
     EXPECT_EQ(fixture.reactor().gauges().connections_held, 0u);
 }
 
-TEST(ReactorShutdown, SigtermDrainsInFlightWindowsAndExitsZero) {
-    // Forked daemon: reactor + SignalSet, the exact serve_daemon layout.
-    // The parent SIGTERMs it with a full request window outstanding; every
-    // future must still resolve (bit-matched), and the child must exit 0
-    // having drained — not died mid-frame.
-    harness::ForkedDaemon daemon([](split::ChannelListener& listener) {
-        SignalSet signals{SIGTERM};  // before ANY thread spawns
-        auto manager = std::make_shared<DeploymentManager>(make_ensemble_host(kSeed));
-        ReactorConfig config;
-        config.worker_threads = 2;
-        ReactorHost reactor(manager, config);
-        std::thread loop([&] { reactor.run(listener); });
-        (void)signals.wait();
-        reactor.shutdown();
-        loop.join();
-        if (reactor.gauges().active_requests != 0) {
-            ::_exit(3);  // drain left work behind
+/// Meeting point for the bodies of one request: each RendezvousLayer's
+/// forward waits (bounded) until every party has entered.
+struct Rendezvous {
+    std::size_t parties = 0;
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t entered = 0;
+};
+
+/// Body layer that records whether its forward met the other parties of
+/// its Rendezvous. A serial host times out (met stays false), since the
+/// other bodies only start after this forward returns.
+struct RendezvousLayer final : nn::Layer {
+    nn::Layer* inner = nullptr;
+    Rendezvous* meeting = nullptr;
+    std::atomic<bool> met{false};
+
+    Tensor forward(const Tensor& input) override {
+        {
+            std::unique_lock<std::mutex> lock(meeting->mutex);
+            ++meeting->entered;
+            meeting->cv.notify_all();
+            met.store(meeting->cv.wait_for(lock, std::chrono::seconds(5), [this] {
+                return meeting->entered >= meeting->parties;
+            }));
         }
-    });
-    ASSERT_GT(daemon.port(), 0);
+        return inner->forward(input);
+    }
+    Tensor backward(const Tensor&) override { return Tensor{}; }
+    std::string name() const override { return "Rendezvous"; }
+};
+
+TEST(ReactorBodies, OneRequestsBodiesRunConcurrentlyAcrossWorkers) {
+    // Two bodies, two workers, ONE request in flight (window 1): only
+    // (request, body) scheduling can put both forwards in flight together.
+    constexpr std::size_t kPair = 2;
+    harness::EnsembleParts parts = harness::make_linear_ensemble(kSeed, kPair,
+                                                                 /*num_selected=*/2);
+    harness::set_eval(parts);
+    Rendezvous meeting;
+    meeting.parties = kPair;
+    RendezvousLayer first;
+    RendezvousLayer second;
+    first.inner = parts.bodies[0].get();
+    second.inner = parts.bodies[1].get();
+    first.meeting = second.meeting = &meeting;
+    ReactorConfig config;
+    config.worker_threads = 2;
+    config.drain_grace = std::chrono::milliseconds(50);
+    ReactorFixture fixture(std::make_shared<BodyHost>(std::vector<nn::Layer*>{&first, &second}),
+                           config);
+
+    ClientHalf client(kSeed, kPair);
+    auto session = client.connect(fixture.port(), split::WireFormat::f32, /*max_inflight=*/1);
+    Oracle oracle(kSeed, kSeed, split::WireFormat::f32, kPair);
+    Rng rng(21);
+    const Tensor input = Tensor::randn(Shape{2, harness::kIn}, rng);
+    const InferenceResult result = session->infer(input);
+
+    EXPECT_TRUE(first.met.load()) << "body 0 never saw body 1 enter: bodies ran one by one";
+    EXPECT_TRUE(second.met.load()) << "body 1 never saw body 0 enter";
+    EXPECT_EQ(result.logits.to_vector(), oracle.session->infer(input).to_vector());
+    session->close();
+    fixture.stop();
+    EXPECT_EQ(fixture.reactor().gauges().requests_served, 1u);
+}
+
+/// Body layer that throws from its next forward once armed.
+struct ThrowLayer final : nn::Layer {
+    nn::Layer* inner = nullptr;
+    std::atomic<bool> armed{false};
+
+    Tensor forward(const Tensor& input) override {
+        if (armed.exchange(false)) {
+            throw std::runtime_error("injected body failure");
+        }
+        return inner->forward(input);
+    }
+    Tensor backward(const Tensor&) override { return Tensor{}; }
+    std::string name() const override { return "Throw"; }
+};
+
+TEST(ReactorBodies, BodyFailureMidRequestDropsOnlyItsConnectionOnce) {
+    // Body 1 of 3 throws while its siblings of the same request run on the
+    // other worker: the connection drops exactly once, the request is not
+    // served, and the gauges settle.
+    harness::EnsembleParts parts = harness::make_linear_ensemble(kSeed, kBodies,
+                                                                 /*num_selected=*/2);
+    harness::set_eval(parts);
+    ThrowLayer thrower;
+    thrower.inner = parts.bodies[1].get();
+    ReactorConfig config;
+    config.worker_threads = 2;
+    config.drain_grace = std::chrono::milliseconds(50);
+    ReactorFixture fixture(std::make_shared<BodyHost>(std::vector<nn::Layer*>{
+                               parts.bodies[0].get(), &thrower, parts.bodies[2].get()}),
+                           config);
 
     ClientHalf client(kSeed);
-    auto session = client.connect(daemon.port(), split::WireFormat::f32,
-                                  /*max_inflight=*/4);
-    ASSERT_EQ(session->deployment_version(), 1u);
+    auto sibling = client.connect(fixture.port(), split::WireFormat::f32, /*max_inflight=*/4);
+    expect_parity(*sibling, kSeed, kSeed, split::WireFormat::f32, 4, "before the failure");
+    // A request counts once its last reply is sent, a beat after the
+    // client may have read it.
+    EXPECT_TRUE(eventually([&] { return fixture.reactor().gauges().requests_served == 4; }));
 
-    Oracle oracle(kSeed, kSeed, split::WireFormat::f32);
-    Rng data_rng(77);
-    std::vector<Tensor> inputs;
-    std::vector<std::future<InferenceResult>> futures;
-    for (std::size_t r = 0; r < 4; ++r) {
-        inputs.push_back(Tensor::randn(Shape{2, harness::kIn}, data_rng));
-        futures.push_back(session->submit(inputs.back()));
-    }
-    // SIGTERM with the whole window in flight.
-    ASSERT_EQ(::kill(daemon.pid(), SIGTERM), 0);
+    auto channel = split::tcp_connect("127.0.0.1", fixture.port());
+    channel->set_recv_timeout(std::chrono::seconds(30));
+    (void)decode_handshake(channel->recv());
+    Rng rng(5);
+    const std::string payload =
+        split::encode_tensor(Tensor::randn(Shape{1, harness::kHidden}, rng));
+    thrower.armed.store(true);
+    send_request(*channel, 3, payload);
+    // Bodies 0 and 2 may reply before the teardown; body 1 never does.
+    expect_close(*channel, /*replies_allowed=*/true, 3, /*silent_body=*/1, "body failure");
 
-    for (std::size_t r = 0; r < futures.size(); ++r) {
-        std::optional<InferenceResult> result;
-        try {
-            result.emplace(futures[r].get());
-        } catch (const std::exception& e) {
-            FAIL() << "request " << r << " torn by the shutdown: " << e.what();
-        }
-        const Tensor expected = oracle.session->infer(inputs[r]);
-        EXPECT_EQ(result->logits.to_vector(), expected.to_vector()) << "request " << r;
-    }
-    session->close();
-    EXPECT_EQ(daemon.wait_exit_code(), 0) << "daemon did not exit cleanly after the drain";
+    EXPECT_TRUE(eventually([&] {
+        const GaugeSnapshot gauges = fixture.reactor().gauges();
+        return gauges.connections_dropped == 1 && gauges.active_requests == 0;
+    })) << "dropped=" << fixture.reactor().gauges().connections_dropped
+        << " active=" << fixture.reactor().gauges().active_requests;
+    EXPECT_EQ(fixture.reactor().gauges().requests_served, 4u) << "the failed request was served";
+
+    expect_parity(*sibling, kSeed, kSeed, split::WireFormat::f32, 4, "after the failure");
+    sibling->close();
+    fixture.stop();
+    const GaugeSnapshot gauges = fixture.reactor().gauges();
+    EXPECT_EQ(gauges.connections_dropped, 1u);
+    EXPECT_EQ(gauges.active_requests, 0u);
+    EXPECT_EQ(gauges.requests_served, 8u);
 }
 
 }  // namespace
