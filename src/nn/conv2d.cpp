@@ -4,12 +4,40 @@
 #include <map>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
 #include "tensor/ops.hpp"
 
 namespace ens::nn {
+
+namespace {
+
+/// Per-thread im2col and GEMM-output buffers for Conv2d::forward, in the
+/// manner of the kernel's per-thread pack scratch. im2col writes every
+/// element of col and the beta = 0 GEMM every element of out_mat, so the
+/// buffers need no zero-fill per call (a Tensor would zero them each
+/// time); they only grow. A forward chunk holds them until it returns and
+/// nothing inside it re-enters Conv2d::forward on the same thread.
+std::vector<float>& tls_col() {
+    thread_local std::vector<float> buffer;
+    return buffer;
+}
+
+std::vector<float>& tls_out_mat() {
+    thread_local std::vector<float> buffer;
+    return buffer;
+}
+
+float* scratch(std::vector<float>& buffer, std::int64_t floats) {
+    if (buffer.size() < static_cast<std::size_t>(floats)) {
+        buffer.resize(static_cast<std::size_t>(floats));
+    }
+    return buffer.data();
+}
+
+}  // namespace
 
 void apply_epilogue(Epilogue epilogue, float slope, float* data, std::int64_t n) {
     switch (epilogue) {
@@ -93,31 +121,35 @@ Tensor Conv2d::forward(const Tensor& input) {
     // chain over the same kKC slabs, only the operand roles swap, so the
     // result is bit-identical either way. The cutoff is strict: also
     // transposing the 4x4 maps (exactly kNR positions) cost ~6% more host
-    // CPU per ens_saturate request on a 4-vCPU AVX2 VM (10/10 pairs).
+    // CPU per ens_saturate request on a 4-vCPU AVX2 VM (10/10 pairs). That
+    // was measured with the earlier AVX2 micro-kernel, which spilled its
+    // accumulator tile to the stack on every k step; it has not been
+    // re-measured with the register-resident one.
     const bool use_packed = !training_;
     const bool transposed = use_packed && positions < kernel::kNR;
     if (use_packed && (!packed_weight_.defined() || packed_weight_.is_a() == transposed)) {
         pack_weight(/*as_b=*/transposed);
     }
 
+    const std::int64_t patch = geom.patch_size();
     parallel_for(0, static_cast<std::size_t>(batch), [&](std::size_t lo, std::size_t hi) {
-        Tensor col(Shape{geom.patch_size(), positions});
-        Tensor out_mat(Shape{out_channels_, positions});  // [positions, C_out] when transposed
+        float* col = scratch(tls_col(), patch * positions);
+        float* out_mat = scratch(tls_out_mat(), out_plane);  // [positions, C_out] when transposed
         for (std::size_t n = lo; n < hi; ++n) {
-            im2col(input.data() + static_cast<std::int64_t>(n) * in_plane, geom, col.data());
+            im2col(input.data() + static_cast<std::int64_t>(n) * in_plane, geom, col);
             if (transposed) {
-                kernel::gemm_packed_b(col.data(), positions, /*trans_a=*/true, positions,
-                                      packed_weight_, out_mat.data(), out_channels_, 1.0f, 0.0f,
-                                      /*parallel=*/false);
+                kernel::gemm_packed_b(col, positions, /*trans_a=*/true, positions, packed_weight_,
+                                      out_mat, out_channels_, 1.0f, 0.0f, /*parallel=*/false);
             } else if (use_packed) {
-                kernel::gemm_packed_a(packed_weight_, col.data(), positions, /*trans_b=*/false,
-                                      positions, out_mat.data(), positions, 1.0f, 0.0f,
-                                      /*parallel=*/false);
+                kernel::gemm_packed_a(packed_weight_, col, positions, /*trans_b=*/false, positions,
+                                      out_mat, positions, 1.0f, 0.0f, /*parallel=*/false);
             } else {
-                gemm_serial(weight_.value, false, col, false, out_mat);
+                kernel::gemm_blocked(out_channels_, positions, patch, weight_.value.data(), patch,
+                                     false, col, positions, false, out_mat, positions, 1.0f, 0.0f,
+                                     /*parallel=*/false);
             }
             float* dst = output.data() + static_cast<std::int64_t>(n) * out_plane;
-            const float* src = out_mat.data();
+            const float* src = out_mat;
             const float* b = with_bias_ ? bias_.value.data() : nullptr;
             if (transposed) {
                 for (std::int64_t c = 0; c < out_channels_; ++c) {

@@ -58,33 +58,65 @@ void micro_portable(std::int64_t kc, const float* ENS_RESTRICT ap, const float* 
 }
 
 #if defined(ENS_KERNEL_X86)
+// 6 x 16 = twelve 8-lane accumulators + two B vectors + one broadcast,
+// exactly the 16 architectural YMM registers.
+//
+// The accumulators are twelve named variables, not __m256 c_lo[kMR] /
+// c_hi[kMR] arrays. With the arrays, GCC 12 -O3 kept the tile in
+// ymm2-ymm13 but also stored all twelve back to the arrays' stack slots on
+// every k step (12 vmovaps stores beside 12 FMAs), which capped 256^3
+// `packed` in BENCH_kernels at ~29-40 GFLOP/s on one AVX2 core. Check
+// before folding them back into an array or loop: in
+//   objdump -d --no-show-raw-insn -C build/CMakeFiles/ens.dir/src/tensor/gemm_kernel.cpp.o
+// the k loop of micro_avx2 must hold only loads, broadcasts and FMAs, and
+// no store to (%rsp).
 __attribute__((target("avx2,fma"))) void micro_avx2(std::int64_t kc,
                                                     const float* ENS_RESTRICT ap,
                                                     const float* ENS_RESTRICT bp,
                                                     float* ENS_RESTRICT acc) {
-    // 6 x 16 = twelve 8-lane accumulators + two B vectors + one broadcast,
-    // exactly the 16 architectural YMM registers.
-    __m256 c_lo[kMR];
-    __m256 c_hi[kMR];
-    for (int i = 0; i < kMR; ++i) {
-        c_lo[i] = _mm256_setzero_ps();
-        c_hi[i] = _mm256_setzero_ps();
-    }
+    static_assert(kMR == 6 && kNR == 16, "micro_avx2 spells out a 6 x 16 tile");
+    __m256 c0_lo = _mm256_setzero_ps(), c0_hi = _mm256_setzero_ps();
+    __m256 c1_lo = _mm256_setzero_ps(), c1_hi = _mm256_setzero_ps();
+    __m256 c2_lo = _mm256_setzero_ps(), c2_hi = _mm256_setzero_ps();
+    __m256 c3_lo = _mm256_setzero_ps(), c3_hi = _mm256_setzero_ps();
+    __m256 c4_lo = _mm256_setzero_ps(), c4_hi = _mm256_setzero_ps();
+    __m256 c5_lo = _mm256_setzero_ps(), c5_hi = _mm256_setzero_ps();
     for (std::int64_t p = 0; p < kc; ++p) {
         const __m256 b0 = _mm256_load_ps(bp);
         const __m256 b1 = _mm256_load_ps(bp + 8);
         bp += kNR;
-        for (int i = 0; i < kMR; ++i) {
-            const __m256 av = _mm256_broadcast_ss(ap + i);
-            c_lo[i] = _mm256_fmadd_ps(av, b0, c_lo[i]);
-            c_hi[i] = _mm256_fmadd_ps(av, b1, c_hi[i]);
-        }
+        __m256 av = _mm256_broadcast_ss(ap + 0);
+        c0_lo = _mm256_fmadd_ps(av, b0, c0_lo);
+        c0_hi = _mm256_fmadd_ps(av, b1, c0_hi);
+        av = _mm256_broadcast_ss(ap + 1);
+        c1_lo = _mm256_fmadd_ps(av, b0, c1_lo);
+        c1_hi = _mm256_fmadd_ps(av, b1, c1_hi);
+        av = _mm256_broadcast_ss(ap + 2);
+        c2_lo = _mm256_fmadd_ps(av, b0, c2_lo);
+        c2_hi = _mm256_fmadd_ps(av, b1, c2_hi);
+        av = _mm256_broadcast_ss(ap + 3);
+        c3_lo = _mm256_fmadd_ps(av, b0, c3_lo);
+        c3_hi = _mm256_fmadd_ps(av, b1, c3_hi);
+        av = _mm256_broadcast_ss(ap + 4);
+        c4_lo = _mm256_fmadd_ps(av, b0, c4_lo);
+        c4_hi = _mm256_fmadd_ps(av, b1, c4_hi);
+        av = _mm256_broadcast_ss(ap + 5);
+        c5_lo = _mm256_fmadd_ps(av, b0, c5_lo);
+        c5_hi = _mm256_fmadd_ps(av, b1, c5_hi);
         ap += kMR;
     }
-    for (int i = 0; i < kMR; ++i) {
-        _mm256_store_ps(acc + i * kNR, c_lo[i]);
-        _mm256_store_ps(acc + i * kNR + 8, c_hi[i]);
-    }
+    _mm256_store_ps(acc + 0 * kNR, c0_lo);
+    _mm256_store_ps(acc + 0 * kNR + 8, c0_hi);
+    _mm256_store_ps(acc + 1 * kNR, c1_lo);
+    _mm256_store_ps(acc + 1 * kNR + 8, c1_hi);
+    _mm256_store_ps(acc + 2 * kNR, c2_lo);
+    _mm256_store_ps(acc + 2 * kNR + 8, c2_hi);
+    _mm256_store_ps(acc + 3 * kNR, c3_lo);
+    _mm256_store_ps(acc + 3 * kNR + 8, c3_hi);
+    _mm256_store_ps(acc + 4 * kNR, c4_lo);
+    _mm256_store_ps(acc + 4 * kNR + 8, c4_hi);
+    _mm256_store_ps(acc + 5 * kNR, c5_lo);
+    _mm256_store_ps(acc + 5 * kNR + 8, c5_hi);
 }
 #endif  // ENS_KERNEL_X86
 

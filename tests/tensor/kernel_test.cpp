@@ -15,10 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -196,6 +198,69 @@ TEST(Kernel, PackedUnpackedAndParallelAreBitIdentical) {
         EXPECT_EQ(serial, packed_b);
         EXPECT_EQ(serial, packed_both);
         EXPECT_EQ(serial, transposed);
+    }
+}
+
+TEST(Kernel, MicroKernelMatchesScalarFmaChain) {
+    // The suites above compare kernel paths with each other, so a micro-
+    // kernel that reordered its FMA chain would still pass them. This pins
+    // the rounding to a scalar model: within each kKC slab, C[i][j] is one
+    // std::fmaf chain over p in order, starting from 0; slabs then merge
+    // into C in order, as write_tile does (the first applies beta, later
+    // ones add). alpha = 1 and a power-of-two beta keep the merge exact
+    // whether or not the compiler contracts it into an FMA. The portable
+    // path leaves FMA contraction to the compiler, so only the vector
+    // ISAs are held to this.
+    const std::string isa = kernel::kernel_isa();
+    if (isa != "avx2" && isa != "neon") {
+        GTEST_SKIP() << "portable micro-kernel has no fixed FMA chain";
+    }
+    struct Dims {
+        std::int64_t m, n, k;
+    };
+    const float alpha = 1.0f;
+    // k = 100, 300 and 1152 span 1, 2 and 5 kKC slabs; m and n are ragged
+    // against the kMR x kNR tile.
+    for (const Dims d : {Dims{13, 37, 100}, Dims{7, 5, 300}, Dims{20, 19, 1152}}) {
+        for (const float beta : {0.0f, 0.5f}) {
+            const std::int64_t m = d.m, n = d.n, k = d.k;
+            SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                         " k=" + std::to_string(k) + " beta=" + std::to_string(beta));
+            Rng rng(0xF3A + static_cast<std::uint64_t>(k));
+            const Tensor a = Tensor::randn(Shape{m, k}, rng);
+            const Tensor b = Tensor::randn(Shape{k, n}, rng);
+            const Tensor c_in = Tensor::randn(Shape{m, n}, rng);
+
+            std::vector<float> expected(static_cast<std::size_t>(m * n));
+            for (std::int64_t i = 0; i < m; ++i) {
+                for (std::int64_t j = 0; j < n; ++j) {
+                    float c = c_in.data()[i * n + j];
+                    for (std::int64_t k0 = 0; k0 < k; k0 += kernel::kKC) {
+                        float acc = 0.0f;
+                        for (std::int64_t p = k0; p < std::min(k, k0 + kernel::kKC); ++p) {
+                            acc = std::fmaf(a.data()[i * k + p], b.data()[p * n + j], acc);
+                        }
+                        if (k0 > 0) {
+                            c += alpha * acc;
+                        } else if (beta == 0.0f) {
+                            c = alpha * acc;
+                        } else {
+                            c = beta * c + alpha * acc;
+                        }
+                    }
+                    expected[static_cast<std::size_t>(i * n + j)] = c;
+                }
+            }
+
+            const kernel::PackedMatrix pa = kernel::pack_a(a.data(), k, false, m, k);
+            const kernel::PackedMatrix pb = kernel::pack_b(b.data(), n, false, k, n);
+            Tensor c = c_in.clone();
+            if (beta == 0.0f) {
+                c.fill(std::nanf(""));
+            }
+            kernel::gemm_packed(pa, pb, c.data(), n, alpha, beta, /*parallel=*/false);
+            EXPECT_EQ(c.to_vector(), expected);
+        }
     }
 }
 
