@@ -17,6 +17,14 @@
 //                this below kNR output positions (n < kNR here), where
 //                packed wastes most of each register tile on padding
 //
+// Conv lowering rows time the activation side of one body conv for one
+// image, serial: row = {shape, variant, m, n, k, reps, ms, us_per_image,
+// speedup_im2col}, with m = C_out, n = output positions, k = patch.
+//   lower_im2col - im2col into a col matrix, then pack_b_into (or, below
+//                  kNR positions, pack_a_into of col^T)
+//   lower_direct - pack_conv_b_into / pack_conv_a_into straight from the
+//                  image, what nn::Conv2d::forward runs
+//
 // The CI acceptance signal is speedup_naive of blocked/packed at the
 // >= 256^3 shapes, so every scale (including tiny, which the Release smoke
 // runs) keeps the 256^3 row.
@@ -30,6 +38,7 @@
 
 #include "bench_common.hpp"
 #include "tensor/gemm_kernel.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -67,6 +76,24 @@ std::vector<ShapeSpec> shapes_for(ens::bench::Scale scale) {
     }
     return shapes;
 }
+
+/// One ResNet-18 width-16 body conv at the paper's CIFAR split (stage-1
+/// maps are 16x16); `down` rows are each stage's stride-2 first conv.
+struct LoweringSpec {
+    std::string label;
+    std::int64_t c_in, c_out, hw, stride;
+};
+
+const std::vector<LoweringSpec> kLoweringShapes = {
+    {"lower-w16-s1", 16, 16, 16, 1},       {"lower-w16-s2-down", 16, 32, 16, 2},
+    {"lower-w16-s2", 32, 32, 8, 1},        {"lower-w16-s3", 64, 64, 4, 1},
+    {"lower-w16-s4-down", 64, 128, 4, 2},  {"lower-w16-s4", 128, 128, 2, 1},
+};
+
+struct Variant {
+    const char* name;
+    std::function<void()> run;
+};
 
 double time_ms(int reps, const std::function<void()>& fn) {
     fn();  // warm-up (first-touch, pack scratch growth, pool spin-up)
@@ -108,10 +135,6 @@ int main() {
         const kernel::PackedMatrix packed_at =
             kernel::pack_b(a.data(), s.k, /*trans_b=*/true, s.k, s.m);
 
-        struct Variant {
-            const char* name;
-            std::function<void()> run;
-        };
         const std::vector<Variant> variants = {
             {"naive", [&] { ens::gemm_naive(a, false, b, false, c); }},
             {"blocked",
@@ -159,6 +182,66 @@ int main() {
                 .field("ms", ms)
                 .field("gflops", gflops)
                 .field("speedup_naive", speedup);
+        }
+    }
+
+    std::printf("\nConv lowering, one image, serial\n");
+    std::printf("| shape | variant | C_out | positions | patch | us/image | vs im2col |\n");
+    ens::bench::print_rule(7);
+    for (const LoweringSpec& s : kLoweringShapes) {
+        ens::ConvGeometry g;
+        g.in_channels = s.c_in;
+        g.in_h = g.in_w = s.hw;
+        g.kernel_h = g.kernel_w = 3;
+        g.stride = s.stride;
+        g.padding = 1;
+        const std::int64_t k = g.patch_size();
+        const std::int64_t n = g.out_positions();
+        const bool transposed = n < kernel::kNR;  // Conv2d's orientation rule
+        const Tensor image = Tensor::randn(Shape{s.c_in, s.hw, s.hw}, rng, 0.0f, 1.0f);
+        std::vector<float> col(static_cast<std::size_t>(k * n));
+        kernel::PackedMatrix pack;
+        constexpr int reps = 1000;
+
+        const std::vector<Variant> variants = {
+            {"lower_im2col",
+             [&] {
+                 ens::im2col(image.data(), g, col.data());
+                 if (transposed) {
+                     kernel::pack_a_into(pack, col.data(), n, /*trans_a=*/true, n, k);
+                 } else {
+                     kernel::pack_b_into(pack, col.data(), n, /*trans_b=*/false, k, n);
+                 }
+             }},
+            {"lower_direct",
+             [&] {
+                 if (transposed) {
+                     kernel::pack_conv_a_into(pack, image.data(), g);
+                 } else {
+                     kernel::pack_conv_b_into(pack, image.data(), g);
+                 }
+             }},
+        };
+        double im2col_ms = 0.0;
+        for (const Variant& v : variants) {
+            const double ms = time_ms(reps, v.run);
+            if (std::string(v.name) == "lower_im2col") {
+                im2col_ms = ms;
+            }
+            const double speedup = im2col_ms / ms;
+            std::printf("| %s | %s | %lld | %lld | %lld | %.2f | %.2fx |\n", s.label.c_str(),
+                        v.name, static_cast<long long>(s.c_out), static_cast<long long>(n),
+                        static_cast<long long>(k), ms * 1.0e3, speedup);
+            json.row()
+                .field("shape", s.label)
+                .field("variant", std::string(v.name))
+                .field("m", static_cast<double>(s.c_out))
+                .field("n", static_cast<double>(n))
+                .field("k", static_cast<double>(k))
+                .field("reps", static_cast<double>(reps))
+                .field("ms", ms)
+                .field("us_per_image", ms * 1.0e3)
+                .field("speedup_im2col", speedup);
         }
     }
 

@@ -14,15 +14,22 @@ namespace ens::nn {
 
 namespace {
 
-/// Per-thread im2col and GEMM-output buffers for Conv2d::forward, in the
-/// manner of the kernel's per-thread pack scratch. im2col writes every
-/// element of col and the beta = 0 GEMM every element of out_mat, so the
-/// buffers need no zero-fill per call (a Tensor would zero them each
-/// time); they only grow. A forward chunk holds them until it returns and
-/// nothing inside it re-enters Conv2d::forward on the same thread.
-std::vector<float>& tls_col() {
-    thread_local std::vector<float> buffer;
-    return buffer;
+/// Per-thread buffers for Conv2d::forward, in the manner of the kernel's
+/// per-thread pack scratch: the activation panels the direct conv packers
+/// write for each image, the weight pack a training forward builds, and the
+/// [positions, C_out] product of the transposed path. The packers and the
+/// beta = 0 GEMM write every element they later read, so the buffers need
+/// no zero-fill per call; they only grow. A forward chunk holds them until
+/// it returns and nothing inside it re-enters Conv2d::forward on the same
+/// thread.
+kernel::PackedMatrix& tls_activation_pack() {
+    thread_local kernel::PackedMatrix pack;
+    return pack;
+}
+
+kernel::PackedMatrix& tls_weight_pack() {
+    thread_local kernel::PackedMatrix pack;
+    return pack;
 }
 
 std::vector<float>& tls_out_mat() {
@@ -108,10 +115,11 @@ Tensor Conv2d::forward(const Tensor& input) {
     const std::int64_t in_plane = in_channels_ * geom.in_h * geom.in_w;
     const std::int64_t out_plane = out_channels_ * positions;
 
-    // Eval mode reuses a packed copy of the weight across every image (and
-    // every request — the pack survives between forwards). The packed and
-    // unpacked paths are bit-identical (see gemm_kernel.hpp), so toggling
-    // modes never changes outputs.
+    // One lowering for both modes: each image's patches are packed straight
+    // into GEMM panels (no im2col matrix) and multiplied with a packed
+    // weight. Eval mode reuses a pack cached across every image and request;
+    // training packs the weight per forward into per-thread scratch, since
+    // the optimizer moves it between forwards.
     //
     // The GEMM orientation follows the geometry. W · col puts the output
     // positions on the kNR side of the register tile, so below kNR
@@ -125,47 +133,43 @@ Tensor Conv2d::forward(const Tensor& input) {
     // was measured with the earlier AVX2 micro-kernel, which spilled its
     // accumulator tile to the stack on every k step; it has not been
     // re-measured with the register-resident one.
-    const bool use_packed = !training_;
-    const bool transposed = use_packed && positions < kernel::kNR;
-    if (use_packed && (!packed_weight_.defined() || packed_weight_.is_a() == transposed)) {
-        pack_weight(/*as_b=*/transposed);
+    const bool transposed = positions < kernel::kNR;
+    const kernel::PackedMatrix* weight = &packed_weight_;
+    if (training_) {
+        weight = &tls_weight_pack();
+        pack_weight(tls_weight_pack(), /*as_b=*/transposed);
+    } else if (!packed_weight_.defined() || packed_weight_.is_a() == transposed) {
+        pack_weight(packed_weight_, /*as_b=*/transposed);
     }
 
-    const std::int64_t patch = geom.patch_size();
     parallel_for(0, static_cast<std::size_t>(batch), [&](std::size_t lo, std::size_t hi) {
-        float* col = scratch(tls_col(), patch * positions);
-        float* out_mat = scratch(tls_out_mat(), out_plane);  // [positions, C_out] when transposed
+        kernel::PackedMatrix& cols = tls_activation_pack();
+        float* out_mat = transposed ? scratch(tls_out_mat(), out_plane) : nullptr;
+        const float* b = with_bias_ ? bias_.value.data() : nullptr;
         for (std::size_t n = lo; n < hi; ++n) {
-            im2col(input.data() + static_cast<std::int64_t>(n) * in_plane, geom, col);
-            if (transposed) {
-                kernel::gemm_packed_b(col, positions, /*trans_a=*/true, positions, packed_weight_,
-                                      out_mat, out_channels_, 1.0f, 0.0f, /*parallel=*/false);
-            } else if (use_packed) {
-                kernel::gemm_packed_a(packed_weight_, col, positions, /*trans_b=*/false, positions,
-                                      out_mat, positions, 1.0f, 0.0f, /*parallel=*/false);
-            } else {
-                kernel::gemm_blocked(out_channels_, positions, patch, weight_.value.data(), patch,
-                                     false, col, positions, false, out_mat, positions, 1.0f, 0.0f,
-                                     /*parallel=*/false);
-            }
+            const float* image = input.data() + static_cast<std::int64_t>(n) * in_plane;
             float* dst = output.data() + static_cast<std::int64_t>(n) * out_plane;
-            const float* src = out_mat;
-            const float* b = with_bias_ ? bias_.value.data() : nullptr;
             if (transposed) {
+                kernel::pack_conv_a_into(cols, image, geom);
+                kernel::gemm_packed(cols, *weight, out_mat, out_channels_, 1.0f, 0.0f,
+                                    /*parallel=*/false);
                 for (std::int64_t c = 0; c < out_channels_; ++c) {
                     for (std::int64_t p = 0; p < positions; ++p) {
-                        const float v = src[p * out_channels_ + c];
+                        const float v = out_mat[p * out_channels_ + c];
                         dst[c * positions + p] = b != nullptr ? v + b[c] : v;
                     }
                 }
-            } else if (b != nullptr) {
-                for (std::int64_t c = 0; c < out_channels_; ++c) {
-                    for (std::int64_t p = 0; p < positions; ++p) {
-                        dst[c * positions + p] = src[c * positions + p] + b[c];
+            } else {
+                kernel::pack_conv_b_into(cols, image, geom);
+                kernel::gemm_packed(*weight, cols, dst, positions, 1.0f, 0.0f,
+                                    /*parallel=*/false);
+                if (b != nullptr) {
+                    for (std::int64_t c = 0; c < out_channels_; ++c) {
+                        for (std::int64_t p = 0; p < positions; ++p) {
+                            dst[c * positions + p] += b[c];
+                        }
                     }
                 }
-            } else {
-                std::copy(src, src + out_plane, dst);
             }
             apply_epilogue(epilogue_, epilogue_slope_, dst, out_plane);
         }
@@ -173,14 +177,14 @@ Tensor Conv2d::forward(const Tensor& input) {
     return output;
 }
 
-void Conv2d::pack_weight(bool as_b) {
+void Conv2d::pack_weight(kernel::PackedMatrix& dst, bool as_b) const {
     const std::int64_t patch = weight_.value.dim(1);
     if (as_b) {
-        kernel::pack_b_into(packed_weight_, weight_.value.data(), patch, /*trans_b=*/true, patch,
+        kernel::pack_b_into(dst, weight_.value.data(), patch, /*trans_b=*/true, patch,
                             out_channels_);
     } else {
-        kernel::pack_a_into(packed_weight_, weight_.value.data(), patch, /*trans_a=*/false,
-                            out_channels_, patch);
+        kernel::pack_a_into(dst, weight_.value.data(), patch, /*trans_a=*/false, out_channels_,
+                            patch);
     }
 }
 
@@ -299,7 +303,7 @@ void Conv2d::prepare_inference() {
     // The input geometry is unknown here. Keep the orientation a forward
     // already chose; before any forward, pack for W · col, and let the
     // first forward of a small-spatial layer repack it once as W^T.
-    pack_weight(/*as_b=*/packed_weight_.defined() && !packed_weight_.is_a());
+    pack_weight(packed_weight_, /*as_b=*/packed_weight_.defined() && !packed_weight_.is_a());
 }
 
 std::string Conv2d::name() const {

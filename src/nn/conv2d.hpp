@@ -1,5 +1,7 @@
 #pragma once
-// 2-d convolution (NCHW) via im2col + GEMM, batch-parallel.
+// 2-d convolution (NCHW) as a GEMM per image, batch-parallel: forward packs
+// each image's patches straight into GEMM panels (kernel::pack_conv_*_into);
+// backward lowers through im2col/col2im.
 
 #include "nn/layer.hpp"
 #include "tensor/gemm_kernel.hpp"
@@ -70,9 +72,9 @@ public:
 
 private:
     ConvGeometry geometry_for(const Tensor& input) const;
-    /// Packs the weight into packed_weight_ as W (the A operand of
-    /// W · col) or, when `as_b`, as W^T (the B operand of col^T · W^T).
-    void pack_weight(bool as_b);
+    /// Packs the weight into `dst` as W (the A operand of W · col) or,
+    /// when `as_b`, as W^T (the B operand of col^T · W^T).
+    void pack_weight(kernel::PackedMatrix& dst, bool as_b) const;
 
     std::int64_t in_channels_;
     std::int64_t out_channels_;

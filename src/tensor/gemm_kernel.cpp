@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
+#include "tensor/im2col.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -213,6 +215,107 @@ PackedMatrix& tls_scratch_b() {
     return scratch;
 }
 
+/// One image's im2col matrix, addressed in place: col[r][j] is
+/// data[row[r] + pos[j]], where data is the zero-padded [C, H + 2p, W + 2p]
+/// image (the image itself when padding is 0). row has one entry per patch
+/// row (c, kh, kw), pos one per output position (oh, ow).
+struct ConvSource {
+    const float* data;
+    const std::int64_t* row;
+    const std::int64_t* pos;
+};
+
+/// Builds the padded copy and the offsets in per-thread, grow-only
+/// scratch; valid until this thread's next call. The copy is zeroed whole
+/// and then filled row by row: one memset beats a fill call per border run
+/// when the maps are as small as 2x2.
+ConvSource conv_source(const float* image, const ConvGeometry& g) {
+    thread_local std::vector<float> padded;
+    thread_local std::vector<std::int64_t> offsets;
+    const std::int64_t pad = g.padding;
+    const std::int64_t hp = g.in_h + 2 * pad;
+    const std::int64_t wp = g.in_w + 2 * pad;
+    const float* data = image;
+    if (pad > 0) {
+        padded.resize(std::max(padded.size(), static_cast<std::size_t>(g.in_channels * hp * wp)));
+        std::fill_n(padded.data(), g.in_channels * hp * wp, 0.0f);
+        float* out = padded.data() + pad * wp + pad;
+        const float* in = image;
+        for (std::int64_t c = 0; c < g.in_channels; ++c, out += 2 * pad * wp) {
+            for (std::int64_t ih = 0; ih < g.in_h; ++ih, in += g.in_w, out += wp) {
+                for (std::int64_t iw = 0; iw < g.in_w; ++iw) {
+                    out[iw] = in[iw];
+                }
+            }
+        }
+        data = padded.data();
+    }
+
+    const std::int64_t k = g.patch_size();
+    offsets.resize(std::max(offsets.size(), static_cast<std::size_t>(k + g.out_positions())));
+    std::int64_t* off = offsets.data();
+    for (std::int64_t c = 0; c < g.in_channels; ++c) {
+        for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+            for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+                *off++ = (c * hp + kh) * wp + kw;
+            }
+        }
+    }
+    for (std::int64_t oh = 0; oh < g.out_h(); ++oh) {
+        for (std::int64_t ow = 0; ow < g.out_w(); ++ow) {
+            *off++ = (oh * wp + ow) * g.stride;
+        }
+    }
+    return {data, offsets.data(), offsets.data() + k};
+}
+
+/// Packs one strip of kLanes positions over kc patch rows, rows[p]
+/// addressing each: out[p][l] = data[rows[p] + pos[l]] for the `live`
+/// lanes and 0 for the ragged rest. The lane loop has a fixed trip count
+/// (ragged lanes re-read lane 0, then select 0) so it unrolls.
+template <std::int64_t kLanes>
+void gather_strip(float* ENS_RESTRICT out, const float* ENS_RESTRICT data,
+                  const std::int64_t* rows, std::int64_t kc, const std::int64_t* pos,
+                  std::int64_t live) {
+    std::int64_t off[kLanes];
+    bool keep[kLanes];
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+        keep[l] = l < live;
+        off[l] = keep[l] ? pos[l] : pos[0];
+    }
+    for (std::int64_t p = 0; p < kc; ++p, out += kLanes) {
+        const float* ENS_RESTRICT in = data + rows[p];
+        for (std::int64_t l = 0; l < kLanes; ++l) {
+            const float v = in[off[l]];
+            out[l] = keep[l] ? v : 0.0f;
+        }
+    }
+}
+
+/// True when every kRun-lane group of a full kNR strip reads kRun adjacent
+/// floats. Offsets strictly increase along a strip, so a group spanning
+/// kRun - 1 is contiguous.
+bool adjacent_runs(const std::int64_t* pos, std::int64_t run) {
+    for (std::int64_t g = 0; g < kNR; g += run) {
+        if (pos[g + run - 1] - pos[g] != run - 1) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/// A full kNR strip as kNR / kRun fixed-size copies per patch row.
+template <std::int64_t kRun>
+void copy_runs(float* ENS_RESTRICT out, const float* ENS_RESTRICT data, const std::int64_t* rows,
+               std::int64_t kc, const std::int64_t* pos) {
+    for (std::int64_t p = 0; p < kc; ++p, out += kNR) {
+        const float* ENS_RESTRICT in = data + rows[p];
+        for (std::int64_t g = 0; g < kNR; g += kRun) {
+            std::memcpy(out + g, in + pos[g], kRun * sizeof(float));
+        }
+    }
+}
+
 }  // namespace
 
 void PackedMatrix::FreeDeleter::operator()(float* p) const noexcept { std::free(p); }
@@ -308,6 +411,60 @@ void pack_b_into(PackedMatrix& dst, const float* b, std::int64_t ldb, bool trans
                     }
                     out += kNR;
                 }
+            }
+        }
+    }
+}
+
+void pack_conv_a_into(PackedMatrix& dst, const float* image, const ConvGeometry& geom) {
+    const std::int64_t m = geom.out_positions();
+    const std::int64_t k = geom.patch_size();
+    ENS_REQUIRE(geom.out_h() > 0 && geom.out_w() > 0 && k > 0, "pack_conv_a: bad geometry");
+    const ConvSource src = conv_source(image, geom);
+    const std::int64_t strips = ceil_div(m, kMR);
+    dst.reserve(static_cast<std::size_t>(strips * kMR * k));
+    dst.rows_ = m;
+    dst.cols_ = k;
+    dst.is_a_ = true;
+    float* out = dst.data_.get();
+    for (std::int64_t k0 = 0; k0 < k; k0 += kKC) {
+        const std::int64_t kc = std::min(kKC, k - k0);
+        for (std::int64_t s = 0; s < strips; ++s, out += kc * kMR) {
+            gather_strip<kMR>(out, src.data, src.row + k0, kc, src.pos + s * kMR,
+                              std::min(kMR, m - s * kMR));
+        }
+    }
+}
+
+void pack_conv_b_into(PackedMatrix& dst, const float* image, const ConvGeometry& geom) {
+    const std::int64_t k = geom.patch_size();
+    const std::int64_t n = geom.out_positions();
+    ENS_REQUIRE(geom.out_h() > 0 && geom.out_w() > 0 && k > 0, "pack_conv_b: bad geometry");
+    const ConvSource src = conv_source(image, geom);
+    const std::int64_t jstrips = ceil_div(n, kNR);
+    dst.reserve(static_cast<std::size_t>(jstrips * kNR * k));
+    dst.rows_ = k;
+    dst.cols_ = n;
+    dst.is_a_ = false;
+    float* out = dst.data_.get();
+    for (std::int64_t k0 = 0; k0 < k; k0 += kKC) {
+        const std::int64_t kc = std::min(kKC, k - k0);
+        const std::int64_t* row = src.row + k0;
+        for (std::int64_t s = 0; s < jstrips; ++s, out += kc * kNR) {
+            const std::int64_t* pos = src.pos + s * kNR;
+            const std::int64_t nr = std::min(kNR, n - s * kNR);
+            // At stride 1 a strip covers whole output rows (or aligned
+            // pieces of one), so it copies runs of adjacent floats.
+            if (nr < kNR) {
+                gather_strip<kNR>(out, src.data, row, kc, pos, nr);
+            } else if (adjacent_runs(pos, kNR)) {
+                copy_runs<kNR>(out, src.data, row, kc, pos);
+            } else if (adjacent_runs(pos, kNR / 2)) {
+                copy_runs<kNR / 2>(out, src.data, row, kc, pos);
+            } else if (adjacent_runs(pos, kNR / 4)) {
+                copy_runs<kNR / 4>(out, src.data, row, kc, pos);
+            } else {
+                gather_strip<kNR>(out, src.data, row, kc, pos, kNR);
             }
         }
     }

@@ -2,11 +2,12 @@
 // Blocked, register-tiled GEMM micro-kernel with packed operand panels.
 //
 // This is the compute core every request bottoms out in: Conv2d lowers to
-// GEMM via im2col (W · col, or col^T · W^T below kNR output positions so
-// the channels fill the register tile), Linear IS a GEMM, and the serve
-// fan-out just schedules many of them. The structure is the classic
-// three-level blocking of production BLAS (BLIS/oneDNN style), sized for
-// the L1/L2 of commodity serving hardware:
+// GEMM by packing each image's patches straight into panels
+// (pack_conv_b_into for W · col, pack_conv_a_into for col^T · W^T below kNR
+// output positions so the channels fill the register tile), Linear IS a
+// GEMM, and the serve fan-out just schedules many of them. The structure
+// is the classic three-level blocking of production BLAS (BLIS/oneDNN
+// style), sized for the L1/L2 of commodity serving hardware:
 //
 //   - micro-kernel: a kMR x kNR register tile updated along kc with FMA —
 //     runtime-dispatched between an AVX2+FMA path, a NEON path and a
@@ -62,6 +63,10 @@
 #define ENS_RESTRICT
 #endif
 
+namespace ens {
+struct ConvGeometry;  // tensor/im2col.hpp
+}  // namespace ens
+
 namespace ens::kernel {
 
 /// Register tile: kMR rows of C by kNR columns, accumulated over k.
@@ -113,6 +118,8 @@ private:
                             std::int64_t);
     friend void pack_b_into(PackedMatrix&, const float*, std::int64_t, bool, std::int64_t,
                             std::int64_t);
+    friend void pack_conv_a_into(PackedMatrix&, const float*, const ConvGeometry&);
+    friend void pack_conv_b_into(PackedMatrix&, const float*, const ConvGeometry&);
     friend void gemm_packed(const PackedMatrix&, const PackedMatrix&, float*, std::int64_t, float,
                             float, bool);
 
@@ -142,6 +149,21 @@ void pack_b_into(PackedMatrix& dst, const float* b, std::int64_t ldb, bool trans
                  std::int64_t k, std::int64_t n);
 PackedMatrix pack_b(const float* b, std::int64_t ldb, bool trans_b, std::int64_t k,
                     std::int64_t n);
+
+/// Conv lowering without the im2col matrix: packs the [patch_size,
+/// out_positions] patch matrix `col` of one [C, H, W] image straight into
+/// panels, byte-identical to im2col() followed by
+///   pack_conv_b_into: pack_b_into(col, positions, false, patch, positions)
+///                     (B for W · col, kNR positions per strip), or
+///   pack_conv_a_into: pack_a_into(col, positions, true, positions, patch)
+///                     (A = col^T for col^T · W^T, kMR positions per strip).
+/// The packers read a zero-padded copy of the image (the image itself when
+/// padding is 0) through per-row and per-position offsets precomputed once
+/// per call, so the element loops do no div/mod and no bounds checks; a
+/// strip of kNR positions that lies in one output row at stride 1 is a
+/// single kNR-float copy. Per-thread scratch holds the copy and offsets.
+void pack_conv_a_into(PackedMatrix& dst, const float* image, const ConvGeometry& geom);
+void pack_conv_b_into(PackedMatrix& dst, const float* image, const ConvGeometry& geom);
 
 /// C = alpha * op(A) @ op(B) + beta * C over raw row-major buffers (ldc =
 /// C's row stride; beta == 0 overwrites, so C may start uninitialized).

@@ -18,7 +18,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "nn/sequential.hpp"
 #include "serve/bundle.hpp"
 #include "tensor/gemm_kernel.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -317,42 +320,159 @@ TEST(PackedWeights, LinearEvalForwardIsBitIdenticalToTrainAndPacksLazily) {
         << "packed eval path diverged from the unpacked train path";
 }
 
-TEST(PackedWeights, Conv2dEvalForwardIsBitIdenticalToTrain) {
-    // Eval picks the GEMM orientation from the geometry: W · col from
-    // kNR output positions up, col^T · W^T below. Both sides of the rule
-    // must match the unpacked train path to the bit.
-    struct Case {
-        const char* label;
-        std::int64_t in_ch, out_ch, kernel, stride, padding;
-        bool bias;
-        Shape input;
-    };
-    const Case cases[] = {
-        {"8x8, 64 positions, batch 2", 3, 5, 3, 1, 1, true, Shape{2, 3, 8, 8}},
-        {"4x4, 16 positions = kNR", 16, 20, 3, 1, 1, false, Shape{1, 16, 4, 4}},
-        {"2x2, 3x3 kernel, 4 positions", 32, 20, 3, 1, 1, true, Shape{1, 32, 2, 2}},
-        {"1x1 stride-2 projection onto 2x2", 24, 40, 1, 2, 0, false, Shape{1, 24, 4, 4}},
-        {"batch 2 at 2x2", 32, 13, 3, 1, 1, true, Shape{2, 32, 2, 2}},
-    };
-    Rng rng(0xC0DE);
-    for (const Case& c : cases) {
-        SCOPED_TRACE(c.label);
-        nn::Conv2d layer(c.in_ch, c.out_ch, c.kernel, c.stride, c.padding, rng, c.bias);
-        if (c.bias) {
-            layer.bias().value.copy_from(Tensor::randn(Shape{c.out_ch}, rng));
-        }
-        const Tensor x = Tensor::randn(c.input, rng);
+// Conv geometries for the direct packers and the Conv2d parity suite.
+// They cover kernels 1/3/7, strides 1/2 and padding 0/1/3; square maps
+// from 2x2 to 32x32 and odd non-square ones (5x7, 1x17); patches longer
+// than kKC (576, 1152); ragged last strips (positions not a multiple of
+// kNR or kMR); and both sides of Conv2d's kNR cutoff (15 / 16 / 17
+// positions). The first rows are the ResNet-18 w16 body convs.
+struct ConvCase {
+    const char* label;
+    std::int64_t in_ch, out_ch, kernel, stride, padding, h, w;
+    std::int64_t batch;
+    bool bias;
+};
 
-        const Tensor out_train = layer.forward(x);
-        EXPECT_FALSE(layer.weights_packed());
-        layer.set_training(false);
-        const Tensor out_eval = layer.forward(x);
-        EXPECT_TRUE(layer.weights_packed());
-        EXPECT_EQ(out_train.to_vector(), out_eval.to_vector());
+const ConvCase kConvCases[] = {
+    {"stage1_3x3_16x16", 16, 16, 3, 1, 1, 16, 16, 1, false},
+    {"stage2_down_3x3_s2_16x16", 16, 32, 3, 2, 1, 16, 16, 1, false},
+    {"stage2_3x3_8x8", 32, 32, 3, 1, 1, 8, 8, 2, true},
+    {"stage3_3x3_4x4_patch576", 64, 64, 3, 1, 1, 4, 4, 1, false},
+    {"stage4_down_3x3_s2_4x4_patch576", 64, 40, 3, 2, 1, 4, 4, 1, true},
+    {"stage4_3x3_2x2_patch1152", 128, 20, 3, 1, 1, 2, 2, 2, true},
+    {"proj_1x1_s2_8x8", 24, 40, 1, 2, 0, 8, 8, 1, false},
+    {"stage4_proj_1x1_s2_4x4", 24, 40, 1, 2, 0, 4, 4, 1, false},
+    {"1x1_s1_6x6", 5, 7, 1, 1, 0, 6, 6, 1, true},
+    {"7x7_s2_p3_32x32", 3, 8, 7, 2, 3, 32, 32, 1, true},
+    {"7x7_s1_p3_5x7", 4, 6, 7, 1, 3, 5, 7, 2, false},
+    {"3x3_s1_p1_5x7", 3, 5, 3, 1, 1, 5, 7, 1, true},
+    {"3x3_s2_p0_5x7", 6, 9, 3, 2, 0, 5, 7, 1, false},
+    {"3x3_s1_p0_32x32_ragged", 2, 13, 3, 1, 0, 32, 32, 1, false},
+    {"3x3_s1_p1_32x32", 3, 16, 3, 1, 1, 32, 32, 1, true},
+    {"3x3_s1_p1_2x2_one_channel", 1, 4, 3, 1, 1, 2, 2, 1, false},
+    {"7x7_s1_p3_4x4_kNR_positions", 2, 11, 7, 1, 3, 4, 4, 1, true},
+    {"3x3_s1_p1_3x5_15_positions", 8, 12, 3, 1, 1, 3, 5, 1, false},
+    {"3x3_s1_p1_1x17_17_positions", 8, 12, 3, 1, 1, 1, 17, 1, true},
+};
+
+ConvGeometry conv_geometry(const ConvCase& c) {
+    ConvGeometry g;
+    g.in_channels = c.in_ch;
+    g.in_h = c.h;
+    g.in_w = c.w;
+    g.kernel_h = c.kernel;
+    g.kernel_w = c.kernel;
+    g.stride = c.stride;
+    g.padding = c.padding;
+    return g;
+}
+
+std::string conv_case_name(const ::testing::TestParamInfo<ConvCase>& info) {
+    return info.param.label;
+}
+
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.label; }
+
+class ConvPackers : public ::testing::TestWithParam<ConvCase> {};
+INSTANTIATE_TEST_SUITE_P(Geometries, ConvPackers, ::testing::ValuesIn(kConvCases),
+                         conv_case_name);
+
+TEST_P(ConvPackers, DirectPacksMatchIm2colThenPack) {
+    // Each direct packer against im2col + the generic packer, through a
+    // GEMM with the same weight pack: the outputs must be the same bytes.
+    const ConvCase cc = GetParam();
+    const ConvGeometry g = conv_geometry(cc);
+    const std::int64_t patch = g.patch_size();
+    const std::int64_t positions = g.out_positions();
+    Rng rng(0xC0117 + static_cast<std::uint64_t>(patch * 131 + positions));
+    const Tensor image = Tensor::randn(Shape{cc.in_ch, cc.h, cc.w}, rng);
+    const Tensor w = Tensor::randn(Shape{cc.out_ch, patch}, rng);
+    Tensor col(Shape{patch, positions});
+    im2col(image.data(), g, col.data());
+
+    const auto same_bytes = [](const std::vector<float>& x, const std::vector<float>& y) {
+        return x.size() == y.size() &&
+               std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+    };
+    const auto product = [](const kernel::PackedMatrix& a, const kernel::PackedMatrix& b) {
+        std::vector<float> c(static_cast<std::size_t>(a.rows() * b.cols()), std::nanf(""));
+        kernel::gemm_packed(a, b, c.data(), b.cols(), 1.0f, 0.0f, /*parallel=*/false);
+        return c;
+    };
+
+    // B panels for W · col.
+    const kernel::PackedMatrix w_as_a = kernel::pack_a(w.data(), patch, false, cc.out_ch, patch);
+    const kernel::PackedMatrix col_b =
+        kernel::pack_b(col.data(), positions, /*trans_b=*/false, patch, positions);
+    kernel::PackedMatrix direct_b;
+    kernel::pack_conv_b_into(direct_b, image.data(), g);
+    ASSERT_EQ(direct_b.rows(), patch);
+    ASSERT_EQ(direct_b.cols(), positions);
+    EXPECT_TRUE(same_bytes(product(w_as_a, col_b), product(w_as_a, direct_b)))
+        << "pack_conv_b_into diverged from im2col + pack_b_into";
+
+    // A strips of col^T for col^T · W^T.
+    const kernel::PackedMatrix w_as_b = kernel::pack_b(w.data(), patch, true, patch, cc.out_ch);
+    const kernel::PackedMatrix col_a =
+        kernel::pack_a(col.data(), positions, /*trans_a=*/true, positions, patch);
+    kernel::PackedMatrix direct_a;
+    kernel::pack_conv_a_into(direct_a, image.data(), g);
+    ASSERT_EQ(direct_a.rows(), positions);
+    ASSERT_EQ(direct_a.cols(), patch);
+    EXPECT_TRUE(same_bytes(product(col_a, w_as_b), product(direct_a, w_as_b)))
+        << "pack_conv_a_into diverged from im2col + pack_a_into";
+}
+
+class PackedWeightsConv : public ::testing::TestWithParam<ConvCase> {};
+INSTANTIATE_TEST_SUITE_P(Geometries, PackedWeightsConv, ::testing::ValuesIn(kConvCases),
+                         conv_case_name);
+
+TEST_P(PackedWeightsConv, Conv2dEvalForwardIsBitIdenticalToTrain) {
+    // Train and eval share one lowering; eval reuses a cached weight pack,
+    // train packs per forward, and either picks W · col from kNR output
+    // positions up and col^T · W^T below. Both must match, to the bit, an
+    // explicit im2col + gemm_blocked(W, col) per image plus bias.
+    const ConvCase cc = GetParam();
+    const ConvGeometry g = conv_geometry(cc);
+    const std::int64_t patch = g.patch_size();
+    const std::int64_t positions = g.out_positions();
+    Rng rng(0xC0DE + static_cast<std::uint64_t>(patch));
+    nn::Conv2d layer(cc.in_ch, cc.out_ch, cc.kernel, cc.stride, cc.padding, rng, cc.bias);
+    if (cc.bias) {
+        layer.bias().value.copy_from(Tensor::randn(Shape{cc.out_ch}, rng));
+    }
+    const Tensor x = Tensor::randn(Shape{cc.batch, cc.in_ch, cc.h, cc.w}, rng);
+
+    std::vector<float> expected(static_cast<std::size_t>(cc.batch * cc.out_ch * positions));
+    Tensor col(Shape{patch, positions});
+    for (std::int64_t n = 0; n < cc.batch; ++n) {
+        im2col(x.data() + n * cc.in_ch * cc.h * cc.w, g, col.data());
+        float* out = expected.data() + n * cc.out_ch * positions;
+        kernel::gemm_blocked(cc.out_ch, positions, patch, layer.weight().value.data(), patch,
+                             false, col.data(), positions, false, out, positions, 1.0f, 0.0f,
+                             /*parallel=*/false);
+        if (cc.bias) {
+            for (std::int64_t c = 0; c < cc.out_ch; ++c) {
+                for (std::int64_t p = 0; p < positions; ++p) {
+                    out[c * positions + p] += layer.bias().value.data()[c];
+                }
+            }
+        }
     }
 
+    const Tensor out_train = layer.forward(x);
+    EXPECT_FALSE(layer.weights_packed());
+    EXPECT_EQ(out_train.to_vector(), expected) << "train forward";
+    layer.set_training(false);
+    const Tensor out_eval = layer.forward(x);
+    EXPECT_TRUE(layer.weights_packed());
+    EXPECT_EQ(out_eval.to_vector(), expected) << "eval forward";
+}
+
+TEST(PackedWeights, Conv2dPackFollowsGeometryFlips) {
     // One layer whose geometry flips back and forth: the single pack
     // follows it (A pack at 8x8, B pack at 2x2) and every output matches.
+    Rng rng(0xC0DE);
     nn::Conv2d layer(32, 24, 3, 1, 1, rng, /*with_bias=*/true);
     layer.bias().value.copy_from(Tensor::randn(Shape{24}, rng));
     const Tensor big = Tensor::randn(Shape{1, 32, 8, 8}, rng);
