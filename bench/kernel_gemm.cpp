@@ -134,6 +134,9 @@ int main() {
             kernel::pack_a(a.data(), s.k, /*trans_a=*/false, s.m, s.k);
         const kernel::PackedMatrix packed_at =
             kernel::pack_b(a.data(), s.k, /*trans_b=*/true, s.k, s.m);
+        // `packed` repacks the activation B each call into reused scratch,
+        // as a weight-packed layer's forward does.
+        kernel::PackedMatrix scratch_b;
 
         const std::vector<Variant> variants = {
             {"naive", [&] { ens::gemm_naive(a, false, b, false, c); }},
@@ -149,8 +152,9 @@ int main() {
              }},
             {"packed",
              [&] {
-                 kernel::gemm_packed_a(packed_a, b.data(), s.n, false, s.n, c.data(), s.n, 1.0f,
-                                       0.0f, /*parallel=*/true);
+                 kernel::pack_b_into(scratch_b, b.data(), s.n, false, s.k, s.n);
+                 kernel::gemm_packed(packed_a, scratch_b, c.data(), s.n, 1.0f, 0.0f,
+                                     /*parallel=*/true);
              }},
             {"packed_t",
              [&] {

@@ -4,10 +4,11 @@
 //
 // Section 1 (in-proc service): the Ensembler serving shape (N = 10
 // independent ResNet-18 bodies behind one head) at bench width, untrained
-// weights — this measures the serving machinery (wire codec, the host core
-// BodyHost::process_request, selector and tail), not model quality. Each
-// client thread owns one ClientSession and runs single-image round trips
-// back to back; concurrent sessions overlap on distinct bodies.
+// weights — this measures the serving machinery (wire codec, the
+// service's in-process reactor, selector and tail), not model quality.
+// Each client thread owns one ClientSession and runs single-image round
+// trips back to back; one request's bodies, and concurrent sessions, overlap
+// on the reactor's workers.
 //
 // Section 2 (pipelined remote serving): a BodyHost served by a ReactorHost
 // behind a real loopback TCP listener, a RemoteSession client, and a

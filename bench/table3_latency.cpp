@@ -9,8 +9,8 @@
 // of ENS_BENCH_SCALE.
 //
 // A second, measured section drives a width-scaled pipeline through the
-// real ens::serve path (wire codec + the host core
-// BodyHost::process_request, N bodies in order) to show the same
+// real ens::serve path (wire codec + the service's in-process reactor,
+// which runs a request's N bodies concurrently) to show the same
 // Standard-CI-vs-Ensembler shape with actual wall-clock numbers.
 
 #include <cstdio>

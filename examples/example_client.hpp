@@ -1,12 +1,11 @@
 #pragma once
-// Shared client-half plumbing for the example clients (remote_client,
-// sharded_client). Both resolve the same private client artifacts — from
-// the bundle's secret CLIENT.ens with --bundle, or derived from the demo
-// seeds in lockstep with serve_daemon — and differ only in how they reach
-// the body hosts. Keeping the resolution here means a change to the bundle
-// flow or the demo derivation cannot silently desynchronize the two
-// drivers (or serve_daemon --save-bundle, which must write exactly what
-// the demo path derives).
+// Shared client-half plumbing for the example client (sharded_client) and
+// serve_daemon. The client resolves its private artifacts — from the
+// bundle's secret CLIENT.ens with --bundle, or derived from the demo seeds
+// in lockstep with serve_daemon. Keeping the derivation here means a
+// change to the demo models cannot silently desynchronize the client from
+// the daemon (or from serve_daemon --save-bundle, which must write exactly
+// what the demo path derives).
 //
 // Error convention of the example drivers: exit 2 on flag misuse, exit 1
 // on an unloadable bundle.
@@ -158,26 +157,23 @@ inline serve::ClientArtifacts derive_demo_client(const nn::ResNetConfig& arch,
 /// selector) and the effective wire format. With --bundle: loads the
 /// secret CLIENT.ens, rejects the demo-model flags as contradictions, and
 /// lets the bundle's recorded default wire format apply unless --wire was
-/// given. Without: derives the demo halves from the seeds. `count_flag`
-/// is the driver's deployment-size flag ("bodies" for remote_client,
-/// "total" for sharded_client). Also performs the unknown-flag sweep, so
-/// call it after every other flag has been consumed.
+/// given. Without: derives the demo halves from the seeds, with --total
+/// bodies (default `default_total`). Also performs the unknown-flag sweep,
+/// so call it after every other flag has been consumed.
 inline serve::ClientArtifacts resolve_client_artifacts(ArgParser& args,
                                                        const std::string& bundle_dir,
-                                                       const char* count_flag,
-                                                       std::int64_t default_count,
+                                                       std::int64_t default_total,
                                                        std::int64_t image_size,
                                                        bool has_wire_flag,
                                                        split::WireFormat& wire) {
     serve::ClientArtifacts client;
     if (!bundle_dir.empty()) {
-        for (const std::string flag : {std::string("seed"), std::string("width"),
-                                       std::string("classes"), std::string(count_flag),
-                                       std::string("select"), std::string("selector-seed")}) {
+        for (const char* flag :
+             {"seed", "width", "classes", "total", "select", "selector-seed"}) {
             if (args.has(flag)) {
                 std::fprintf(stderr,
                              "--%s conflicts with --bundle (the bundle fixes the deployment)\n",
-                             flag.c_str());
+                             flag);
                 std::exit(2);
             }
         }
@@ -198,8 +194,7 @@ inline serve::ClientArtifacts resolve_client_artifacts(ArgParser& args,
         return client;
     }
 
-    const auto num_bodies =
-        static_cast<std::size_t>(args.get_int(count_flag, default_count));
+    const auto num_bodies = static_cast<std::size_t>(args.get_int("total", default_total));
     const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 2000));
     const auto num_selected = static_cast<std::size_t>(
         args.get_int("select", static_cast<std::int64_t>(num_bodies)));
@@ -214,25 +209,24 @@ inline serve::ClientArtifacts resolve_client_artifacts(ArgParser& args,
         std::exit(2);
     }
     if (num_selected == 0 || num_selected > num_bodies) {
-        std::fprintf(stderr, "--select must be in [1, --%s]\n", count_flag);
+        std::fprintf(stderr, "--select must be in [1, --total]\n");
         std::exit(2);
     }
     return derive_demo_client(arch, seed, num_bodies, num_selected, selector_seed);
 }
 
 /// Prints one completed pipelined result (classes derived from the logits,
-/// so it works for any deployment). `trip_label` distinguishes the
-/// single-host round trip from the sharded fan-out in the output.
-inline void report_result(const serve::InferenceResult& result, const char* trip_label) {
+/// so it works for any deployment).
+inline void report_result(const serve::InferenceResult& result) {
     std::int64_t best = 0;
     for (std::int64_t c = 1; c < result.logits.dim(1); ++c) {
         if (result.logits.at(0, c) > result.logits.at(0, best)) {
             best = c;
         }
     }
-    std::printf("request %llu: argmax class %lld, %s %.2f ms\n",
+    std::printf("request %llu: argmax class %lld, round trip %.2f ms\n",
                 static_cast<unsigned long long>(result.request_id),
-                static_cast<long long>(best), trip_label, result.total_ms);
+                static_cast<long long>(best), result.total_ms);
 }
 
 }  // namespace ens::example_client

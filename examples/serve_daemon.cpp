@@ -3,8 +3,8 @@
 // TcpChannel protocol (serve/remote.hpp).
 //
 // The daemon owns ONLY bodies: the client keeps its head, split-point
-// noise, secret selector and tail private (examples/remote_client.cpp and
-// examples/sharded_client.cpp are the matching clients).
+// noise, secret selector and tail private (examples/sharded_client.cpp is
+// the matching client; one whole-deployment daemon is its one-shard case).
 //
 // Two ways to get a deployment into the process:
 //
@@ -44,7 +44,7 @@
 //   ./sharded_client --shards 127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072
 //       --total 6 --select 2 --seed 2000    (one command line)
 //
-// Serving: the event-driven host (serve/reactor.hpp) — one epoll/poll
+// Serving: the event-driven host (serve/reactor.hpp) — one poll()
 // reactor thread owns every connection and --workers N (default 4, at most
 // 1024) fixed compute threads serve them all, so connections held cost no
 // threads. The daemon is lifecycle-managed:

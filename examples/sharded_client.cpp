@@ -1,12 +1,22 @@
-// sharded_client — the client half of the §III-D MULTIPARTY deployment:
-// connects to K serve_daemon shard processes (each hosting a disjoint slice
-// of the N server bodies, optionally behind R replicas), keeps the head,
-// secret selector and tail local, and routes every request through a
-// serve::ShardRouter that fans the split-point features out to one healthy
-// replica of every shard concurrently and merges the returned feature maps
-// in global body order. A replica that dies mid-request is failed over
-// transparently (the request replays on a surviving replica); the
-// background redialer re-admits it once it comes back.
+// sharded_client — the client half of cross-process collaborative
+// inference: connects to K serve_daemon shard processes (each hosting a
+// disjoint slice of the N server bodies, optionally behind R replicas),
+// keeps the head, secret selector and tail local, and routes every request
+// through a serve::ShardRouter that fans the split-point features out to
+// one healthy replica of every shard concurrently and merges the returned
+// feature maps in global body order. A replica that dies mid-request is
+// failed over transparently (the request replays on a surviving replica);
+// the background redialer re-admits it once it comes back. One daemon
+// hosting the whole deployment is just K = 1: --shards host:port.
+//
+// Single-host flow (one daemon serves all N bodies):
+//   ./serve_daemon --save-bundle demo_bundle --bodies 4 --select 2
+//   ./serve_daemon --port 7070 --bundle demo_bundle &
+//   ./sharded_client --shards 127.0.0.1:7070 --bundle demo_bundle --requests 8
+// or, with both halves derived from the same seeds:
+//   ./serve_daemon --port 7070 --bodies 4 --width 4 --image 16 --seed 2000 &
+//   ./sharded_client --shards 127.0.0.1:7070 --total 4 --width 4 --image 16
+//       --seed 2000 --select 2 --wire q8 --requests 8   (one command line)
 //
 // Bundle flow (production shape — every process restores from disk, no
 // shared seeds; only the client reads the secret CLIENT.ens):
@@ -92,7 +102,7 @@ int main(int argc, char** argv) {
     // manifest is read, below — here we only consume the flags so the
     // unknown-flag sweep inside resolve_client_artifacts stays clean).
     serve::ClientArtifacts client = example_client::resolve_client_artifacts(
-        args, bundle_dir, "total", /*default_count=*/6, image_size, has_wire_flag, wire);
+        args, bundle_dir, /*default_total=*/6, image_size, has_wire_flag, wire);
 
     std::vector<std::vector<serve::ReplicaEndpoint>> shards;
     {
@@ -176,11 +186,11 @@ int main(int argc, char** argv) {
         const Tensor image =
             Tensor::uniform(Shape{1, 3, image_size, image_size}, data_rng, 0.0f, 1.0f);
         if (const auto done = window.push(router.submit(image))) {
-            example_client::report_result(*done, "fan-out round trip");
+            example_client::report_result(*done);
         }
     }
     while (!window.empty()) {
-        example_client::report_result(window.pop(), "fan-out round trip");
+        example_client::report_result(window.pop());
     }
 
     const serve::LatencySummary latency = router.stats().latency();

@@ -4,12 +4,12 @@
 // private tail + stats), a FIFO window of futures for callers that keep
 // several requests outstanding, and error labeling.
 //
-// The wire client itself is serve::ShardRouter (serve/shard_router.hpp):
-// K shard hosts, each served by R >= 1 replica links, pipelined by
-// request id (protocol v4, serve/protocol.hpp). RemoteSession is its
-// one-shard case. The in-proc ClientSession (serve/service.hpp) finishes
-// its requests through the same finish_request, so every path applies the
-// selector and tail exactly like the CollaborativeSession oracle.
+// The client itself is serve::ShardRouter (serve/shard_router.hpp): K
+// shard hosts, each served by R >= 1 replica links, pipelined by request
+// id (protocol v4, serve/protocol.hpp). RemoteSession is its one-shard
+// case, and the in-proc ClientSession (serve/service.hpp) holds one, so
+// every path finishes through finish_request and applies the selector and
+// tail exactly like the CollaborativeSession oracle.
 
 #include <atomic>
 #include <cstdint>
@@ -80,8 +80,7 @@ struct InflightRequest {
 
 /// The shared client-side finish of a completed request — secret selector
 /// over the merged global feature maps, private tail, stats — run by
-/// ShardRouter (and so RemoteSession: one host is just K = 1) and by the
-/// in-proc ClientSession.
+/// ShardRouter (and so by RemoteSession and the in-proc ClientSession).
 InferenceResult finish_request(InflightRequest& request, const core::Selector& selector,
                                nn::Layer& tail, SessionStats& stats);
 

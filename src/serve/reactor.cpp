@@ -10,10 +10,6 @@
 #include <cstring>
 #include <utility>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "serve/protocol.hpp"
@@ -47,84 +43,23 @@ void set_nonblocking_fd(int fd) {
 }  // namespace
 
 // ------------------------------------------------------------- Poller
-// Readiness backend: identical semantics over epoll (Linux) and poll()
-// (everywhere). Level-triggered; hangup/error conditions are ALWAYS
-// reported, even for fds whose read interest was dropped — a paused
-// (window-full) connection whose peer dies must still tear down instead
-// of sitting in the map forever.
+// Readiness backend over poll(). Level-triggered; hangup/error conditions
+// are ALWAYS reported, even for fds whose read interest was dropped — a
+// paused (window-full) connection whose peer dies must still tear down
+// instead of sitting in the map forever.
 
 class ReactorHost::Poller {
 public:
-    explicit Poller(bool force_poll) {
-#ifdef __linux__
-        if (!force_poll) {
-            epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-            if (epfd_ < 0) {
-                throw Error(ErrorCode::io_error,
-                            std::string("ReactorHost: epoll_create1: ") + std::strerror(errno));
-            }
-        }
-#else
-        (void)force_poll;
-#endif
-    }
-
-    ~Poller() {
-#ifdef __linux__
-        if (epfd_ >= 0) {
-            (void)::close(epfd_);
-        }
-#endif
-    }
-
-    Poller(const Poller&) = delete;
-    Poller& operator=(const Poller&) = delete;
-
-    void add(int fd) {
-        interest_[fd] = true;
-#ifdef __linux__
-        if (epfd_ >= 0) {
-            epoll_event ev{};
-            ev.events = EPOLLIN;
-            ev.data.fd = fd;
-            if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-                interest_.erase(fd);
-                throw Error(ErrorCode::io_error,
-                            std::string("ReactorHost: epoll_ctl(ADD): ") + std::strerror(errno));
-            }
-        }
-#endif
-    }
+    void add(int fd) { interest_[fd] = true; }
 
     void set_read(int fd, bool enabled) {
         const auto it = interest_.find(fd);
-        if (it == interest_.end() || it->second == enabled) {
-            return;
+        if (it != interest_.end()) {
+            it->second = enabled;
         }
-        it->second = enabled;
-#ifdef __linux__
-        if (epfd_ >= 0) {
-            // events = 0 keeps the fd registered: EPOLLHUP/EPOLLERR are
-            // reported unconditionally, which is exactly the "paused but
-            // still supervised" state a window-full connection needs.
-            epoll_event ev{};
-            ev.events = enabled ? EPOLLIN : 0;
-            ev.data.fd = fd;
-            (void)::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-        }
-#endif
     }
 
-    void remove(int fd) {
-        if (interest_.erase(fd) == 0) {
-            return;
-        }
-#ifdef __linux__
-        if (epfd_ >= 0) {
-            (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-        }
-#endif
-    }
+    void remove(int fd) { interest_.erase(fd); }
 
     struct Event {
         int fd = -1;
@@ -134,29 +69,6 @@ public:
 
     void wait(std::vector<Event>& out, int timeout_ms) {
         out.clear();
-#ifdef __linux__
-        if (epfd_ >= 0) {
-            epoll_events_.resize(std::max<std::size_t>(interest_.size(), 64));
-            const int n = ::epoll_wait(epfd_, epoll_events_.data(),
-                                       static_cast<int>(epoll_events_.size()), timeout_ms);
-            if (n < 0) {
-                if (errno == EINTR) {
-                    return;
-                }
-                throw Error(ErrorCode::io_error,
-                            std::string("ReactorHost: epoll_wait: ") + std::strerror(errno));
-            }
-            for (int i = 0; i < n; ++i) {
-                Event event;
-                event.fd = epoll_events_[static_cast<std::size_t>(i)].data.fd;
-                const std::uint32_t bits = epoll_events_[static_cast<std::size_t>(i)].events;
-                event.readable = (bits & EPOLLIN) != 0;
-                event.hangup = (bits & (EPOLLHUP | EPOLLERR)) != 0;
-                out.push_back(event);
-            }
-            return;
-        }
-#endif
         pollfds_.clear();
         pollfds_.reserve(interest_.size());
         for (const auto& [fd, read_enabled] : interest_) {
@@ -187,10 +99,6 @@ public:
 
 private:
     std::unordered_map<int, bool> interest_;  // fd -> read interest
-#ifdef __linux__
-    int epfd_ = -1;
-    std::vector<epoll_event> epoll_events_;
-#endif
     std::vector<pollfd> pollfds_;
 };
 
@@ -435,25 +343,39 @@ void ReactorHost::accept_ready(split::ChannelListener& listener, Poller& poller)
         if (channel == nullptr) {
             return;
         }
-        auto conn = std::make_shared<Conn>();
-        conn->pinned = deployments_->pin();
-        conn->window = static_cast<std::uint32_t>(conn->pinned.host->max_inflight());
-        conn->fd = channel->fd();
-        conn->channel = std::move(channel);
-        try {
-            // Blocking send is fine here: the socket buffer of a fresh
-            // connection trivially holds a 32 B handshake.
-            conn->channel->send(encode_handshake(conn->pinned.host->host_info()));
-        } catch (const std::exception& e) {
-            ENS_LOG(LogLevel::kWarn) << "ReactorHost: handshake send failed: " << e.what();
-            continue;  // conn (and its channel) die here
-        }
-        conns_[conn->fd] = conn;
-        poller.add(conn->fd);
-        gauges_.connections_held.fetch_add(1);
-        gauges_.connections_total.fetch_add(1);
-        last_activity_ = std::chrono::steady_clock::now();
+        add_conn(std::move(channel), poller);
     }
+}
+
+void ReactorHost::add_conn(std::shared_ptr<split::TcpChannel> channel, Poller& poller) {
+    auto conn = std::make_shared<Conn>();
+    conn->pinned = deployments_->pin();
+    conn->window = static_cast<std::uint32_t>(conn->pinned.host->max_inflight());
+    conn->fd = channel->fd();
+    conn->channel = std::move(channel);
+    try {
+        // Blocking send is fine here: the socket buffer of a fresh
+        // connection trivially holds a 32 B handshake.
+        conn->channel->send(encode_handshake(conn->pinned.host->host_info()));
+    } catch (const std::exception& e) {
+        ENS_LOG(LogLevel::kWarn) << "ReactorHost: handshake send failed: " << e.what();
+        return;  // conn (and its channel) die here
+    }
+    conns_[conn->fd] = conn;
+    poller.add(conn->fd);
+    gauges_.connections_held.fetch_add(1);
+    gauges_.connections_total.fetch_add(1);
+    last_activity_ = std::chrono::steady_clock::now();
+}
+
+void ReactorHost::adopt(std::shared_ptr<split::TcpChannel> channel) {
+    ENS_REQUIRE(channel != nullptr, "ReactorHost::adopt: null channel");
+    {
+        const std::lock_guard<std::mutex> lock(notice_mutex_);
+        adopted_.push_back(std::move(channel));
+    }
+    const unsigned char byte = 0;
+    (void)::write(wake_write_fd_, &byte, 1);
 }
 
 void ReactorHost::teardown(const std::shared_ptr<Conn>& conn, Poller& poller, bool dropped) {
@@ -476,9 +398,14 @@ void ReactorHost::teardown(const std::shared_ptr<Conn>& conn, Poller& poller, bo
 
 void ReactorHost::drain_notices(Poller& poller) {
     std::vector<Notice> batch;
+    std::vector<std::shared_ptr<split::TcpChannel>> adopted;
     {
         const std::lock_guard<std::mutex> lock(notice_mutex_);
         batch.swap(notices_);
+        adopted.swap(adopted_);
+    }
+    for (std::shared_ptr<split::TcpChannel>& channel : adopted) {
+        add_conn(std::move(channel), poller);
     }
     for (Notice& notice : batch) {
         last_activity_ = std::chrono::steady_clock::now();
@@ -500,11 +427,19 @@ void ReactorHost::drain_notices(Poller& poller) {
     }
 }
 
+void ReactorHost::run() { serve(nullptr); }
+
 void ReactorHost::run(split::ChannelListener& listener) {
     listener.set_nonblocking(true);
-    Poller poller(config_.force_poll);
+    serve(&listener);
+}
+
+void ReactorHost::serve(split::ChannelListener* listener) {
+    Poller poller;
     poller.add(wake_read_fd_);
-    poller.add(listener.fd());
+    if (listener != nullptr) {
+        poller.add(listener->fd());
+    }
 
     {
         const std::lock_guard<std::mutex> lock(work_mutex_);
@@ -532,9 +467,9 @@ void ReactorHost::run(split::ChannelListener& listener) {
                 }
                 continue;
             }
-            if (event.fd == listener.fd()) {
+            if (listener != nullptr && event.fd == listener->fd()) {
                 if (!draining && event.readable) {
-                    accept_ready(listener, poller);
+                    accept_ready(*listener, poller);
                 }
                 continue;
             }
@@ -557,7 +492,9 @@ void ReactorHost::run(split::ChannelListener& listener) {
         if (!draining && stop_requested_.load()) {
             draining = true;
             drain_deadline = std::chrono::steady_clock::now() + config_.drain_timeout;
-            poller.remove(listener.fd());  // stop accepting; keep serving
+            if (listener != nullptr) {
+                poller.remove(listener->fd());  // stop accepting; keep serving
+            }
             last_activity_ = std::chrono::steady_clock::now();
         }
         if (draining) {

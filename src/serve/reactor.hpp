@@ -1,11 +1,12 @@
 #pragma once
-// Event-driven serving core and the repo's ONLY socket server: one reactor
-// thread owns EVERY connection fd (epoll on Linux, poll() portable
-// fallback), so connections-held and threads-spawned are decoupled — a
-// ReactorHost sustains 1024+ concurrent pipelined sessions on a FIXED
-// thread budget:
+// Event-driven serving core and the repo's ONLY host: one reactor thread
+// owns EVERY connection fd (level-triggered poll()), so connections-held
+// and threads-spawned are decoupled — a ReactorHost sustains 1024+
+// concurrent pipelined sessions on a FIXED thread budget:
 //
-//   reactor thread   accepts (non-blocking, ChannelListener::try_accept),
+//   reactor thread   accepts (non-blocking, ChannelListener::try_accept)
+//                    or adopts (adopt(): an already-connected stream, e.g.
+//                    the in-proc InferenceService's socketpair ends),
 //                    sends the v4 handshake, does MSG_DONTWAIT framed
 //                    reads into per-connection buffers, parses complete
 //                    tagged requests and dispatches each as body_count()
@@ -73,9 +74,6 @@ struct ReactorConfig {
     /// the ONLY thread count that scales with load — and it doesn't
     /// scale with connections.
     std::size_t worker_threads = 4;
-    /// Use the portable poll() backend even where epoll is available
-    /// (tests exercise both; semantics are identical).
-    bool force_poll = false;
     /// Quiet period a drain waits after the last request completes, so
     /// requests already on the wire (sent before the client could learn
     /// of the shutdown) are admitted and answered rather than torn.
@@ -87,7 +85,8 @@ struct ReactorConfig {
 
 /// The event-driven host. One instance == one reactor thread (the caller
 /// of run()) + config.worker_threads workers, serving every connection of
-/// one listener from the pinned generations of one DeploymentManager.
+/// one listener, and every adopted channel, from the pinned generations of
+/// one DeploymentManager.
 class ReactorHost {
 public:
     explicit ReactorHost(std::shared_ptr<DeploymentManager> deployments,
@@ -102,6 +101,17 @@ public:
     /// the listener being closed externally) triggers a drain; returns
     /// once the drain completes and all workers are joined. Call once.
     void run(split::ChannelListener& listener);
+
+    /// The same loop with no listener: serves adopted channels only, until
+    /// shutdown(). The in-proc InferenceService runs its host this way.
+    void run();
+
+    /// Hands an already-connected stream to the reactor (thread-safe;
+    /// callable before run()). The channel is queued and the loop woken;
+    /// the reactor thread then registers it exactly like an accepted
+    /// connection — pin, window, handshake, gauges. The caller may keep
+    /// its share of the channel to read its traffic counters.
+    void adopt(std::shared_ptr<split::TcpChannel> channel);
 
     /// Requests a graceful drain-and-stop of run() (thread-safe,
     /// idempotent, callable before run() — run() then drains
@@ -122,7 +132,7 @@ private:
     /// completion notices can never dangle across a teardown or an fd
     /// recycle.
     struct Conn {
-        std::unique_ptr<split::TcpChannel> channel;
+        std::shared_ptr<split::TcpChannel> channel;
         DeploymentManager::Pinned pinned;
         std::uint32_t window = 1;
         int fd = -1;
@@ -167,8 +177,13 @@ private:
 
     class Poller;
 
+    /// run()'s body; `listener` may be null (adopted channels only).
+    void serve(split::ChannelListener* listener);
     void worker_main();
     void accept_ready(split::ChannelListener& listener, Poller& poller);
+    /// Registers one connected channel: pin, window, handshake, poller,
+    /// gauges. Shared by accept_ready and adopted channels.
+    void add_conn(std::shared_ptr<split::TcpChannel> channel, Poller& poller);
     void conn_readable(const std::shared_ptr<Conn>& conn, Poller& poller);
     /// Parses buffered frames and dispatches while the window allows;
     /// updates read interest / paused. Returns false on protocol error
@@ -181,6 +196,7 @@ private:
     /// Runs one work item; the request's last item also completes it.
     void run_item(WorkItem& item, split::WireBufferPool& reply_pool);
     void notify(std::shared_ptr<Conn> conn, std::uint64_t id);
+    /// Registers adopted channels, then handles completion notices.
     void drain_notices(Poller& poller);
 
     std::shared_ptr<DeploymentManager> deployments_;
@@ -199,8 +215,9 @@ private:
     std::deque<WorkItem> work_queue_;
     bool workers_stop_ = false;
 
-    std::mutex notice_mutex_;
+    std::mutex notice_mutex_;  // guards notices_ and adopted_
     std::vector<Notice> notices_;
+    std::vector<std::shared_ptr<split::TcpChannel>> adopted_;
 };
 
 /// Signal plumbing for daemons and fork tests: blocks `signals` in the

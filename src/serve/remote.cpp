@@ -110,14 +110,6 @@ void BodyHost::serve_body(std::uint64_t request_id, std::size_t body, const Requ
                    lease->view());
 }
 
-void BodyHost::process_request(std::uint64_t request_id, std::string_view payload,
-                               split::WireBufferPool& reply_pool, split::Channel& out) {
-    const RequestInput input = decode_request(payload);
-    for (std::size_t n = 0; n < bodies_.size(); ++n) {
-        serve_body(request_id, n, input, reply_pool, out);
-    }
-}
-
 // --------------------------------------------------------------- session
 
 namespace {

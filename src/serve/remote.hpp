@@ -44,8 +44,8 @@
 // request's bodies run concurrently across workers, and concurrent
 // connections and one connection's in-flight window share those workers
 // (request B waits for body 0 only if request A is still forwarding it).
-// The in-proc InferenceService runs the same serve_body calls one after
-// another (process_request).
+// The in-proc InferenceService is served the same way: it runs its own
+// ReactorHost and talks to it through a RemoteSession per client session.
 
 #include <chrono>
 #include <cstdint>
@@ -164,14 +164,6 @@ public:
     void serve_body(std::uint64_t request_id, std::size_t body, const RequestInput& input,
                     split::WireBufferPool& reply_pool, split::Channel& out);
 
-    /// Computes and ships all body_count() replies to ONE tagged request,
-    /// one body after another on the calling thread: decode_request, then
-    /// serve_body for every hosted body. The in-proc InferenceService's
-    /// host phase. Thread-safe; throws typed ens::Error on decode/transport
-    /// failure.
-    void process_request(std::uint64_t request_id, std::string_view payload,
-                         split::WireBufferPool& reply_pool, split::Channel& out);
-
 private:
     std::vector<nn::Layer*> bodies_;
     std::vector<nn::LayerPtr> owned_;
@@ -188,10 +180,10 @@ private:
     std::vector<std::mutex> forward_mutexes_;
 };
 
-/// Client-side handle on ONE whole-deployment BodyHost: the remote
-/// analogue of ClientSession, and the K = 1 case of ShardRouter (it IS a
-/// one-shard router — same I/O workers, window, finish and failure
-/// semantics). Owns the private client bundle references, the secret
+/// Client-side handle on ONE whole-deployment BodyHost: the K = 1 case of
+/// ShardRouter (it IS a one-shard router — same I/O workers, window,
+/// finish and failure semantics), and what every in-proc ClientSession
+/// holds. Owns the private client bundle references, the secret
 /// selector, the wire channel and its persistent I/O workers (created at
 /// connect time — never per request). submit() keeps up to window()
 /// requests in flight (futures may resolve out of order); infer() is

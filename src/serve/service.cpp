@@ -1,118 +1,108 @@
 #include "serve/service.hpp"
 
+#include <sys/socket.h>
+
+#include <cerrno>
+#include <cstring>
 #include <string>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
 #include "core/ensembler.hpp"
 #include "defense/protected_model.hpp"
 #include "serve/bundle.hpp"
-#include "serve/remote.hpp"
-#include "split/codec.hpp"
+#include "serve/deployment.hpp"
+#include "serve/reactor.hpp"
 #include "split/split_model.hpp"
 
 namespace ens::serve {
+
+namespace {
+
+/// A shared client-side layer behind the service-wide mutex: every session
+/// forwards through the one head, noise and tail, whose forward caches are
+/// not thread-safe.
+class SerializedLayer final : public nn::Layer {
+public:
+    SerializedLayer(nn::Layer& inner, std::mutex& mutex) : inner_(inner), mutex_(mutex) {}
+
+    Tensor forward(const Tensor& input) override {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        return inner_.forward(input);
+    }
+    Tensor backward(const Tensor& grad_output) override {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        return inner_.backward(grad_output);
+    }
+    std::string name() const override { return inner_.name(); }
+
+private:
+    nn::Layer& inner_;
+    std::mutex& mutex_;
+};
+
+}  // namespace
 
 // ---------------------------------------------------------------- session
 
 ClientSession::ClientSession(InferenceService& service, std::uint64_t id,
                              split::WireFormat wire_format, core::Selector selector)
-    : service_(service), id_(id), wire_format_(wire_format), selector_(std::move(selector)) {}
+    : service_(service), id_(id) {
+    std::shared_ptr<split::TcpChannel> host_end;
+    remote_ = std::make_unique<RemoteSession>(connect(host_end), *service_.shared_head_,
+                                              service_.shared_noise_.get(),
+                                              *service_.shared_tail_, std::move(selector),
+                                              wire_format);
+    // The handshake arrived, so the reactor has billed it (TcpChannel bills
+    // before writing): drop it from the downlink count.
+    host_end->reset_stats();
+    host_end_ = std::move(host_end);
+}
 
-std::future<InferenceResult> ClientSession::submit(InferenceRequest request) {
-    ENS_REQUIRE(request.images.defined(), "submit: undefined image tensor");
-    InflightRequest inflight;  // starts the total_ms clock before the head runs
-    Tensor images = request.images;
-    if (images.rank() == 3) {
-        // Single [C,H,W] image -> batch of one.
-        images = images.reshaped(Shape{1, images.dim(0), images.dim(1), images.dim(2)});
+std::unique_ptr<split::Channel> ClientSession::connect(
+    std::shared_ptr<split::TcpChannel>& host_end) {
+    int fds[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+        throw Error(ErrorCode::io_error,
+                    std::string("ClientSession: socketpair: ") + std::strerror(errno));
     }
-    if (request.id != 0) {
-        inflight.id = request.id;
-        // Keep auto-assigned ids from ever colliding with explicit ones.
-        std::uint64_t expected = service_.next_request_id_.load(std::memory_order_relaxed);
-        while (expected <= request.id &&
-               !service_.next_request_id_.compare_exchange_weak(
-                   expected, request.id + 1, std::memory_order_relaxed)) {
-        }
-    } else {
-        inflight.id = service_.next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    }
-    inflight.images = images.dim(0);
-
-    // Client phase: the shared head/noise layers cache forward state (not
-    // thread-safe). The pooled buffer recycles the serialization scratch
-    // across requests.
-    auto payload = service_.codec_pool_.acquire();
-    {
-        const std::lock_guard<std::mutex> lock(service_.client_mutex_);
-        Tensor features = service_.bundle_.head->forward(images);
-        if (service_.bundle_.noise != nullptr) {
-            features = service_.bundle_.noise->forward(features);
-        }
-        split::encode_into(features, wire_format_, *payload);
-    }
-
-    // Host phase: the same per-request core a ReactorHost worker runs,
-    // replying with one tagged frame per body on this session's downlink.
-    const Stopwatch waited;
-    std::unique_lock<std::mutex> wire_lock(wire_mutex_);
-    inflight.queue_ms = waited.elapsed_ms();
-    try {
-        uplink_.send_parts({}, payload->view());
-        const std::string uplink = uplink_.recv();
-        BodyHost& host = *service_.host_;
-        host.process_request(inflight.id, uplink, service_.codec_pool_, downlink_);
-        inflight.features.resize(host.body_count());
-        for (std::size_t received = 0; received < host.body_count(); ++received) {
-            const std::string frame = downlink_.recv();
-            std::string_view reply;
-            const ReplyTag tag = parse_reply_frame(frame, reply);
-            if (tag.request_id != inflight.id || tag.body_seq >= host.body_count() ||
-                inflight.features[tag.body_seq].defined()) {
-                throw Error(ErrorCode::protocol_error,
-                            "ClientSession: reply for request " + std::to_string(tag.request_id) +
-                                " body " + std::to_string(tag.body_seq) +
-                                " while reading request " + std::to_string(inflight.id));
-            }
-            inflight.features[tag.body_seq] = split::decode_tensor(reply);
-        }
-        wire_lock.unlock();
-
-        const std::lock_guard<std::mutex> lock(service_.client_mutex_);
-        inflight.promise.set_value(
-            finish_request(inflight, selector_, *service_.bundle_.tail, stats_));
-    } catch (...) {
-        if (wire_lock.owns_lock()) {
-            // A host failure after some replies were sent leaves them
-            // queued; the next request on this session must not read them.
-            while (downlink_.has_pending()) {
-                (void)downlink_.recv();
-            }
-        }
-        inflight.promise.set_exception(std::current_exception());
-    }
-    return inflight.promise.get_future();
+    auto client_end = std::make_unique<split::TcpChannel>(fds[0]);
+    host_end = std::make_shared<split::TcpChannel>(fds[1]);
+    service_.reactor_->adopt(host_end);
+    return client_end;
 }
 
 std::future<InferenceResult> ClientSession::submit(Tensor images) {
-    InferenceRequest request;
-    request.images = std::move(images);
-    return submit(std::move(request));
+    {
+        // A body failure made the reactor drop the connection: start the
+        // next request on a fresh one.
+        const std::lock_guard<std::mutex> lock(link_mutex_);
+        if (remote_->shard_needs_reconnect(0)) {
+            std::shared_ptr<split::TcpChannel> host_end;
+            remote_->reconnect_shard(0, connect(host_end));
+            host_end->reset_stats();
+            host_end_ = std::move(host_end);
+        }
+    }
+    return remote_->submit(std::move(images));
 }
 
 InferenceResult ClientSession::infer(Tensor images) { return submit(std::move(images)).get(); }
 
+split::TrafficStats ClientSession::downlink_stats() const {
+    const std::lock_guard<std::mutex> lock(link_mutex_);
+    return host_end_->stats();
+}
+
 void ClientSession::reset_stats() {
-    stats_.reset();
-    uplink_.reset_stats();
-    downlink_.reset_stats();
+    remote_->reset_stats();
+    const std::lock_guard<std::mutex> lock(link_mutex_);
+    host_end_->reset_stats();
 }
 
 // ---------------------------------------------------------------- service
 
-InferenceService::InferenceService(std::unique_ptr<BodyHost> host, ClientBundle bundle,
+InferenceService::InferenceService(std::shared_ptr<BodyHost> host, ClientBundle bundle,
                                    ServeConfig config, std::vector<nn::LayerPtr> owned_layers,
                                    std::shared_ptr<void> retained, bool optimized)
     : host_(std::move(host)),
@@ -125,9 +115,24 @@ InferenceService::InferenceService(std::unique_ptr<BodyHost> host, ClientBundle 
                 "InferenceService: incomplete client bundle");
     ENS_REQUIRE(bundle_.selector.has_value() && bundle_.selector->n() == host_->body_count(),
                 "InferenceService: selector must cover the deployed bodies");
+    shared_head_ = std::make_unique<SerializedLayer>(*bundle_.head, client_mutex_);
+    if (bundle_.noise != nullptr) {
+        shared_noise_ = std::make_unique<SerializedLayer>(*bundle_.noise, client_mutex_);
+    }
+    shared_tail_ = std::make_unique<SerializedLayer>(*bundle_.tail, client_mutex_);
+    // Every peer of this reactor is one of the service's own socketpairs,
+    // so no request can be in transit at shutdown: drain without a grace.
+    ReactorConfig reactor_config;
+    reactor_config.drain_grace = std::chrono::milliseconds(0);
+    reactor_ = std::make_unique<ReactorHost>(std::make_shared<DeploymentManager>(host_),
+                                             reactor_config);
+    reactor_thread_ = std::thread([reactor = reactor_.get()] { reactor->run(); });
 }
 
-InferenceService::~InferenceService() = default;
+InferenceService::~InferenceService() {
+    reactor_->shutdown();
+    reactor_thread_.join();
+}
 
 std::size_t InferenceService::body_count() const { return host_->body_count(); }
 
@@ -168,7 +173,7 @@ InferenceService InferenceService::from_ensembler(std::shared_ptr<core::Ensemble
     bundle.head->set_training(false);
     bundle.noise->set_training(false);
     bundle.tail->set_training(false);
-    return InferenceService(std::make_unique<BodyHost>(std::move(bodies)), std::move(bundle),
+    return InferenceService(std::make_shared<BodyHost>(std::move(bodies)), std::move(bundle),
                             config, {}, std::move(ensembler));
 }
 
@@ -184,7 +189,7 @@ InferenceService InferenceService::from_split_model(split::SplitModel model, Ser
     std::vector<nn::LayerPtr> owned;
     owned.push_back(std::move(model.head));
     owned.push_back(std::move(model.tail));
-    return InferenceService(std::make_unique<BodyHost>(std::move(bodies)), std::move(bundle),
+    return InferenceService(std::make_shared<BodyHost>(std::move(bodies)), std::move(bundle),
                             config, std::move(owned), nullptr);
 }
 
@@ -213,7 +218,7 @@ InferenceService InferenceService::from_baseline(defense::ProtectedModel model,
         owned.push_back(std::move(model.perturb));
     }
     owned.push_back(std::move(model.tail));
-    return InferenceService(std::make_unique<BodyHost>(std::move(bodies)), std::move(bundle),
+    return InferenceService(std::make_shared<BodyHost>(std::move(bodies)), std::move(bundle),
                             config, std::move(owned), nullptr);
 }
 

@@ -8,16 +8,16 @@
 //
 // One InferenceService owns the deployment: the N server bodies, held
 // once in a BodyHost and shared by every client (the Ensembler paper
-// deploys all N nets server-side). Each ClientSession models one client
-// device: it owns its secret Selector, wire-format choice, uplink/downlink
-// channels (real serialized bytes through the split codec) and
-// SessionStats. submit() runs the whole round trip on the calling thread:
-// the client phase (head forward, split-point noise, encode), the uplink,
-// BodyHost::process_request — the same per-body serve_body calls that
-// ReactorHost workers run for a socket client, here one body after
-// another — which sends one tagged reply per body down the session's
-// downlink, then the secret Selector combine and the tail.
-// The returned future is already resolved.
+// deploys all N nets server-side), served by the service's own in-process
+// ReactorHost (serve/reactor.hpp) on a thread of its own — the same host
+// a serve_daemon runs. Each ClientSession models one client device: a
+// RemoteSession (the one-shard ShardRouter, the repo's one wire client)
+// on one end of a socketpair whose other end the reactor adopted. It
+// carries its own secret Selector, wire-format choice, window and
+// SessionStats. submit() runs the client phase (head forward, split-point
+// noise, encode) on the calling thread and returns a pending future; the
+// reactor's workers run the request's N bodies concurrently, and the
+// session's demux thread applies the secret Selector combine and the tail.
 //
 // The in-proc path is bit-identical to the sequential
 // split::CollaborativeSession round trip: same messages, same bytes, same
@@ -33,13 +33,20 @@
 //                          (None / Single / Shredder / DR-single / DR-N).
 //
 // Concurrency contract: submit() may be called from any number of threads
-// and sessions concurrently. Shared client-side layers are serialized
-// internally (layer forward caches are not thread-safe); body forwards are
-// serialized per body inside BodyHost, so requests from different sessions
-// overlap on distinct bodies. Threads sharing one session take turns on
-// its channels. Do not train, or run inference through, the source model
-// directly while a service built from it is live. Sessions must not be
-// used after their service is destroyed.
+// and sessions concurrently. The client-side head, noise and tail are
+// shared by every session and serialized by one service-wide mutex (layer
+// forward caches are not thread-safe); body forwards are serialized per
+// body inside BodyHost, so requests — and one request's bodies — overlap
+// on distinct bodies across the reactor's workers. Do not train, or run
+// inference through, the source model directly while a service built from
+// it is live. Sessions must not be used after their service is destroyed.
+//
+// Failure contract: a body that throws makes the reactor drop that
+// session's connection, so every request in flight on it faults with the
+// link's typed channel error (ens::Error{channel_closed}, "shard 0: ..."),
+// not the body's own message. The session reconnects on its next submit()
+// over a fresh socketpair and serves on, bit-identically; its traffic
+// counters restart at the reconnect (latency stats carry over).
 //
 // Cross-process serving (daemon hosting bodies for remote clients over
 // TcpChannel) lives in serve/remote.hpp.
@@ -50,13 +57,16 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/selector.hpp"
 #include "nn/layer.hpp"
+#include "serve/remote.hpp"
 #include "serve/stats.hpp"
 #include "serve/types.hpp"
 #include "split/channel.hpp"
+#include "split/tcp_channel.hpp"
 
 namespace ens::core {
 class Ensembler;
@@ -70,8 +80,8 @@ class ProtectedModel;
 
 namespace ens::serve {
 
-class BodyHost;
 class InferenceService;
+class ReactorHost;
 
 struct SessionOptions {
     /// Payload encoding for this session's wire; default: the service's.
@@ -87,44 +97,47 @@ struct SessionOptions {
 /// InferenceService::create_session(); safe to share across threads.
 class ClientSession {
 public:
-    /// Runs the whole round trip on the calling thread and returns an
-    /// already-resolved future. A client-phase error (bad input, head
-    /// forward) throws out of submit(); a host-phase or finish error faults
-    /// the future, and the session's downlink is drained so the next
-    /// request reads only its own replies.
-    std::future<InferenceResult> submit(InferenceRequest request);
+    /// Client phase on the calling thread, then a pending future; up to
+    /// the host's in-flight window of requests ride the session at once,
+    /// as on every wire client. A client-phase error (bad input, head
+    /// forward) throws out of submit(); a host-phase or finish error
+    /// faults the future. After a host failure dropped the connection,
+    /// submit() first reconnects.
     std::future<InferenceResult> submit(Tensor images);
 
     /// Blocking convenience: submit + get.
     InferenceResult infer(Tensor images);
 
     std::uint64_t id() const { return id_; }
-    split::WireFormat wire_format() const { return wire_format_; }
-    const core::Selector& selector() const { return selector_; }
+    split::WireFormat wire_format() const { return remote_->wire_format(); }
+    const core::Selector& selector() const { return remote_->selector(); }
 
-    const SessionStats& stats() const { return stats_; }
-    split::TrafficStats uplink_stats() const { return uplink_.stats(); }
-    split::TrafficStats downlink_stats() const { return downlink_.stats(); }
+    const SessionStats& stats() const { return remote_->stats(); }
+    /// Request payloads sent by this session's end of the socketpair.
+    split::TrafficStats uplink_stats() const { return remote_->traffic_stats(); }
+    /// Body replies sent by the host's end (the handshake is not billed).
+    split::TrafficStats downlink_stats() const;
 
-    /// Clears latency and traffic accounting (not the request id counter).
+    /// Clears latency and traffic accounting.
     void reset_stats();
 
 private:
     friend class InferenceService;
 
-    ClientSession(InferenceService& service, std::uint64_t id,
-                  split::WireFormat wire_format, core::Selector selector);
+    ClientSession(InferenceService& service, std::uint64_t id, split::WireFormat wire_format,
+                  core::Selector selector);
+
+    /// Opens a fresh socketpair, hands the host end to the service's
+    /// reactor and returns the client end; the host end lands in
+    /// `host_end`.
+    std::unique_ptr<split::Channel> connect(std::shared_ptr<split::TcpChannel>& host_end);
 
     InferenceService& service_;
     const std::uint64_t id_;
-    const split::WireFormat wire_format_;
-    const core::Selector selector_;
-    split::InProcChannel uplink_;
-    split::InProcChannel downlink_;
-    // One round trip at a time on uplink_/downlink_: threads sharing this
-    // session must never read each other's reply frames.
-    std::mutex wire_mutex_;
-    SessionStats stats_;
+    // Guards host_end_ and serializes reconnects.
+    mutable std::mutex link_mutex_;
+    std::shared_ptr<split::TcpChannel> host_end_;
+    std::unique_ptr<RemoteSession> remote_;
 };
 
 class InferenceService {
@@ -174,6 +187,10 @@ public:
     InferenceService(const InferenceService&) = delete;
     InferenceService& operator=(const InferenceService&) = delete;
 
+    /// Connects a new session to the service's reactor. The selector must
+    /// cover the deployed bodies (std::invalid_argument otherwise), and a
+    /// wire format outside the host's wire mask is refused typed
+    /// (ens::Error{protocol_error}), as a daemon's handshake refuses it.
     std::shared_ptr<ClientSession> create_session(SessionOptions options = {});
 
     std::size_t body_count() const;
@@ -192,11 +209,11 @@ private:
         std::optional<core::Selector> selector;
     };
 
-    InferenceService(std::unique_ptr<BodyHost> host, ClientBundle bundle, ServeConfig config,
+    InferenceService(std::shared_ptr<BodyHost> host, ClientBundle bundle, ServeConfig config,
                      std::vector<nn::LayerPtr> owned_layers, std::shared_ptr<void> retained,
                      bool optimized = false);
 
-    std::unique_ptr<BodyHost> host_;
+    std::shared_ptr<BodyHost> host_;
     ClientBundle bundle_;
     ServeConfig config_;
     std::vector<nn::LayerPtr> owned_layers_;
@@ -204,12 +221,14 @@ private:
     bool optimized_ = false;  // bodies were graph-compiled at boot
 
     std::mutex client_mutex_;  // serializes the shared client-side layers
+    // bundle_'s head/noise/tail behind client_mutex_: what sessions run.
+    nn::LayerPtr shared_head_;
+    nn::LayerPtr shared_noise_;  // null when the bundle has no noise
+    nn::LayerPtr shared_tail_;
 
-    // Recycled serialization scratch for the uplink encode and the host's
-    // reply encodes (thread-safe; shared by every session).
-    split::WireBufferPool codec_pool_;
+    std::unique_ptr<ReactorHost> reactor_;
+    std::thread reactor_thread_;
 
-    std::atomic<std::uint64_t> next_request_id_{1};
     std::atomic<std::size_t> sessions_created_{0};
 };
 

@@ -298,6 +298,19 @@ split::TrafficStats ShardRouter::shard_traffic(std::size_t shard) const {
     return total;
 }
 
+void ShardRouter::reset_stats() {
+    stats_.reset();
+    for (Shard& shard : shards_) {
+        shard.stats.reset();
+        for (auto& link : shard.replicas) {
+            const std::lock_guard<std::mutex> lock(link->mutex);
+            if (link->channel) {
+                link->channel->reset_stats();
+            }
+        }
+    }
+}
+
 bool ShardRouter::link_failed(const Link& link) const {
     const std::lock_guard<std::mutex> lock(table_mutex_);
     return link.needs_reconnect;

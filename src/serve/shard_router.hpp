@@ -64,7 +64,10 @@
 //
 // submit() must be called from one thread at a time (the shared head
 // layer's forward cache is not thread-safe) — but up to window()
-// submissions can be outstanding at once.
+// submissions can be outstanding at once. The in-proc InferenceService
+// meets this rule by handing its sessions a head that serializes its
+// own forwards, so threads sharing one of its sessions may submit
+// concurrently.
 
 #include <atomic>
 #include <chrono>
@@ -233,6 +236,9 @@ public:
     split::TrafficStats shard_traffic(std::size_t shard) const;
     /// In-flight requests moved onto a sibling replica since construction.
     std::uint64_t failovers_total() const { return stats_.failovers(); }
+    /// Clears the session and per-shard stats and every current channel's
+    /// traffic counters (requests in flight still complete and count).
+    void reset_stats();
 
     /// Disconnects every shard (each host ends that connection's loop) and
     /// stops the background redialer. Outstanding futures fault typed.

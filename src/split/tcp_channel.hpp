@@ -66,7 +66,7 @@ public:
     void set_recv_timeout(std::chrono::milliseconds timeout) override;
 
     /// The underlying socket descriptor, for readiness registration
-    /// (epoll/poll) by an event-driven host. The reactor watches this fd
+    /// (poll()) by an event-driven host. The reactor watches this fd
     /// but all actual I/O still goes through the channel, so framing,
     /// billing and close semantics stay in one place. Valid for the
     /// channel's lifetime (close() shuts the socket down but keeps the fd
@@ -126,7 +126,7 @@ public:
     /// The bound port (resolved for ephemeral binds).
     std::uint16_t port() const { return port_; }
 
-    /// The listening descriptor, for readiness registration (epoll/poll).
+    /// The listening descriptor, for readiness registration (poll()).
     /// The reactor watches it and calls try_accept() on POLLIN.
     int fd() const { return fd_; }
 

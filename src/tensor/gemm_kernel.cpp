@@ -536,15 +536,6 @@ void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::in
     }
 }
 
-void gemm_packed_a(const PackedMatrix& a, const float* b, std::int64_t ldb, bool trans_b,
-                   std::int64_t n, float* c, std::int64_t ldc, float alpha, float beta,
-                   bool parallel) {
-    ENS_REQUIRE(a.defined() && a.is_a(), "gemm_packed_a: operand is not an A pack");
-    PackedMatrix& scratch = tls_scratch_b();
-    pack_b_into(scratch, b, ldb, trans_b, /*k=*/a.cols(), n);
-    gemm_packed(a, scratch, c, ldc, alpha, beta, parallel);
-}
-
 void gemm_packed_b(const float* a, std::int64_t lda, bool trans_a, std::int64_t m,
                    const PackedMatrix& b, float* c, std::int64_t ldc, float alpha, float beta,
                    bool parallel) {

@@ -175,12 +175,9 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k, const float* a
                   float* c, std::int64_t ldc, float alpha, float beta, bool parallel);
 
 /// Same, with one (or both) operands pre-packed — the per-request path for
-/// weights packed once at load. The packed operand fixes two of the three
-/// dimensions; the free one (n for gemm_packed_a, m for gemm_packed_b) is
-/// passed explicitly. Geometry must match (checked).
-void gemm_packed_a(const PackedMatrix& a, const float* b, std::int64_t ldb, bool trans_b,
-                   std::int64_t n, float* c, std::int64_t ldc, float alpha, float beta,
-                   bool parallel);
+/// weights packed once at load. The packed B fixes two of the three
+/// dimensions; the free one (m) is passed explicitly. Geometry must match
+/// (checked).
 void gemm_packed_b(const float* a, std::int64_t lda, bool trans_a, std::int64_t m,
                    const PackedMatrix& b, float* c, std::int64_t ldc, float alpha, float beta,
                    bool parallel);

@@ -1,19 +1,17 @@
-// Restart-parity regression suite for deployment bundles (serve/bundle.hpp).
+// Restart-parity regression suite for deployment bundles (serve/bundle.hpp),
+// in-process half.
 //
-// The discipline under test is save-then-serve: a trainer process writes a
-// versioned on-disk bundle, and a FRESH process — forked daemons that boot
-// purely from that directory, with no trainer objects, no shared seeds, no
-// live layer pointers — must serve outputs BIT-IDENTICAL to the trainer's
-// own in-proc sequential oracle. The models deliberately carry the state
-// that only full-fidelity checkpoints preserve: BatchNorm running
-// statistics on both sides of the split and a fixed split-point noise mask
-// (harness::make_conv_ensemble + warm_batchnorm). Configurations covered:
-// single host and 3-shard §III-D, each pipelined (in-flight window > 1),
-// each for lossless f32 and quantized q8 wire.
-//
-// The secret stays client-side on disk too: BodyHost::from_bundle boots
-// with CLIENT.ens deleted outright (a body-host machine never holds the
-// selector), which this suite pins.
+// The discipline under test is save-then-serve: a trainer writes a
+// versioned on-disk bundle, and an InferenceService booted purely from
+// that directory — no trainer objects, no shared seeds, no live layer
+// pointers — must serve outputs BIT-IDENTICAL to the trainer's own
+// in-proc sequential oracle, for lossless f32 and quantized q8 wire. The
+// models deliberately carry the state that only full-fidelity checkpoints
+// preserve: BatchNorm running statistics on both sides of the split and a
+// fixed split-point noise mask (harness::make_conv_ensemble +
+// warm_batchnorm). The service serves through its own in-process reactor,
+// so this suite is fork-free and runs under TSan; the forked-daemon cases
+// (single host and 3-shard §III-D) live in bundle_restart_daemon_test.
 //
 // Hostile-input half: truncated, corrupted and version-bumped manifest /
 // client / checkpoint files must fail as typed
@@ -26,203 +24,25 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bundle_restart_harness.hpp"
 #include "common/error.hpp"
 #include "core/selector.hpp"
 #include "serve/bundle.hpp"
 #include "serve/service.hpp"
-#include "serve/shard_router.hpp"
-#include "serve_harness.hpp"
-#include "split/channel.hpp"
-#include "split/session.hpp"
-#include "split/tcp_channel.hpp"
 
 namespace ens::serve {
 namespace {
 
 namespace fs = std::filesystem;
-
-constexpr std::uint64_t kSeed = 6100;
-constexpr std::chrono::milliseconds kRequestTimeout{120000};
-constexpr std::size_t kInflight = 4;
-
-/// Fresh per-test bundle directory under bundle_artifacts/ (kept after the
-/// run so CI can upload it when the test fails).
-std::string bundle_dir_for(const std::string& name) {
-    const fs::path dir = fs::path("bundle_artifacts") / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
-}
-
-/// Trains (BN-warms) a conv ensemble and writes it as a bundle. The live
-/// parts stay with the caller — they are the oracle.
-harness::ConvEnsembleParts make_trained_bundle(const std::string& dir, std::size_t num_bodies,
-                                               const core::Selector& selector) {
-    harness::ConvEnsembleParts parts =
-        harness::make_conv_ensemble(kSeed, num_bodies, selector.p());
-    harness::warm_batchnorm(parts, kSeed + 7);
-    harness::set_eval(parts);
-
-    BundleArtifacts artifacts;
-    for (nn::LayerPtr& body : parts.bodies) {
-        artifacts.bodies.push_back(body.get());
-    }
-    artifacts.head = parts.head.get();
-    artifacts.noise = parts.noise.get();
-    artifacts.tail = parts.tail.get();
-    artifacts.selector = &selector;
-    save_bundle(dir, artifacts);
-    return parts;
-}
-
-std::vector<Tensor> make_inputs(std::uint64_t data_seed) {
-    Rng rng(data_seed);
-    return {Tensor::randn(Shape{2, 1, harness::kConvImage, harness::kConvImage}, rng),
-            Tensor::randn(Shape{1, 1, harness::kConvImage, harness::kConvImage}, rng),
-            Tensor::randn(Shape{3, 1, harness::kConvImage, harness::kConvImage}, rng)};
-}
-
-/// In-proc sequential oracle over the LIVE trained parts (head + noise
-/// chained into the single client head a CollaborativeSession expects).
-class Oracle {
-public:
-    Oracle(harness::ConvEnsembleParts& parts, const core::Selector& selector,
-           split::WireFormat wire)
-        : chain_({parts.head.get(), parts.noise.get()}) {
-        for (nn::LayerPtr& body : parts.bodies) {
-            bodies_.push_back(body.get());
-        }
-        session_ = std::make_unique<split::CollaborativeSession>(
-            chain_, bodies_, *parts.tail,
-            [&selector](const std::vector<Tensor>& features) {
-                return selector.apply(features);
-            },
-            uplink_, downlink_, wire);
-    }
-
-    Tensor infer(const Tensor& images) { return session_->infer(images); }
-
-private:
-    harness::ChainLayer chain_;
-    std::vector<nn::Layer*> bodies_;
-    split::InProcChannel uplink_;
-    split::InProcChannel downlink_;
-    std::unique_ptr<split::CollaborativeSession> session_;
-};
+using namespace harness;
 
 // --------------------------------------------------------------- parity
-
-TEST(BundleRestart, ForkedSingleHostBootedFromBundleIsBitIdenticalToOracle) {
-    const std::string dir = bundle_dir_for("single_host");
-    const core::Selector selector(3, {0, 2});
-    harness::ConvEnsembleParts parts = make_trained_bundle(dir, /*num_bodies=*/3, selector);
-
-    // The client half comes off disk too — then the secret file is deleted
-    // BEFORE the daemon forks, to prove a body host never needs it. The
-    // daemon child knows ONLY the directory path: no layers, no seeds, no
-    // selector cross the fork.
-    ClientArtifacts client = load_bundle_client(dir, 3);
-    ASSERT_NE(client.noise, nullptr);
-    ASSERT_TRUE(fs::remove(fs::path(dir) / kClientFileName));
-    harness::ForkedDaemon daemon = harness::spawn_body_host(
-        [dir] { return BodyHost::from_bundle(dir); }, /*connections=*/2);
-    ASSERT_GT(daemon.port(), 0);
-
-    const std::vector<Tensor> inputs = make_inputs(31);
-    for (const split::WireFormat wire : {split::WireFormat::f32, split::WireFormat::q8}) {
-        Oracle oracle(parts, selector, wire);
-
-        RemoteSession session(split::tcp_connect("127.0.0.1", daemon.port()), *client.head,
-                              client.noise.get(), *client.tail, client.selector, wire,
-                              std::chrono::seconds(30), kInflight);
-        session.set_recv_timeout(kRequestTimeout);
-        ASSERT_EQ(session.body_count(), 3u);
-        ASSERT_GT(session.window(), 1u) << "pipelined configuration required";
-
-        // Pipelined: all requests in flight before the first wait.
-        std::vector<std::future<InferenceResult>> futures;
-        for (const Tensor& input : inputs) {
-            futures.push_back(session.submit(input));
-        }
-        for (std::size_t r = 0; r < inputs.size(); ++r) {
-            const InferenceResult result = futures[r].get();
-            const Tensor expected = oracle.infer(inputs[r]);
-            ASSERT_EQ(result.logits.shape(), expected.shape());
-            EXPECT_EQ(result.logits.to_vector(), expected.to_vector())
-                << split::wire_format_name(wire) << " request " << r;
-        }
-        session.close();
-    }
-    EXPECT_EQ(daemon.wait_exit_code(), 0) << "bundle daemon did not exit cleanly";
-}
-
-TEST(BundleRestart, ForkedThreeShardPipelinedFromBundleIsBitIdenticalToOracle) {
-    constexpr std::size_t kBodies = 6;
-    constexpr std::size_t kShards = 3;
-    constexpr std::size_t kPerShard = kBodies / kShards;
-
-    const std::string dir = bundle_dir_for("three_shard");
-    // Selector spans all three shards (the §III-D non-collusion argument).
-    const core::Selector selector(kBodies, {0, 3, 5});
-    harness::ConvEnsembleParts parts = make_trained_bundle(dir, kBodies, selector);
-
-    // Client artifacts come off disk BEFORE the secret file is removed
-    // from what the shard hosts see.
-    ClientArtifacts client = load_bundle_client(dir, kBodies);
-    ASSERT_NE(client.noise, nullptr);
-    ASSERT_TRUE(fs::remove(fs::path(dir) / kClientFileName));
-
-    // Each shard child boots ONLY its own slice from the directory.
-    std::vector<harness::ForkedDaemon> daemons;
-    for (std::size_t s = 0; s < kShards; ++s) {
-        const std::size_t begin = s * kPerShard;
-        daemons.push_back(harness::spawn_body_host(
-            [dir, begin] { return BodyHost::from_bundle(dir, begin, kPerShard); },
-            /*connections=*/2));
-    }
-    for (const harness::ForkedDaemon& daemon : daemons) {
-        ASSERT_GT(daemon.port(), 0);
-    }
-
-    const std::vector<Tensor> inputs = make_inputs(32);
-    for (const split::WireFormat wire : {split::WireFormat::f32, split::WireFormat::q8}) {
-        Oracle oracle(parts, selector, wire);
-
-        std::vector<std::unique_ptr<split::Channel>> channels;
-        for (const std::size_t s : {2u, 0u, 1u}) {  // scrambled on purpose
-            channels.push_back(split::tcp_connect("127.0.0.1", daemons[s].port()));
-        }
-        ShardRouter router(std::move(channels), *client.head, client.noise.get(), *client.tail,
-                           client.selector, wire, std::chrono::seconds(30), kInflight);
-        router.set_recv_timeout(kRequestTimeout);
-        ASSERT_EQ(router.body_count(), kBodies);
-        ASSERT_GT(router.window(), 1u) << "pipelined configuration required";
-
-        std::vector<std::future<InferenceResult>> futures;
-        for (const Tensor& input : inputs) {
-            futures.push_back(router.submit(input));
-        }
-        for (std::size_t r = 0; r < inputs.size(); ++r) {
-            const InferenceResult result = futures[r].get();
-            const Tensor expected = oracle.infer(inputs[r]);
-            ASSERT_EQ(result.logits.shape(), expected.shape());
-            EXPECT_EQ(result.logits.to_vector(), expected.to_vector())
-                << split::wire_format_name(wire) << " request " << r;
-        }
-        router.close();
-    }
-    for (std::size_t s = 0; s < kShards; ++s) {
-        EXPECT_EQ(daemons[s].wait_exit_code(), 0) << "shard daemon " << s;
-    }
-}
 
 TEST(BundleRestart, InferenceServiceFromBundleMatchesOracleAndResaves) {
     const std::string dir = bundle_dir_for("service");
@@ -288,8 +108,18 @@ TEST(BundleRestart, RecordedWireMaskRestrictsTheRestoredHost) {
 
     // A from_bundle -> save_bundle round trip must carry the restriction,
     // never silently widen it back to this build's full support set.
+    // The in-proc service's sessions handshake that host too: a format
+    // outside the mask is refused typed, as a daemon refuses it.
+    InferenceService service = InferenceService::from_bundle(dir);
+    try {
+        (void)service.create_session(SessionOptions{split::WireFormat::q8, {}});
+        ADD_FAILURE() << "a q8 session was admitted by an f32-only host";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::protocol_error) << e.what();
+    }
+
     const std::string resaved = bundle_dir_for("wire_mask_resaved");
-    InferenceService::from_bundle(dir).save_bundle(resaved);
+    service.save_bundle(resaved);
     const BundleManifest manifest = load_bundle_manifest(resaved);
     EXPECT_EQ(manifest.wire_mask, split::wire_format_bit(split::WireFormat::f32));
 }

@@ -9,7 +9,6 @@
 //     (connections_held / active_requests / requests_served) are asserted
 //     against known traffic. The reactor runs in-process precisely so
 //     these internals are directly observable.
-//   - Backend parity: the poll() fallback serves the same bytes as epoll.
 //   - Version pinning: an in-process DeploymentManager swap leaves an
 //     already-connected session bit-matching the OLD generation while new
 //     connections handshake (and bit-match) the new one; the old
@@ -246,32 +245,6 @@ TEST(ReactorSoak, Holds1024ConnectionsOnFixedThreadsWithPipelinedParity) {
     fixture.stop();
     EXPECT_EQ(fixture.reactor().gauges().active_requests, 0u);
     EXPECT_EQ(fixture.reactor().gauges().connections_held, 0u);
-}
-
-TEST(ReactorSoak, PollBackendServesIdenticalBytes) {
-    // Same reactor, portable poll() backend: 64 idle connections plus
-    // parity traffic. Proves the fallback is a real backend, not a stub.
-    auto manager = std::make_shared<DeploymentManager>(make_ensemble_host(kSeed));
-    ReactorConfig config;
-    config.worker_threads = 2;
-    config.force_poll = true;
-    config.drain_grace = std::chrono::milliseconds(50);
-    ReactorFixture fixture(std::move(manager), config);
-
-    std::vector<std::unique_ptr<split::TcpChannel>> idle;
-    for (std::size_t c = 0; c < 64; ++c) {
-        auto channel = split::tcp_connect("127.0.0.1", fixture.port());
-        channel->set_recv_timeout(std::chrono::seconds(30));
-        (void)decode_handshake(channel->recv());
-        idle.push_back(std::move(channel));
-    }
-
-    ClientHalf client(kSeed);
-    auto session = client.connect(fixture.port(), split::WireFormat::f32,
-                                  /*max_inflight=*/4);
-    expect_parity(*session, kSeed, kSeed, split::WireFormat::f32, 8, "poll backend");
-    EXPECT_GE(fixture.reactor().gauges().connections_held, 65u);
-    session->close();
 }
 
 TEST(ReactorSwap, SessionsPinTheirGenerationAndOldOneRetires) {

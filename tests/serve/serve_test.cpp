@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/ensembler.hpp"
 #include "core/selector.hpp"
 #include "data/synth_cifar10.hpp"
@@ -231,9 +235,11 @@ TEST(Serve, BaselineEnsembleParityWithProtectedModel) {
     }
 }
 
-// Body 1 throws after body 0's reply is already on the session's
-// downlink. That request faults; the stale frame is drained, so the next
-// round trip on the same session reads only its own replies.
+// Body 1 throws on the second request. The reactor drops the session's
+// connection, so that request faults with the link's typed channel error;
+// sibling bodies run concurrently, so whether they replied first is not
+// fixed. The session reconnects on its next submit and serves the third
+// request bit-identically, with fresh traffic counters.
 TEST(Serve, FailedBodyDoesNotDesyncSession) {
     BaselineOracle oracle(97);
     // Body 1 fails on its second forward, i.e. the second request.
@@ -248,18 +254,77 @@ TEST(Serve, FailedBodyDoesNotDesyncSession) {
     EXPECT_TRUE(same_bits(session->infer(first).logits, oracle.session->infer(first)));
 
     std::future<InferenceResult> failed = session->submit(second);
-    EXPECT_THROW((void)failed.get(), std::runtime_error);
-    // Body 0 replied before body 1 threw: one stale frame went down.
-    EXPECT_EQ(session->downlink_stats().messages, kBodies + 1);
+    try {
+        (void)failed.get();
+        ADD_FAILURE() << "the request whose body threw did not fault";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::channel_closed) << e.what();
+    }
 
     const InferenceResult next = session->infer(third);
     EXPECT_TRUE(same_bits(next.logits, oracle.session->infer(third)));
-    EXPECT_EQ(session->downlink_stats().messages, 2 * kBodies + 1);
     EXPECT_EQ(session->stats().requests(), 2u);
+    // Counters restarted with the reconnect: only the third round trip.
+    EXPECT_EQ(session->uplink_stats().messages, 1u);
+    EXPECT_EQ(session->downlink_stats().messages, kBodies);
 }
 
-// Threads sharing one session take turns on its channels: every result is
-// its own input's oracle logits, and no frame is lost or read twice.
+/// Meeting point for the bodies of one request: each RendezvousBody's
+/// forward waits (bounded) until every party has entered.
+struct Rendezvous {
+    std::size_t parties = 0;
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t entered = 0;
+    std::atomic<std::size_t> met{0};
+};
+
+/// Identity body that counts whether its forward met the other parties. A
+/// host that runs one request's bodies one after another times out here:
+/// the next body only starts after this forward returns.
+class RendezvousBody final : public nn::Layer {
+public:
+    explicit RendezvousBody(std::shared_ptr<Rendezvous> meeting) : meeting_(std::move(meeting)) {}
+
+    Tensor forward(const Tensor& input) override {
+        std::unique_lock<std::mutex> lock(meeting_->mutex);
+        ++meeting_->entered;
+        meeting_->cv.notify_all();
+        if (meeting_->cv.wait_for(lock, std::chrono::seconds(2), [this] {
+                return meeting_->entered >= meeting_->parties;
+            })) {
+            ++meeting_->met;
+        }
+        return input;
+    }
+    Tensor backward(const Tensor& grad_output) override { return grad_output; }
+    std::string name() const override { return "RendezvousBody"; }
+
+private:
+    std::shared_ptr<Rendezvous> meeting_;
+};
+
+// One in-proc request's bodies run at the same time on the service's
+// reactor workers: all three bodies meet inside their forwards.
+TEST(Serve, OneRequestsBodiesRunConcurrently) {
+    auto meeting = std::make_shared<Rendezvous>();
+    meeting->parties = kBodies;
+    defense::ProtectedModel model = make_three_body_baseline(109);
+    for (auto& body : model.bodies) {
+        body->emplace<RendezvousBody>(meeting);
+    }
+    BaselineOracle oracle(109);
+    InferenceService service = InferenceService::from_baseline(std::move(model));
+
+    Rng rng(113);
+    const Tensor x = Tensor::randn(Shape{2, kIn}, rng);
+    EXPECT_TRUE(same_bits(service.create_session()->infer(x).logits, oracle.session->infer(x)));
+    EXPECT_EQ(meeting->met.load(), kBodies) << "bodies of one request ran one by one";
+}
+
+// Threads sharing one session submit concurrently through its one
+// connection: every result is its own input's oracle logits, and no frame
+// is lost or read twice.
 TEST(Serve, SharedSessionAcrossThreadsMatchesOracle) {
     constexpr std::size_t kThreads = 4;
     constexpr std::size_t kRequestsPerThread = 8;
@@ -306,7 +371,7 @@ TEST(Serve, SharedSessionAcrossThreadsMatchesOracle) {
 // Many threads submit through one service whose bodies are convolutions,
 // alternating 2x2 and 4x4 inputs. Each body's first eval forward packs its
 // weight and every geometry flip repacks it in place, inside a served
-// forward on whichever submitting thread runs it. Every result must still
+// forward on whichever reactor worker runs it. Every result must still
 // be its own input's oracle logits (and, under ThreadSanitizer, race-free).
 TEST(Serve, ConcurrentSmallSpatialConvBodiesMatchOracle) {
     constexpr std::size_t kThreads = 4;

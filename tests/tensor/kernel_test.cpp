@@ -167,7 +167,9 @@ TEST(Kernel, PackedUnpackedAndParallelAreBitIdentical) {
         const kernel::PackedMatrix pa = kernel::pack_a(a.data(), k, false, m, k);
         const kernel::PackedMatrix pb = kernel::pack_b(bt.data(), k, true, k, n);
         const std::vector<float> packed_a = run([&](Tensor& c) {
-            kernel::gemm_packed_a(pa, bt.data(), k, true, n, c.data(), n, 1.0f, 0.0f, true);
+            kernel::PackedMatrix scratch;
+            kernel::pack_b_into(scratch, bt.data(), k, true, k, n);
+            kernel::gemm_packed(pa, scratch, c.data(), n, 1.0f, 0.0f, true);
         });
         const std::vector<float> packed_b = run([&](Tensor& c) {
             kernel::gemm_packed_b(a.data(), k, false, m, pb, c.data(), n, 1.0f, 0.0f, false);
