@@ -15,8 +15,8 @@
 //
 // Both replicas are in-process reactor hosts behind real TCP listeners:
 // the wire, framing and demux costs are genuine; only the process
-// boundary is elided (the fork-level kill path is exercised by
-// tests/serve/failover_test.cpp, where bit-parity is asserted).
+// boundary is elided (killing a real serve_daemon process is exercised
+// by tests/serve/failover_test.cpp, where bit-parity is asserted).
 
 #include <algorithm>
 #include <cstdio>

@@ -1,10 +1,12 @@
-// Wire-attack bench: the §II-B eavesdropper against a REAL forked serving
-// daemon, swept over the deployment knobs an operator actually turns.
+// Wire-attack bench: the §II-B eavesdropper against a real serving host,
+// swept over the deployment knobs an operator actually turns.
 //
 // Per cell (wire format x in-flight window x graph-compiled hosting) this
 // bench:
-//   1. forks a BodyHost daemon booted purely from the trained bundle
-//      (optionally through the inference graph compiler),
+//   1. boots a BodyHost purely from the trained bundle (optionally through
+//      the inference graph compiler) and serves it from an in-thread
+//      reactor; the tap is client-side, so the captured bytes are the
+//      ones a separate host process would put on the wire,
 //   2. runs a tapped RemoteSession over loopback TCP submitting the victim
 //      set pipelined at the cell's window depth,
 //   3. parses the TapChannel capture into attacker evidence
@@ -56,7 +58,7 @@ std::vector<Tensor> make_victim_batches(const data::Dataset& victims, std::size_
 
 int main() {
     const bench::Scale scale = bench::current_scale();
-    std::printf("# Wire attack: capture-replay MIA vs a forked daemon (scale=%s)\n",
+    std::printf("# Wire attack: capture-replay MIA vs a bundle-booted host (scale=%s)\n",
                 bench::scale_name(scale));
 
     bench::Scenario scenario = bench::make_cifar10(scale);
@@ -114,24 +116,12 @@ int main() {
         for (const std::size_t inflight : depths) {
             for (const bool optimize : {false, true}) {
                 watch.reset();
-                serve::harness::ForkedDaemon daemon = serve::harness::spawn_body_host(
-                    [bundle_dir, optimize] {
-                        return serve::BodyHost::from_bundle(
-                            bundle_dir, 0, static_cast<std::size_t>(-1), optimize);
-                    },
-                    /*connections=*/1);
-                if (daemon.port() == 0) {
-                    std::fprintf(stderr, "[wire_attack] daemon spawn failed\n");
-                    return 1;
-                }
+                serve::harness::ReactorFixture host(serve::BodyHost::from_bundle(
+                    bundle_dir, 0, static_cast<std::size_t>(-1), optimize));
                 attack::VictimTrace trace = attack::drive_victim_session(
-                    split::tcp_connect("127.0.0.1", daemon.port()), ensembler.client_head(),
+                    split::tcp_connect("127.0.0.1", host.port()), ensembler.client_head(),
                     &ensembler.client_noise(), ensembler.client_tail(), ensembler.selector(),
                     batches, wire, inflight);
-                if (daemon.wait_exit_code() != 0) {
-                    std::fprintf(stderr, "[wire_attack] daemon exited uncleanly\n");
-                    return 1;
-                }
                 const attack::WireCapture capture = attack::WireCapture::parse(*trace.tap);
                 const double capture_s = watch.elapsed_seconds();
 

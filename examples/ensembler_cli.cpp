@@ -3,11 +3,12 @@
 // Subcommands:
 //   train    fit the three stages on the synthetic CIFAR-10 analogue,
 //            report accuracy through an ens::serve session (real wire
-//            bytes + latency percentiles), optionally save the client
-//            bundle
+//            bytes + latency percentiles), optionally save the trained
+//            deployment as a bundle directory (serve/bundle.hpp) that
+//            `serve_daemon --bundle <dir>` boots directly
 //              --n 6 --p 3 --sigma 0.1 --lambda 0.5 --epochs 2
 //              --width 4 --image 16 --train 384 --seed 11
-//              --wire f32|q16|q8 [--save client.bin]
+//              --wire f32|q16|q8 [--save bundle_dir]
 //   attack   train a pipeline, then mount the paper's MIA against it
 //              (same knobs) --adaptive | --best-of-n | --bruteforce
 //   latency  print the Table III cost model for a given N/P/width/batch
@@ -23,11 +24,11 @@
 #include "attack/brute_force.hpp"
 #include "attack/mia.hpp"
 #include "common/args.hpp"
-#include "core/client_state.hpp"
 #include "core/ensembler.hpp"
 #include "data/synth_cifar10.hpp"
 #include "latency/estimator.hpp"
 #include "latency/profiles.hpp"
+#include "serve/bundle.hpp"
 #include "serve/service.hpp"
 #include "split/codec.hpp"
 #include "split/split_model.hpp"
@@ -42,7 +43,7 @@ int usage(const char* program) {
         "usage: %s <train|attack|latency|help> [--flag value]...\n"
         "  train    --n 6 --p 3 --sigma 0.1 --lambda 0.5 --epochs 2 --width 4\n"
         "           --image 16 --train 384 --seed 11 [--wire f32|q16|q8]\n"
-        "           [--save client.bin]\n"
+        "           [--save bundle_dir]\n"
         "  attack   same knobs, plus --adaptive | --best-of-n | --bruteforce\n"
         "  latency  --n 10 --p 4 --width 64 --image 32 --batch 128 [--wire f32|q16|q8]\n",
         program);
@@ -136,8 +137,10 @@ int cmd_train(const ArgParser& args) {
     }
 
     if (!save_path.empty()) {
-        core::save_client_state_file(ensembler, save_path);
-        std::printf("client bundle written to %s\n", save_path.c_str());
+        serve::save_bundle(save_path, ensembler);
+        std::printf("deployment bundle written to %s (serve it with serve_daemon --bundle %s; "
+                    "CLIENT.ens holds the secret selector and stays with the client)\n",
+                    save_path.c_str(), save_path.c_str());
     }
     return 0;
 }

@@ -58,7 +58,8 @@
 // existing command lines keep working.
 //
 // --port 0 picks an ephemeral port and prints it, which is how the CI
-// smoke run and the fork tests use it.
+// smoke run, the serving tests (tests/serve/daemon_harness.hpp) and the
+// benchmark boot it.
 
 #include <csignal>
 #include <cstdio>

@@ -29,7 +29,8 @@
 // attack/mia.hpp + attack/brute_force.hpp against it (WireHarness).
 //
 // tests/attack/wire_harness_test.cpp runs all of it against a BodyHost
-// forked into a separate daemon process; bench/wire_attack.cpp sweeps wire
+// booted from an on-disk bundle and served over loopback TCP;
+// bench/wire_attack.cpp sweeps wire
 // format x window depth x graph-compiled hosting into BENCH_wire_attack.json.
 
 #include <cstdint>

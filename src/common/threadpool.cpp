@@ -19,15 +19,9 @@ namespace {
 // dedicated serve fan-out pool keeps the global-pool tensor kernels
 // parallel.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
-
-// Set by mark_forked_child(): pools created before a fork() have no live
-// workers in the child, so parallel_for must stop handing them chunks.
-std::atomic<bool> g_forked_child{false};
 }  // namespace
 
 bool ThreadPool::on_worker_thread() { return tl_worker_pool != nullptr; }
-
-void ThreadPool::mark_forked_child() { g_forked_child.store(true, std::memory_order_relaxed); }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
     ENS_REQUIRE(num_threads >= 1, "thread pool needs at least one worker");
@@ -78,7 +72,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     if (begin >= end) {
         return;
     }
-    if (tl_worker_pool == this || g_forked_child.load(std::memory_order_relaxed)) {
+    if (tl_worker_pool == this) {
         fn(begin, end);
         return;
     }

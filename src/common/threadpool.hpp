@@ -45,15 +45,6 @@ public:
     /// True on threads owned by any ThreadPool (exposed for tests).
     static bool on_worker_thread();
 
-    /// Call in a CHILD process immediately after fork(): worker threads do
-    /// not survive fork, so any pool created before it (notably the lazy
-    /// global_pool()) would enqueue chunks no one drains. After this call
-    /// every parallel_for in the process runs its range inline on the
-    /// calling thread instead. Process-wide and irreversible — meant for
-    /// forked test daemons and fork-per-request servers, which should _exit
-    /// rather than run static destructors on inherited pools.
-    static void mark_forked_child();
-
 private:
     void worker_loop();
     void enqueue(std::function<void()> task);

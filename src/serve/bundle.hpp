@@ -28,8 +28,8 @@
 // Restores are bit-exact: specs rebuild identical structure, save_state
 // carries parameters + buffers (BN running statistics, noise masks), so a
 // fresh process serves outputs bit-identical to the trainer's in-proc
-// oracle (tests/serve/bundle_restart_test.cpp pins this across forked
-// daemons, sharded and pipelined).
+// oracle (tests/serve/bundle_restart_test.cpp pins this across exec'd
+// serve_daemon processes, sharded and pipelined).
 //
 // Every loader treats bundle files as UNTRUSTED input: counts are bounded
 // before allocation, file names are confined to the bundle directory, and

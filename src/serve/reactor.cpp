@@ -46,20 +46,38 @@ void set_nonblocking_fd(int fd) {
 // Readiness backend over poll(). Level-triggered; hangup/error conditions
 // are ALWAYS reported, even for fds whose read interest was dropped — a
 // paused (window-full) connection whose peer dies must still tear down
-// instead of sitting in the map forever.
+// instead of sitting in the map forever. The pollfd array persists across
+// waits (an fd -> slot index keeps edits O(1)), so a wake costs the
+// poll() itself, not a rebuild over every held connection.
 
 class ReactorHost::Poller {
 public:
-    void add(int fd) { interest_[fd] = true; }
+    void add(int fd) {
+        slot_[fd] = pollfds_.size();
+        pollfds_.push_back(pollfd{fd, POLLIN, 0});
+    }
 
     void set_read(int fd, bool enabled) {
-        const auto it = interest_.find(fd);
-        if (it != interest_.end()) {
-            it->second = enabled;
+        const auto it = slot_.find(fd);
+        if (it != slot_.end()) {
+            pollfds_[it->second].events = enabled ? POLLIN : 0;  // HUP/ERR always reported
         }
     }
 
-    void remove(int fd) { interest_.erase(fd); }
+    /// Swap-remove: the last entry moves into the freed slot.
+    void remove(int fd) {
+        const auto it = slot_.find(fd);
+        if (it == slot_.end()) {
+            return;
+        }
+        const std::size_t slot = it->second;
+        slot_.erase(it);
+        if (slot + 1 != pollfds_.size()) {
+            pollfds_[slot] = pollfds_.back();
+            slot_[pollfds_[slot].fd] = slot;
+        }
+        pollfds_.pop_back();
+    }
 
     struct Event {
         int fd = -1;
@@ -69,14 +87,6 @@ public:
 
     void wait(std::vector<Event>& out, int timeout_ms) {
         out.clear();
-        pollfds_.clear();
-        pollfds_.reserve(interest_.size());
-        for (const auto& [fd, read_enabled] : interest_) {
-            pollfd pfd{};
-            pfd.fd = fd;
-            pfd.events = read_enabled ? POLLIN : 0;  // HUP/ERR always reported
-            pollfds_.push_back(pfd);
-        }
         const int n = ::poll(pollfds_.data(), pollfds_.size(), timeout_ms);
         if (n < 0) {
             if (errno == EINTR) {
@@ -98,8 +108,8 @@ public:
     }
 
 private:
-    std::unordered_map<int, bool> interest_;  // fd -> read interest
-    std::vector<pollfd> pollfds_;
+    std::vector<pollfd> pollfds_;                // what poll() watches
+    std::unordered_map<int, std::size_t> slot_;  // fd -> index in pollfds_
 };
 
 // --------------------------------------------------------- ReactorHost

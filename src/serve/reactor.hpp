@@ -220,7 +220,7 @@ private:
     std::vector<std::shared_ptr<split::TcpChannel>> adopted_;
 };
 
-/// Signal plumbing for daemons and fork tests: blocks `signals` in the
+/// Signal plumbing for daemons: blocks `signals` in the
 /// CONSTRUCTOR (construct before spawning any thread — reactor workers
 /// inherit the mask, so no signal is ever delivered to a compute thread)
 /// and hands them out synchronously from wait(). This is the supported

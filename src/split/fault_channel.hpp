@@ -17,8 +17,8 @@
 // death looks like above the framing layer), or hard-closes the channel.
 // Actions are keyed by per-direction message INDEX, not wall clock, so a
 // test replays the identical failure point on every run — the channel-level
-// counterpart of the fork harness's SIGKILL-a-replica helpers (which cover
-// genuine kernel-level mid-frame death).
+// counterpart of the failover tests' SIGKILLed serve_daemon replicas
+// (which cover genuine kernel-level mid-frame death).
 
 #include <atomic>
 #include <chrono>

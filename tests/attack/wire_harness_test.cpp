@@ -1,5 +1,6 @@
-// End-to-end wiretap attack suite (attack/wire_harness.hpp) against a REAL
-// forked BodyHost daemon booted from an on-disk bundle: a TapChannel
+// End-to-end wiretap attack suite (attack/wire_harness.hpp) against a real
+// BodyHost booted from an on-disk bundle and served by an in-thread
+// reactor over loopback TCP: a TapChannel
 // records every frame a live RemoteSession puts on a loopback TCP socket,
 // WireCapture parses the record into attacker evidence, and the
 // capture-replay MIA interfaces are pinned against the in-proc Table-1
@@ -40,7 +41,7 @@ namespace fs = std::filesystem;
 
 constexpr std::size_t kBatch = 8;
 
-/// Tiny trained ResNet Ensembler served from a bundle by forked daemons.
+/// Tiny trained ResNet Ensembler served from a bundle by in-thread reactors.
 /// Same scale as the brute-force suite: width 4, 16 px, N = 3, P = 2.
 class WireHarnessFixture : public ::testing::Test {
 protected:
@@ -104,20 +105,16 @@ protected:
         return batches;
     }
 
-    /// Forks a daemon from the bundle, runs one tapped victim session
-    /// through it, and returns the trace (the daemon exits after serving).
+    /// Boots a host from the bundle, runs one tapped victim session
+    /// through it, and returns the trace. The tap sits on the client side,
+    /// so where the host runs does not change a captured byte.
     static VictimTrace captured_session(split::WireFormat wire, std::size_t inflight,
                                         const core::Selector& selector) {
-        serve::harness::ForkedDaemon daemon = serve::harness::spawn_body_host(
-            [dir = *bundle_dir_] { return serve::BodyHost::from_bundle(dir); },
-            /*connections=*/1);
-        EXPECT_GT(daemon.port(), 0) << "daemon failed to spawn";
-        VictimTrace trace = drive_victim_session(
-            split::tcp_connect("127.0.0.1", daemon.port()), ensembler_->client_head(),
-            &ensembler_->client_noise(), ensembler_->client_tail(), selector, victim_batches(),
-            wire, inflight);
-        EXPECT_EQ(daemon.wait_exit_code(), 0) << "daemon did not exit cleanly";
-        return trace;
+        serve::harness::ReactorFixture host(serve::BodyHost::from_bundle(*bundle_dir_));
+        return drive_victim_session(split::tcp_connect("127.0.0.1", host.port()),
+                                    ensembler_->client_head(), &ensembler_->client_noise(),
+                                    ensembler_->client_tail(), selector, victim_batches(), wire,
+                                    inflight);
     }
 
     static nn::ResNetConfig* arch_;

@@ -1,12 +1,12 @@
 // nn/checkpoint coverage the rest of the suite misses:
 //
-//   1. Deployment-grade fidelity ACROSS A PROCESS BOUNDARY: a forked child
-//      that builds the same structure with DIFFERENT weights, loads a
-//      save_state checkpoint written by the parent, and runs an eval-mode
-//      forward must produce output bytes bit-identical to the parent's —
-//      which fails if BatchNorm running statistics or the fixed noise mask
-//      were dropped or re-derived (the in-proc round-trip tests cannot
-//      catch a "same process, shared globals" accident).
+//   1. Deployment-grade fidelity: a net that builds the same structure with
+//      DIFFERENT weights, loads a save_state checkpoint from disk, and runs
+//      an eval-mode forward must produce output bytes bit-identical to the
+//      source's — which fails if BatchNorm running statistics or the fixed
+//      noise mask were dropped or re-derived. The fresh-process half of
+//      this (warmed conv + BN bodies restored by an exec'd serve_daemon) is
+//      tests/serve/bundle_restart_test.cpp.
 //   2. Rejection MESSAGES: mismatches must say what disagreed (name,
 //      shape, count, magic) so a mis-deployed checkpoint is diagnosable
 //      from the error alone, and surface as typed
@@ -17,9 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <cstring>
 #include <sstream>
@@ -27,7 +24,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/threadpool.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/conv2d.hpp"
@@ -47,7 +43,7 @@ std::unique_ptr<Sequential> make_bn_net(std::uint64_t seed) {
     return net;
 }
 
-TEST(Checkpoint, BatchNormRunningStatsSurviveSaveStateIntoAForkedProcess) {
+TEST(Checkpoint, BatchNormRunningStatsSurviveSaveStateIntoAFreshNet) {
     auto net = make_bn_net(/*seed=*/42);
     // "Train": drive the running statistics away from their (0, 1) init.
     Rng data_rng(7);
@@ -59,56 +55,18 @@ TEST(Checkpoint, BatchNormRunningStatsSurviveSaveStateIntoAForkedProcess) {
     const Tensor probe = Tensor::randn(Shape{2, 1, 4, 4}, data_rng);
     const std::vector<float> expected = net->forward(probe).to_vector();
 
-    const std::string path = "checkpoint_fork_test.ckpt";
+    const std::string path = "checkpoint_restore_test.ckpt";
     save_state_file(*net, path);
 
-    int bytes_pipe[2] = {-1, -1};
-    ASSERT_EQ(::pipe(bytes_pipe), 0);
-    const pid_t child = ::fork();
-    ASSERT_NE(child, -1);
-    if (child == 0) {
-        ::close(bytes_pipe[0]);
-        ThreadPool::mark_forked_child();
-        int code = 0;
-        try {
-            // Different seed: every weight differs until the load. Loading
-            // parameters alone would leave the child's BN running stats at
-            // their init and diverge — only full state restores parity.
-            auto restored = make_bn_net(/*seed=*/4242);
-            load_state_file(*restored, path);
-            restored->set_training(false);
-            const std::vector<float> output = restored->forward(probe).to_vector();
-            const std::size_t size = output.size() * sizeof(float);
-            if (::write(bytes_pipe[1], output.data(), size) !=
-                static_cast<ssize_t>(size)) {
-                code = 2;
-            }
-        } catch (...) {
-            code = 1;
-        }
-        ::close(bytes_pipe[1]);
-        ::_exit(code);
-    }
-    ::close(bytes_pipe[1]);
-    std::vector<float> child_output(expected.size());
-    std::size_t got = 0;
-    const std::size_t want = expected.size() * sizeof(float);
-    while (got < want) {
-        const ssize_t n = ::read(bytes_pipe[0], reinterpret_cast<char*>(child_output.data()) + got,
-                                 want - got);
-        if (n <= 0) {
-            break;
-        }
-        got += static_cast<std::size_t>(n);
-    }
-    ::close(bytes_pipe[0]);
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), 0) << "child failed to restore or forward";
-    ASSERT_EQ(got, want) << "child sent short output";
-    // Bitwise equality across the process boundary.
-    EXPECT_EQ(child_output, expected);
+    // Different seed: every weight differs until the load. Loading
+    // parameters alone would leave the restored BN running stats at their
+    // init and diverge — only full state restores parity.
+    auto restored = make_bn_net(/*seed=*/4242);
+    restored->set_training(false);
+    ASSERT_NE(restored->forward(probe).to_vector(), expected)
+        << "distinct seeds must disagree before the load for this test to mean anything";
+    load_state_file(*restored, path);
+    EXPECT_EQ(restored->forward(probe).to_vector(), expected);
 }
 
 TEST(Checkpoint, FixedNoiseMaskTravelsInStateCheckpoints) {

@@ -1,17 +1,27 @@
 // Privacy-mechanism invariants: cheap structural checks of the properties
-// the paper's security argument rests on. No training — these tests verify
-// the *mechanisms*, not learned behavior.
+// the paper's security argument rests on. They verify the *mechanisms*, not
+// learned behavior; the one trained deployment (EnsemblerBundle) exists to
+// check where its secret lands on disk.
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/client_state.hpp"
+#include "common/error.hpp"
+#include "core/ensembler.hpp"
 #include "core/selector.hpp"
 #include "data/synth_cifar10.hpp"
 #include "metrics/similarity.hpp"
 #include "nn/dropout.hpp"
 #include "nn/noise.hpp"
+#include "nn/resnet.hpp"
+#include "serve/bundle.hpp"
+#include "serve/service.hpp"
 #include "split/split_model.hpp"
 #include "tensor/ops.hpp"
 
@@ -111,70 +121,128 @@ TEST(SplitGeometry, HeadOutputIsWhatTheServerSees) {
               Shape({1, 4, 16, 16}));
 }
 
-struct ClientStateFixture : public ::testing::Test {
-    data::SynthCifar10 train_set{96, 41, 16};
-    nn::ResNetConfig arch;
-    core::EnsemblerConfig config;
+// The deployment a trained Ensembler writes is one serve bundle
+// (serve/bundle.hpp): the secret half in CLIENT.ens, every body in the
+// server-shareable MANIFEST.ens + body_*.ckpt.
+class EnsemblerBundle : public ::testing::Test {
+protected:
+    static nn::ResNetConfig arch() {
+        nn::ResNetConfig config;
+        config.base_width = 4;
+        config.image_size = 16;
+        config.num_classes = 10;
+        return config;
+    }
 
-    void SetUp() override {
-        arch.base_width = 4;
-        arch.image_size = 16;
-        arch.num_classes = 10;
-        config.num_networks = 2;
-        config.num_selected = 1;
+    static void SetUpTestSuite() {
+        core::EnsemblerConfig config;
+        config.num_networks = 3;
+        config.num_selected = 2;
         config.stage1_options.epochs = 1;
         config.stage3_options.epochs = 1;
         config.seed = 314;
+        train_set_ = new data::SynthCifar10(96, 41, 16);
+        source_ = new core::Ensembler(arch(), config);
+        source_->fit(*train_set_);
+        dir_ = new std::string(::testing::TempDir() + "/ens_ensembler_bundle");
+        std::filesystem::remove_all(*dir_);
+        serve::save_bundle(*dir_, *source_);
     }
+
+    static void TearDownTestSuite() {
+        std::filesystem::remove_all(*dir_);
+        delete dir_;
+        delete source_;
+        delete train_set_;
+    }
+
+    static std::string read_file(const std::filesystem::path& file) {
+        std::ifstream in(file, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    }
+
+    static data::SynthCifar10* train_set_;
+    static core::Ensembler* source_;
+    static std::string* dir_;
 };
 
-TEST_F(ClientStateFixture, RoundTripRestoresExactPipeline) {
-    core::Ensembler source(arch, config);
-    source.fit(train_set);
+data::SynthCifar10* EnsemblerBundle::train_set_ = nullptr;
+core::Ensembler* EnsemblerBundle::source_ = nullptr;
+std::string* EnsemblerBundle::dir_ = nullptr;
 
-    const std::string path = ::testing::TempDir() + "/ens_client_state.bin";
-    core::save_client_state_file(source, path);
-
-    // A second ensembler with the same stage-1/2/3 structure but different
-    // stage-3 outcome (different seed for selection via explicit override).
-    core::EnsemblerConfig other = config;
-    other.seed = 999;  // different head init + selection
-    core::Ensembler restored(arch, other);
-    restored.run_stage1(train_set);
-    restored.run_stage2();
-    restored.run_stage3(train_set);
-
-    // Note: the bodies differ (different stage-1 seed), so predictions
-    // cannot match across objects; restore into a *matching* member set:
-    core::Ensembler same(arch, config);
-    same.run_stage1(train_set);
-    same.run_stage2({1});  // wrong secret on purpose
-    same.run_stage3(train_set);
-
-    core::load_client_state_file(same, path);
-
-    EXPECT_EQ(same.selector().indices(), source.selector().indices());
-    const data::Batch batch = data::materialize(train_set, 0, 4);
-    const Tensor a = source.predict(batch.images);
-    const Tensor b = same.predict(batch.images);
-    for (std::int64_t i = 0; i < a.numel(); ++i) {
-        EXPECT_NEAR(a.at(i), b.at(i), 1e-5f);
+TEST_F(EnsemblerBundle, RestoredPipelineMatchesTheTrainedOne) {
+    // A service booted from disk alone (lossless f32 wire) serves what the
+    // trained Ensembler predicts, with the same secret selection.
+    serve::InferenceService service = serve::InferenceService::from_bundle(*dir_);
+    EXPECT_EQ(serve::load_bundle_client(*dir_).selector.indices(),
+              source_->selector().indices());
+    auto session = service.create_session();
+    const data::Batch batch = data::materialize(*train_set_, 0, 4);
+    const Tensor expected = source_->predict(batch.images);
+    const Tensor actual = session->infer(batch.images).logits;
+    ASSERT_EQ(actual.shape(), expected.shape());
+    for (std::int64_t i = 0; i < expected.numel(); ++i) {
+        EXPECT_NEAR(actual.at(i), expected.at(i), 1e-5f) << "flat index " << i;
     }
-    std::remove(path.c_str());
 }
 
-TEST_F(ClientStateFixture, RejectsMismatchedConfiguration) {
-    core::Ensembler source(arch, config);
-    source.fit(train_set);
-    const std::string path = ::testing::TempDir() + "/ens_client_state_bad.bin";
-    core::save_client_state_file(source, path);
+TEST_F(EnsemblerBundle, RestoredBodiesReproduceBodyOutputsExactly) {
+    // Every body, BatchNorm running statistics included, comes back
+    // bit-exact: the outputs the client's tail was trained against.
+    const serve::BundleManifest manifest = serve::load_bundle_manifest(*dir_);
+    std::vector<nn::LayerPtr> restored = serve::load_bundle_bodies(*dir_, manifest);
+    ASSERT_EQ(restored.size(), source_->num_networks());
+    Rng rng(9);
+    const Tensor features = Tensor::randn(
+        Shape{2, nn::resnet18_split_channels(arch()), nn::resnet18_split_hw(arch()),
+              nn::resnet18_split_hw(arch())},
+        rng);
+    for (std::size_t i = 0; i < restored.size(); ++i) {
+        source_->member_body(i).set_training(false);
+        EXPECT_EQ(restored[i]->forward(features).to_vector(),
+                  source_->member_body(i).forward(features).to_vector())
+            << "body " << i;
+    }
+}
 
-    core::EnsemblerConfig wrong = config;
-    wrong.num_networks = 3;
-    core::Ensembler target(arch, wrong);
-    target.fit(train_set);
-    EXPECT_THROW(core::load_client_state_file(target, path), std::invalid_argument);
-    std::remove(path.c_str());
+TEST_F(EnsemblerBundle, RefusesASelectorThatDoesNotCoverTheDeployment) {
+    try {
+        (void)serve::load_bundle_client(*dir_, source_->num_networks() + 1);
+        FAIL() << "a selector over 3 bodies was accepted for a 4-body deployment";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::checkpoint_error) << e.what();
+    }
+}
+
+TEST_F(EnsemblerBundle, ServerFilesNeverHoldTheSelector) {
+    // The selector record exactly as CLIENT.ens encodes it: u32 N, u32 P,
+    // then each selected index as a u32, little-endian.
+    std::string record;
+    const auto append_u32 = [&record](std::size_t value) {
+        for (int byte = 0; byte < 4; ++byte) {
+            record.push_back(static_cast<char>((value >> (8 * byte)) & 0xFF));
+        }
+    };
+    append_u32(source_->selector().n());
+    append_u32(source_->selector().p());
+    for (const std::size_t index : source_->selector().indices()) {
+        append_u32(index);
+    }
+    const std::filesystem::path dir(*dir_);
+    ASSERT_NE(read_file(dir / serve::kClientFileName).find(record), std::string::npos)
+        << "the client file must hold the record this test looks for";
+
+    std::vector<std::filesystem::path> server_files = {dir / serve::kManifestFileName};
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().filename().string().rfind("body_", 0) == 0) {
+            server_files.push_back(entry.path());
+        }
+    }
+    ASSERT_EQ(server_files.size(), 1 + source_->num_networks());
+    for (const std::filesystem::path& file : server_files) {
+        EXPECT_EQ(read_file(file).find(record), std::string::npos)
+            << file << " holds the secret selector";
+    }
 }
 
 }  // namespace

@@ -1,17 +1,21 @@
-// Restart-parity regression suite for deployment bundles (serve/bundle.hpp),
-// in-process half.
+// Restart-parity regression suite for deployment bundles (serve/bundle.hpp).
 //
 // The discipline under test is save-then-serve: a trainer writes a
-// versioned on-disk bundle, and an InferenceService booted purely from
-// that directory — no trainer objects, no shared seeds, no live layer
-// pointers — must serve outputs BIT-IDENTICAL to the trainer's own
-// in-proc sequential oracle, for lossless f32 and quantized q8 wire. The
-// models deliberately carry the state that only full-fidelity checkpoints
-// preserve: BatchNorm running statistics on both sides of the split and a
-// fixed split-point noise mask (harness::make_conv_ensemble +
-// warm_batchnorm). The service serves through its own in-process reactor,
-// so this suite is fork-free and runs under TSan; the forked-daemon cases
-// (single host and 3-shard §III-D) live in bundle_restart_daemon_test.
+// versioned on-disk bundle, and a host booted purely from that directory
+// — no trainer objects, no shared seeds, no live layer pointers — must
+// serve outputs BIT-IDENTICAL to the trainer's own in-proc sequential
+// oracle, for lossless f32 and quantized q8 wire. The models deliberately
+// carry the state that only full-fidelity checkpoints preserve: BatchNorm
+// running statistics on both sides of the split and a fixed split-point
+// noise mask (harness::make_conv_ensemble + warm_batchnorm). Two hosts:
+//   - an InferenceService (its own in-process reactor);
+//   - the exec'd serve_daemon, a fresh process that knows only the bundle
+//     path: single host, and 3-shard §III-D with each shard booting only
+//     its slice. Both are pipelined (in-flight window > 1).
+//
+// The secret stays client-side on disk too: the daemons boot with
+// CLIENT.ens deleted outright (a body-host machine never holds the
+// selector), which this suite pins.
 //
 // Hostile-input half: truncated, corrupted and version-bumped manifest /
 // client / checkpoint files must fail as typed
@@ -24,23 +28,79 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bundle_restart_harness.hpp"
 #include "common/error.hpp"
 #include "core/selector.hpp"
+#include "daemon_harness.hpp"
 #include "serve/bundle.hpp"
+#include "serve/remote.hpp"
 #include "serve/service.hpp"
+#include "serve/shard_router.hpp"
+#include "serve_harness.hpp"
+#include "split/channel.hpp"
+#include "split/session.hpp"
+#include "split/tcp_channel.hpp"
 
 namespace ens::serve {
 namespace {
 
 namespace fs = std::filesystem;
 using namespace harness;
+
+constexpr std::uint64_t kSeed = 6100;
+constexpr std::chrono::milliseconds kRequestTimeout{120000};
+constexpr std::size_t kInflight = 4;
+
+/// Trains (BN-warms) a conv ensemble and writes it as a bundle. The live
+/// parts stay with the caller — they are the oracle.
+ConvEnsembleParts make_trained_bundle(const std::string& dir, std::size_t num_bodies,
+                                      const core::Selector& selector) {
+    ConvEnsembleParts parts = make_conv_ensemble(kSeed, num_bodies, selector.p());
+    warm_batchnorm(parts, kSeed + 7);
+    set_eval(parts);
+    save_generation(dir, parts, parts, selector);
+    return parts;
+}
+
+std::vector<Tensor> make_inputs(std::uint64_t data_seed) {
+    Rng rng(data_seed);
+    return {Tensor::randn(Shape{2, 1, kConvImage, kConvImage}, rng),
+            Tensor::randn(Shape{1, 1, kConvImage, kConvImage}, rng),
+            Tensor::randn(Shape{3, 1, kConvImage, kConvImage}, rng)};
+}
+
+/// In-proc sequential oracle over the LIVE trained parts (head + noise
+/// chained into the single client head a CollaborativeSession expects).
+class Oracle {
+public:
+    Oracle(ConvEnsembleParts& parts, const core::Selector& selector, split::WireFormat wire)
+        : chain_({parts.head.get(), parts.noise.get()}) {
+        for (nn::LayerPtr& body : parts.bodies) {
+            bodies_.push_back(body.get());
+        }
+        session_ = std::make_unique<split::CollaborativeSession>(
+            chain_, bodies_, *parts.tail,
+            [&selector](const std::vector<Tensor>& features) { return selector.apply(features); },
+            uplink_, downlink_, wire);
+    }
+
+    Tensor infer(const Tensor& images) { return session_->infer(images); }
+
+private:
+    ChainLayer chain_;
+    std::vector<nn::Layer*> bodies_;
+    split::InProcChannel uplink_;
+    split::InProcChannel downlink_;
+    std::unique_ptr<split::CollaborativeSession> session_;
+};
 
 // --------------------------------------------------------------- parity
 
@@ -77,6 +137,107 @@ TEST(BundleRestart, InferenceServiceFromBundleMatchesOracleAndResaves) {
     for (const Tensor& input : inputs) {
         EXPECT_EQ(session->infer(input).logits.to_vector(),
                   oracle.infer(input).to_vector());
+    }
+}
+
+TEST(BundleRestart, SingleHostDaemonBootedFromBundleIsBitIdenticalToOracle) {
+    const std::string dir = bundle_dir_for("single_host");
+    const core::Selector selector(3, {0, 2});
+    harness::ConvEnsembleParts parts = make_trained_bundle(dir, /*num_bodies=*/3, selector);
+
+    // The client half comes off disk too — then the secret file is deleted
+    // BEFORE the daemon starts, to prove a body host never needs it. The
+    // daemon knows ONLY the directory path: no layers, no seeds, no
+    // selector cross the process boundary.
+    ClientArtifacts client = load_bundle_client(dir, 3);
+    ASSERT_NE(client.noise, nullptr);
+    ASSERT_TRUE(fs::remove(fs::path(dir) / kClientFileName));
+    const auto daemon = exec_daemon(dir);
+    const std::uint16_t port = daemon->wait_for_port(kDaemonBoot);
+
+    const std::vector<Tensor> inputs = make_inputs(31);
+    for (const split::WireFormat wire : {split::WireFormat::f32, split::WireFormat::q8}) {
+        Oracle oracle(parts, selector, wire);
+
+        RemoteSession session(split::tcp_connect("127.0.0.1", port), *client.head,
+                              client.noise.get(), *client.tail, client.selector, wire,
+                              std::chrono::seconds(30), kInflight);
+        session.set_recv_timeout(kRequestTimeout);
+        ASSERT_EQ(session.body_count(), 3u);
+        ASSERT_GT(session.window(), 1u) << "pipelined configuration required";
+
+        // Pipelined: all requests in flight before the first wait.
+        std::vector<std::future<InferenceResult>> futures;
+        for (const Tensor& input : inputs) {
+            futures.push_back(session.submit(input));
+        }
+        for (std::size_t r = 0; r < inputs.size(); ++r) {
+            const InferenceResult result = futures[r].get();
+            const Tensor expected = oracle.infer(inputs[r]);
+            ASSERT_EQ(result.logits.shape(), expected.shape());
+            EXPECT_EQ(result.logits.to_vector(), expected.to_vector())
+                << split::wire_format_name(wire) << " request " << r;
+        }
+        session.close();
+    }
+    EXPECT_EQ(daemon->stop(), 0) << "bundle daemon did not exit cleanly";
+}
+
+TEST(BundleRestart, ThreeShardPipelinedDaemonsFromBundleAreBitIdenticalToOracle) {
+    constexpr std::size_t kBodies = 6;
+    constexpr std::size_t kShards = 3;
+    constexpr std::size_t kPerShard = kBodies / kShards;
+
+    const std::string dir = bundle_dir_for("three_shard");
+    // Selector spans all three shards (the §III-D non-collusion argument).
+    const core::Selector selector(kBodies, {0, 3, 5});
+    harness::ConvEnsembleParts parts = make_trained_bundle(dir, kBodies, selector);
+
+    // Client artifacts come off disk BEFORE the secret file is removed
+    // from what the shard hosts see.
+    ClientArtifacts client = load_bundle_client(dir, kBodies);
+    ASSERT_NE(client.noise, nullptr);
+    ASSERT_TRUE(fs::remove(fs::path(dir) / kClientFileName));
+
+    // Each shard daemon boots ONLY its own slice from the directory.
+    std::vector<std::unique_ptr<perfbench::ChildProcess>> daemons;
+    std::vector<std::uint16_t> ports;
+    for (std::size_t s = 0; s < kShards; ++s) {
+        const std::size_t begin = s * kPerShard;
+        daemons.push_back(exec_daemon(
+            dir, {"--bodies", std::to_string(begin) + ".." + std::to_string(begin + kPerShard)}));
+        ports.push_back(daemons.back()->wait_for_port(kDaemonBoot));
+    }
+
+    const std::vector<Tensor> inputs = make_inputs(32);
+    for (const split::WireFormat wire : {split::WireFormat::f32, split::WireFormat::q8}) {
+        Oracle oracle(parts, selector, wire);
+
+        std::vector<std::unique_ptr<split::Channel>> channels;
+        for (const std::size_t s : {2u, 0u, 1u}) {  // scrambled on purpose
+            channels.push_back(split::tcp_connect("127.0.0.1", ports[s]));
+        }
+        ShardRouter router(std::move(channels), *client.head, client.noise.get(), *client.tail,
+                           client.selector, wire, std::chrono::seconds(30), kInflight);
+        router.set_recv_timeout(kRequestTimeout);
+        ASSERT_EQ(router.body_count(), kBodies);
+        ASSERT_GT(router.window(), 1u) << "pipelined configuration required";
+
+        std::vector<std::future<InferenceResult>> futures;
+        for (const Tensor& input : inputs) {
+            futures.push_back(router.submit(input));
+        }
+        for (std::size_t r = 0; r < inputs.size(); ++r) {
+            const InferenceResult result = futures[r].get();
+            const Tensor expected = oracle.infer(inputs[r]);
+            ASSERT_EQ(result.logits.shape(), expected.shape());
+            EXPECT_EQ(result.logits.to_vector(), expected.to_vector())
+                << split::wire_format_name(wire) << " request " << r;
+        }
+        router.close();
+    }
+    for (std::size_t s = 0; s < kShards; ++s) {
+        EXPECT_EQ(daemons[s]->stop(), 0) << "shard daemon " << s;
     }
 }
 

@@ -1,5 +1,7 @@
-// Replica failover semantics of the ShardRouter (ISSUE 9 tentpole): shard
-// serving survives replica death with ZERO lost or duplicated requests.
+// Replica failover semantics of the ShardRouter: shard serving survives
+// replica death with ZERO lost or duplicated requests. Replicas that get
+// SIGSTOPped or SIGKILLed are exec'd serve_daemon processes booted from
+// one bundle (daemon_harness.hpp), each hosting its slice via --bodies.
 //
 //   * Chaos acceptance: SIGSTOP one of R = 2 replicas so requests are
 //     genuinely pending on it, fill a depth-4 in-flight window, SIGKILL the
@@ -26,6 +28,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -37,6 +40,7 @@
 
 #include "common/error.hpp"
 #include "core/selector.hpp"
+#include "daemon_harness.hpp"
 #include "serve/retry.hpp"
 #include "serve/shard_router.hpp"
 #include "serve_harness.hpp"
@@ -56,16 +60,23 @@ constexpr std::size_t kSelected = 2;
 constexpr std::uint64_t kSeed = 6100;
 constexpr std::chrono::milliseconds kRequestTimeout{20000};
 
-harness::ForkedDaemon spawn_replica(std::size_t begin, std::size_t count,
-                                    std::uint16_t fixed_port = 0) {
-    return harness::spawn_body_host(
-        [begin, count] {
-            auto host = std::make_unique<BodyHost>(
-                harness::make_shard_bodies(kSeed, kBodies, begin, count));
-            host->set_shard(begin, kBodies);
-            return host;
-        },
-        /*connections=*/1, fixed_port);
+using Daemon = std::unique_ptr<perfbench::ChildProcess>;
+
+/// Writes the kSeed deployment as a bundle; every replica boots from it.
+std::string save_deployment(const std::string& name) {
+    harness::EnsembleParts parts = harness::make_linear_ensemble(kSeed, kBodies, kSelected);
+    harness::set_eval(parts);
+    const std::string dir = harness::bundle_dir_for(name);
+    harness::save_generation(dir, parts, parts, core::Selector(kBodies, {0, 3}));
+    return dir;
+}
+
+/// A replica daemon hosting bodies [begin, begin + count) of the bundle;
+/// a nonzero `port` reclaims a killed replica's address.
+Daemon exec_replica(const std::string& dir, std::size_t begin, std::size_t count,
+                    std::uint16_t port = 0) {
+    return harness::exec_daemon(
+        dir, {"--bodies", std::to_string(begin) + ".." + std::to_string(begin + count)}, port);
 }
 
 /// Small backoffs so the background redialer's cadence, not the test's
@@ -131,16 +142,15 @@ OracleRun precompute_oracle(std::uint64_t model_seed, std::size_t bodies,
 // replacement daemon binds its old port — proven by killing the OTHER
 // replica and serving through the re-admitted one alone.
 TEST(Failover, KilledReplicaMidWindowFailsOverBitExactAndIsReadmitted) {
-    // daemons[s * kReplicas + r] = replica r of shard s. Forked before any
-    // parent-side tensor work (fixture idiom).
-    std::vector<harness::ForkedDaemon> daemons;
+    // daemons[s * kReplicas + r] = replica r of shard s.
+    const std::string dir = save_deployment("failover_chaos");
+    std::vector<Daemon> daemons;
+    std::vector<std::uint16_t> ports;
     for (std::size_t s = 0; s < kShards; ++s) {
         for (std::size_t r = 0; r < kReplicas; ++r) {
-            daemons.push_back(spawn_replica(s * kPerShard, kPerShard));
+            daemons.push_back(exec_replica(dir, s * kPerShard, kPerShard));
+            ports.push_back(daemons.back()->wait_for_port(harness::kDaemonBoot));
         }
-    }
-    for (const harness::ForkedDaemon& daemon : daemons) {
-        ASSERT_GT(daemon.port(), 0);
     }
 
     const core::Selector selector(kBodies, {0, 3});
@@ -153,8 +163,7 @@ TEST(Failover, KilledReplicaMidWindowFailsOverBitExactAndIsReadmitted) {
     std::vector<std::vector<ReplicaEndpoint>> endpoints(kShards);
     for (std::size_t s = 0; s < kShards; ++s) {
         for (std::size_t r = 0; r < kReplicas; ++r) {
-            endpoints[s].push_back(
-                ReplicaEndpoint{"127.0.0.1", daemons[s * kReplicas + r].port()});
+            endpoints[s].push_back(ReplicaEndpoint{"127.0.0.1", ports[s * kReplicas + r]});
         }
     }
     ShardRouter router(endpoints, *client_parts.head, nullptr, *client_parts.tail, selector,
@@ -172,13 +181,14 @@ TEST(Failover, KilledReplicaMidWindowFailsOverBitExactAndIsReadmitted) {
     // Freeze replica 1 of shard 0 (SIGSTOP: connection open, nothing
     // answers) so the round-robin requests routed to it are genuinely
     // pending at kill time, then fill a depth-4 window and SIGKILL it.
-    const std::uint16_t flapped_port = daemons[1].port();
-    daemons[1].stop_now();
+    const std::uint16_t flapped_port = ports[1];
+    ASSERT_EQ(::kill(daemons[1]->pid(), SIGSTOP), 0);
     std::vector<std::future<InferenceResult>> window;
     for (std::size_t i = 1; i <= 4; ++i) {
         window.push_back(router.submit(oracle.inputs[i]));
     }
-    daemons[1].kill_now();
+    ASSERT_EQ(::kill(daemons[1]->pid(), SIGKILL), 0);
+    daemons[1]->stop();  // reaped: its port is free to reclaim
 
     // Zero lost requests: every future — including the ones that were in
     // flight on the killed replica — resolves bit-exact via the sibling.
@@ -197,8 +207,8 @@ TEST(Failover, KilledReplicaMidWindowFailsOverBitExactAndIsReadmitted) {
     // A replacement daemon reclaims the killed replica's port; the
     // background redialer must re-admit it on the retry schedule with no
     // client involvement.
-    harness::ForkedDaemon replacement = spawn_replica(0, kPerShard, flapped_port);
-    ASSERT_EQ(replacement.port(), flapped_port);
+    const Daemon replacement = exec_replica(dir, 0, kPerShard, flapped_port);
+    ASSERT_EQ(replacement->wait_for_port(harness::kDaemonBoot), flapped_port);
     ASSERT_TRUE(wait_until([&] { return router.replica_status(0).healthy == kReplicas; },
                            std::chrono::seconds(15)))
         << "background redial did not re-admit the replaced replica";
@@ -208,7 +218,7 @@ TEST(Failover, KilledReplicaMidWindowFailsOverBitExactAndIsReadmitted) {
     // The re-admitted replica genuinely serves: kill shard 0's OTHER
     // replica and route another window through — bit-parity must hold with
     // the replacement as the shard's only healthy member.
-    daemons[0].kill_now();
+    ASSERT_EQ(::kill(daemons[0]->pid(), SIGKILL), 0);
     std::vector<std::future<InferenceResult>> after;
     for (std::size_t i = 5; i < 9; ++i) {
         after.push_back(router.submit(oracle.inputs[i]));
@@ -220,11 +230,11 @@ TEST(Failover, KilledReplicaMidWindowFailsOverBitExactAndIsReadmitted) {
     EXPECT_FALSE(router.shard_needs_reconnect(0));
 
     router.close();
-    // Shard 1's replicas and the replacement were never killed: their serve
-    // loops must end cleanly when the router disconnects.
-    EXPECT_EQ(daemons[2].wait_exit_code(), 0);
-    EXPECT_EQ(daemons[3].wait_exit_code(), 0);
-    EXPECT_EQ(replacement.wait_exit_code(), 0);
+    // Shard 1's replicas and the replacement were never killed: each must
+    // drain and exit cleanly.
+    EXPECT_EQ(daemons[2]->stop(), 0);
+    EXPECT_EQ(daemons[3]->stop(), 0);
+    EXPECT_EQ(replacement->stop(), 0);
 }
 
 // The same failover path with a scripted, index-exact failure — no
@@ -320,10 +330,19 @@ TEST(Failover, ScriptedReplicaDeathReplaysInFlightAndLastReplicaFaultsTyped) {
 // resolve bit-exact (failover absorbs each kill) and none may hang; the
 // flapper's reconnects must all be accepted.
 TEST(Failover, ManualReconnectRacesSubmitsWhileAReplicaFlaps) {
-    harness::ForkedDaemon stable = spawn_replica(0, kBodies);
-    harness::ForkedDaemon flappy = spawn_replica(0, kBodies);
-    ASSERT_GT(stable.port(), 0);
-    ASSERT_GT(flappy.port(), 0);
+    constexpr std::size_t kFlaps = 3;
+    // flappy[0] is the original second replica; flappy[c + 1] replaces
+    // flappy[c]. All are exec'd up front from this thread: a daemon dies
+    // with the thread that spawned it, and the flapper thread ends first.
+    const std::string dir = save_deployment("failover_flap");
+    const Daemon stable = exec_replica(dir, 0, kBodies);
+    std::vector<Daemon> flappy;
+    std::vector<std::uint16_t> flappy_ports;
+    for (std::size_t c = 0; c <= kFlaps; ++c) {
+        flappy.push_back(exec_replica(dir, 0, kBodies));
+        flappy_ports.push_back(flappy.back()->wait_for_port(harness::kDaemonBoot));
+    }
+    const std::uint16_t stable_port = stable->wait_for_port(harness::kDaemonBoot);
 
     const core::Selector selector(kBodies, {0, 3});
     const OracleRun oracle = precompute_oracle(kSeed, kBodies, kSelected, selector,
@@ -333,8 +352,8 @@ TEST(Failover, ManualReconnectRacesSubmitsWhileAReplicaFlaps) {
     harness::set_eval(client_parts);
     std::vector<std::vector<std::unique_ptr<split::Channel>>> groups;
     groups.emplace_back();
-    groups.back().push_back(split::tcp_connect("127.0.0.1", stable.port()));
-    groups.back().push_back(split::tcp_connect("127.0.0.1", flappy.port()));
+    groups.back().push_back(split::tcp_connect("127.0.0.1", stable_port));
+    groups.back().push_back(split::tcp_connect("127.0.0.1", flappy_ports[0]));
     RetryPolicy retry = fast_retry();
     retry.base_backoff = std::chrono::milliseconds(10);
     retry.max_backoff = std::chrono::milliseconds(50);
@@ -346,19 +365,18 @@ TEST(Failover, ManualReconnectRacesSubmitsWhileAReplicaFlaps) {
     std::string flap_error;
     std::thread flapper([&] {
         try {
-            for (int cycle = 0; cycle < 3; ++cycle) {
-                flappy.kill_now();
+            for (std::size_t cycle = 0; cycle < kFlaps; ++cycle) {
+                if (::kill(flappy[cycle]->pid(), SIGKILL) != 0) {
+                    throw std::runtime_error("cannot SIGKILL the flapping replica");
+                }
                 // The demux notices the dead stream on its own (EOF), even
                 // with no request in flight on it.
                 if (!wait_until([&] { return router.replica_status(0).healthy == 1; },
                                 std::chrono::seconds(10))) {
                     throw std::runtime_error("router never noticed the killed replica");
                 }
-                flappy = spawn_replica(0, kBodies);
-                if (flappy.port() == 0) {
-                    throw std::runtime_error("replacement daemon failed to spawn");
-                }
-                router.reconnect_shard(0, split::tcp_connect("127.0.0.1", flappy.port()));
+                router.reconnect_shard(
+                    0, split::tcp_connect("127.0.0.1", flappy_ports[cycle + 1]));
                 // Let some traffic ride the fresh replica before flapping
                 // it again.
                 std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -401,8 +419,8 @@ TEST(Failover, ManualReconnectRacesSubmitsWhileAReplicaFlaps) {
     EXPECT_EQ(router.infer(oracle.inputs[0]).logits.to_vector(), oracle.expected[0]);
 
     router.close();
-    EXPECT_EQ(stable.wait_exit_code(), 0);
-    EXPECT_EQ(flappy.wait_exit_code(), 0);
+    EXPECT_EQ(stable->stop(), 0);
+    EXPECT_EQ(flappy[kFlaps]->stop(), 0);
 }
 
 // A deployment with a crashed replica must still accept NEW clients, or
@@ -415,19 +433,21 @@ TEST(Failover, ManualReconnectRacesSubmitsWhileAReplicaFlaps) {
 // alone. A shard with NO reachable replica still refuses to boot, typed
 // and labeled with the last dial failure's address.
 TEST(Failover, BootsDegradedWithDeadReplicaAndAdmitsItInBackground) {
-    // Reserve a port for the dead endpoint: spawn a daemon, SIGKILL it.
+    // Reserve a port for the dead endpoint: start a daemon, SIGKILL it.
     // Connects to the port are refused until the replacement rebinds it.
-    harness::ForkedDaemon port_holder = spawn_replica(kPerShard, kPerShard);
-    std::vector<harness::ForkedDaemon> daemons;
-    daemons.push_back(spawn_replica(0, kPerShard));          // shard 0 replica 0
-    daemons.push_back(spawn_replica(0, kPerShard));          // shard 0 replica 1
-    daemons.push_back(spawn_replica(kPerShard, kPerShard));  // shard 1 replica 1
-    ASSERT_GT(port_holder.port(), 0);
-    for (const harness::ForkedDaemon& daemon : daemons) {
-        ASSERT_GT(daemon.port(), 0);
+    const std::string dir = save_deployment("failover_degraded");
+    const Daemon port_holder = exec_replica(dir, kPerShard, kPerShard);
+    std::vector<Daemon> daemons;
+    daemons.push_back(exec_replica(dir, 0, kPerShard));          // shard 0 replica 0
+    daemons.push_back(exec_replica(dir, 0, kPerShard));          // shard 0 replica 1
+    daemons.push_back(exec_replica(dir, kPerShard, kPerShard));  // shard 1 replica 1
+    std::vector<std::uint16_t> ports;
+    for (const Daemon& daemon : daemons) {
+        ports.push_back(daemon->wait_for_port(harness::kDaemonBoot));
     }
-    const std::uint16_t dead_port = port_holder.port();
-    port_holder.kill_now();
+    const std::uint16_t dead_port = port_holder->wait_for_port(harness::kDaemonBoot);
+    ASSERT_EQ(::kill(port_holder->pid(), SIGKILL), 0);
+    port_holder->stop();  // reaped: the port is closed until the replacement
 
     const core::Selector selector(kBodies, {0, 3});
     const OracleRun oracle = precompute_oracle(kSeed, kBodies, kSelected, selector,
@@ -436,10 +456,10 @@ TEST(Failover, BootsDegradedWithDeadReplicaAndAdmitsItInBackground) {
     harness::set_eval(client_parts);
 
     std::vector<std::vector<ReplicaEndpoint>> endpoints(kShards);
-    endpoints[0].push_back(ReplicaEndpoint{"127.0.0.1", daemons[0].port()});
-    endpoints[0].push_back(ReplicaEndpoint{"127.0.0.1", daemons[1].port()});
+    endpoints[0].push_back(ReplicaEndpoint{"127.0.0.1", ports[0]});
+    endpoints[0].push_back(ReplicaEndpoint{"127.0.0.1", ports[1]});
     endpoints[1].push_back(ReplicaEndpoint{"127.0.0.1", dead_port});
-    endpoints[1].push_back(ReplicaEndpoint{"127.0.0.1", daemons[2].port()});
+    endpoints[1].push_back(ReplicaEndpoint{"127.0.0.1", ports[2]});
     ShardRouter router(endpoints, *client_parts.head, nullptr, *client_parts.tail, selector,
                        split::WireFormat::f32, fast_retry(), /*max_inflight=*/4);
     router.set_recv_timeout(kRequestTimeout);
@@ -463,15 +483,16 @@ TEST(Failover, BootsDegradedWithDeadReplicaAndAdmitsItInBackground) {
 
     // A daemon binds the dead port: the background redialer must admit the
     // born-failed replica on the retry schedule, no client involvement.
-    harness::ForkedDaemon replacement = spawn_replica(kPerShard, kPerShard, dead_port);
-    ASSERT_EQ(replacement.port(), dead_port);
+    const Daemon replacement = exec_replica(dir, kPerShard, kPerShard, dead_port);
+    ASSERT_EQ(replacement->wait_for_port(harness::kDaemonBoot), dead_port);
     ASSERT_TRUE(wait_until([&] { return router.replica_status(1).healthy == kReplicas; },
                            std::chrono::seconds(15)))
         << "background redial did not admit the born-failed replica";
 
     // The admitted replica genuinely serves: kill shard 1's original
     // replica and route a window through the newcomer alone.
-    daemons[2].kill_now();
+    ASSERT_EQ(::kill(daemons[2]->pid(), SIGKILL), 0);
+    daemons[2]->stop();  // reaped: its port is dead for the check below
     std::vector<std::future<InferenceResult>> window;
     for (std::size_t i = 4; i < 9; ++i) {
         window.push_back(router.submit(oracle.inputs[i]));
@@ -486,7 +507,7 @@ TEST(Failover, BootsDegradedWithDeadReplicaAndAdmitsItInBackground) {
     // unreachable throws the last dial error, labeled with the address.
     // daemons[2]'s port is dead again now that it was killed.
     std::vector<std::vector<ReplicaEndpoint>> all_dead(1);
-    all_dead[0].push_back(ReplicaEndpoint{"127.0.0.1", daemons[2].port()});
+    all_dead[0].push_back(ReplicaEndpoint{"127.0.0.1", ports[2]});
     RetryPolicy one_shot = fast_retry();
     one_shot.max_attempts = 1;
     try {
@@ -495,15 +516,14 @@ TEST(Failover, BootsDegradedWithDeadReplicaAndAdmitsItInBackground) {
         FAIL() << "router with an all-dead shard constructed";
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), ErrorCode::io_error) << e.what();
-        EXPECT_NE(std::string(e.what()).find(std::to_string(daemons[2].port())),
-                  std::string::npos)
+        EXPECT_NE(std::string(e.what()).find(std::to_string(ports[2])), std::string::npos)
             << e.what();
     }
 
     router.close();
-    EXPECT_EQ(daemons[0].wait_exit_code(), 0);
-    EXPECT_EQ(daemons[1].wait_exit_code(), 0);
-    EXPECT_EQ(replacement.wait_exit_code(), 0);
+    EXPECT_EQ(daemons[0]->stop(), 0);
+    EXPECT_EQ(daemons[1]->stop(), 0);
+    EXPECT_EQ(replacement->stop(), 0);
 }
 
 }  // namespace

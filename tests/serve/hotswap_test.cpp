@@ -1,15 +1,18 @@
 // Zero-downtime live bundle hot-swap, end to end across a process
-// boundary: a forked reactor daemon boots generation 1 from an on-disk
-// bundle, receives SIGHUP MID-WINDOW (requests in flight), loads
-// generation 2 beside it, and
+// boundary: the exec'd serve_daemon (--bundle v1 --swap-bundle v2) boots
+// generation 1 from disk, receives SIGHUP MID-WINDOW (requests in flight),
+// loads generation 2 beside it, and
 //
 //   - the already-connected session loses NOTHING: every request — before,
 //     during and after the swap — resolves and bit-matches the generation
 //     1 oracle (version pinning; the swap never touches a live session);
 //   - connections opened after the swap handshake deployment_version 2 and
 //     bit-match the generation 2 oracle;
-//   - generation 1's bodies actually retire once its last session closes
-//     (the child asserts live_versions() == {2} before exiting 0).
+//   - the daemon still drains and exits 0 on SIGTERM afterwards.
+//
+// That generation 1's bodies retire once its last session closes is
+// asserted in-thread, where live_versions() is observable
+// (ReactorSwap.SessionsPinTheirGenerationAndOldOneRetires).
 //
 // The two bundles share the client half (head/tail/selector from the same
 // seed) and differ ONLY in body weights — exactly a retrain-and-roll —
@@ -20,7 +23,6 @@
 
 #include <chrono>
 #include <csignal>
-#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -29,6 +31,7 @@
 
 #include "common/error.hpp"
 #include "core/selector.hpp"
+#include "daemon_harness.hpp"
 #include "serve/bundle.hpp"
 #include "serve/deployment.hpp"
 #include "serve/protocol.hpp"
@@ -42,35 +45,13 @@
 namespace ens::serve {
 namespace {
 
-namespace fs = std::filesystem;
-
 constexpr std::size_t kBodies = 3;
 constexpr std::uint64_t kSeedV1 = 7100;
 constexpr std::uint64_t kSeedV2 = 7200;
 constexpr std::chrono::milliseconds kRequestTimeout{120000};
 
-std::string bundle_dir_for(const std::string& name) {
-    const fs::path dir = fs::path("bundle_artifacts") / name;
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir.string();
-}
-
-/// Writes a bundle whose BODIES come from `body_parts` but whose client
-/// half (head/tail/selector) comes from `client_parts` — the
-/// retrain-and-roll shape: generation 2 replaces body weights only, so
-/// the deployed clients keep working.
-void save_generation(const std::string& dir, harness::EnsembleParts& client_parts,
-                     harness::EnsembleParts& body_parts, const core::Selector& selector) {
-    BundleArtifacts artifacts;
-    for (nn::LayerPtr& body : body_parts.bodies) {
-        artifacts.bodies.push_back(body.get());
-    }
-    artifacts.head = client_parts.head.get();
-    artifacts.tail = client_parts.tail.get();
-    artifacts.selector = &selector;
-    save_bundle(dir, artifacts);
-}
+using harness::bundle_dir_for;
+using harness::save_generation;
 
 /// Sequential in-proc oracle: client half from `client_parts`, bodies from
 /// `body_parts` (pass the same parts twice for generation 1).
@@ -104,7 +85,7 @@ std::uint32_t probe_version(std::uint16_t port) {
     return decode_handshake(channel->recv()).deployment_version;
 }
 
-TEST(HotSwap, SighupMidWindowLosesNothingAndRetiresOldGeneration) {
+TEST(HotSwap, SighupMidWindowLosesNothingAndNewConnectionsGetTheNewGeneration) {
     // Generation 1 and the retrained generation 2: same client half, same
     // geometry, different body weights.
     harness::EnsembleParts parts_v1 = harness::make_linear_ensemble(kSeedV1, kBodies,
@@ -120,43 +101,21 @@ TEST(HotSwap, SighupMidWindowLosesNothingAndRetiresOldGeneration) {
     save_generation(dir_v1, parts_v1, parts_v1, selector);
     save_generation(dir_v2, parts_v1, parts_v2, selector);
 
-    // The daemon: the exact serve_daemon --swap-bundle layout.
-    // Exit codes: 0 clean, 3 = old generation failed to retire, 4 = the
-    // swap itself failed.
-    harness::ForkedDaemon daemon([dir_v1, dir_v2](split::ChannelListener& listener) {
-        SignalSet signals{SIGHUP, SIGTERM};  // before ANY thread spawns
-        std::shared_ptr<DeploymentManager> manager = DeploymentManager::from_bundle(dir_v1);
-        ReactorConfig config;
-        config.worker_threads = 2;
-        config.drain_grace = std::chrono::milliseconds(100);
-        ReactorHost reactor(manager, config);
-        std::thread loop([&] { reactor.run(listener); });
-        for (;;) {
-            const int sig = signals.wait();
-            if (sig == SIGHUP) {
-                try {
-                    manager->swap_from_bundle(dir_v2);
-                } catch (const std::exception&) {
-                    reactor.shutdown();
-                    loop.join();
-                    ::_exit(4);
-                }
-            } else {
-                break;  // SIGTERM: drain and leave
-            }
-        }
-        reactor.shutdown();
-        loop.join();
-        if (manager->live_versions() != std::vector<std::uint32_t>{2}) {
-            ::_exit(3);
-        }
-    });
-    ASSERT_GT(daemon.port(), 0);
+    const auto daemon = harness::exec_daemon(dir_v1, {"--swap-bundle", dir_v2});
+    const std::uint16_t port = daemon->wait_for_port(harness::kDaemonBoot);
+
+    // The sessions' own copy of the client half: a session runs its tail
+    // on its receive thread while the oracles below run theirs on this
+    // one, and a layer's forward is not safe to run concurrently.
+    harness::EnsembleParts client = harness::make_linear_ensemble(kSeedV1, kBodies,
+                                                                  /*num_selected=*/2);
+    harness::set_eval(client);
 
     // Session pinned to generation 1. Its completed handshake also proves
-    // the child's SignalSet is constructed — safe to signal from here on.
-    RemoteSession old_session(split::tcp_connect("127.0.0.1", daemon.port()), *parts_v1.head,
-                              nullptr, *parts_v1.tail, selector, split::WireFormat::f32,
+    // the daemon's signal handling is in place (it blocks SIGHUP and
+    // SIGTERM before its reactor starts) — safe to signal from here on.
+    RemoteSession old_session(split::tcp_connect("127.0.0.1", port), *client.head, nullptr,
+                              *client.tail, selector, split::WireFormat::f32,
                               std::chrono::seconds(30), /*max_inflight=*/4);
     old_session.set_recv_timeout(kRequestTimeout);
     ASSERT_EQ(old_session.deployment_version(), 1u);
@@ -171,7 +130,7 @@ TEST(HotSwap, SighupMidWindowLosesNothingAndRetiresOldGeneration) {
         inputs.push_back(Tensor::randn(Shape{2, harness::kIn}, data_rng));
         futures.push_back(old_session.submit(inputs.back()));
     }
-    ASSERT_EQ(::kill(daemon.pid(), SIGHUP), 0);
+    ASSERT_EQ(::kill(daemon->pid(), SIGHUP), 0);
 
     // The pinned session keeps flowing THROUGH and AFTER the swap.
     for (std::size_t r = 0; r < 8; ++r) {
@@ -190,11 +149,11 @@ TEST(HotSwap, SighupMidWindowLosesNothingAndRetiresOldGeneration) {
     }
 
     // New connections see generation 2 (the swap loads a bundle from disk
-    // in the child's signal thread — poll until it lands).
+    // on the daemon's signal thread — poll until it lands).
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
     std::uint32_t advertised = 0;
     while (std::chrono::steady_clock::now() < deadline) {
-        advertised = probe_version(daemon.port());
+        advertised = probe_version(port);
         if (advertised == 2) {
             break;
         }
@@ -204,8 +163,8 @@ TEST(HotSwap, SighupMidWindowLosesNothingAndRetiresOldGeneration) {
 
     // ...and bit-match the generation 2 oracle (same client half, new
     // bodies), while the old session is still open.
-    RemoteSession new_session(split::tcp_connect("127.0.0.1", daemon.port()), *parts_v1.head,
-                              nullptr, *parts_v1.tail, selector, split::WireFormat::f32,
+    RemoteSession new_session(split::tcp_connect("127.0.0.1", port), *client.head, nullptr,
+                              *client.tail, selector, split::WireFormat::f32,
                               std::chrono::seconds(30), /*max_inflight=*/4);
     new_session.set_recv_timeout(kRequestTimeout);
     ASSERT_EQ(new_session.deployment_version(), 2u);
@@ -223,32 +182,12 @@ TEST(HotSwap, SighupMidWindowLosesNothingAndRetiresOldGeneration) {
             << "generations are indistinguishable — test cannot detect bleed";
     }
 
-    // Closing both sessions lets generation 1 retire; the child asserts
-    // live_versions() == {2} on its way out (exit 3 otherwise).
     old_session.close();
     new_session.close();
-    ASSERT_EQ(::kill(daemon.pid(), SIGTERM), 0);
-    EXPECT_EQ(daemon.wait_exit_code(), 0)
-        << "daemon exited dirty (3 = generation 1 never retired, 4 = swap failed)";
+    EXPECT_EQ(daemon->stop(), 0) << "daemon did not drain and exit cleanly after the swap";
 }
 
 // ------------------------------------------------- optimized generations
-
-/// Conv-bundle analogue of save_generation: bodies from `body_parts`,
-/// client half (head/noise/tail/selector) from `client_parts`.
-void save_conv_generation(const std::string& dir, harness::ConvEnsembleParts& client_parts,
-                          harness::ConvEnsembleParts& body_parts,
-                          const core::Selector& selector) {
-    BundleArtifacts artifacts;
-    for (nn::LayerPtr& body : body_parts.bodies) {
-        artifacts.bodies.push_back(body.get());
-    }
-    artifacts.head = client_parts.head.get();
-    artifacts.noise = client_parts.noise.get();
-    artifacts.tail = client_parts.tail.get();
-    artifacts.selector = &selector;
-    save_bundle(dir, artifacts);
-}
 
 /// Sequential in-proc oracle over conv parts (head + noise chained into
 /// the single client head a CollaborativeSession expects).
@@ -294,8 +233,8 @@ TEST(HotSwap, StickyOptimizeCompilesEverySwappedGeneration) {
 
     const std::string dir_v1 = bundle_dir_for("hotswap_opt_v1");
     const std::string dir_v2 = bundle_dir_for("hotswap_opt_v2");
-    save_conv_generation(dir_v1, v1, v1, selector);
-    save_conv_generation(dir_v2, v1, v2, selector);
+    save_generation(dir_v1, v1, v1, selector);
+    save_generation(dir_v2, v1, v2, selector);
 
     std::shared_ptr<DeploymentManager> manager = DeploymentManager::from_bundle(
         dir_v1, 0, static_cast<std::size_t>(-1), /*optimize=*/true);
@@ -353,7 +292,7 @@ TEST(HotSwap, StickyOptimizeCompilesEverySwappedGeneration) {
 TEST(HotSwap, SwapFromBundleRefusesACorruptBundleAndKeepsServing) {
     // A failed SIGHUP reload must leave the daemon on the OLD generation,
     // still serving — operator error cannot take the host down. In-process
-    // variant (the failure path needs no fork to be real).
+    // (the failure path needs no second process to be real).
     harness::EnsembleParts parts = harness::make_linear_ensemble(kSeedV1, kBodies,
                                                                  /*num_selected=*/2);
     harness::set_eval(parts);

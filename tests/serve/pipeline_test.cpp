@@ -1,6 +1,6 @@
 // Protocol-v3 pipelining proofs:
 //   * a windowed ShardRouter (multiple requests in flight across three
-//     forked shard daemons, real TCP) is BIT-IDENTICAL to the sequential
+//     in-thread shard reactors, real loopback TCP) is BIT-IDENTICAL to the sequential
 //     in-proc CollaborativeSession oracle for f32 and q8 wire — pipelining
 //     reorders work, never bytes;
 //   * completion is genuinely OUT OF ORDER: a host that holds request A and
@@ -50,27 +50,19 @@ std::vector<Tensor> make_inputs(std::size_t count, std::uint64_t seed) {
 TEST(Pipeline, WindowedShardRouterIsBitIdenticalToSequentialOracle) {
     constexpr std::size_t kBodies = 6;
     constexpr std::size_t kShards = 3;
-    constexpr std::size_t kPerShard = kBodies / kShards;
     constexpr std::uint64_t kSeed = 6100;
     constexpr std::size_t kRequests = 6;
 
-    // Fork the shard hosts FIRST (no tensor work in the parent yet); each
-    // serves one connection per wire format under test.
-    std::vector<harness::ForkedDaemon> daemons;
-    for (std::size_t s = 0; s < kShards; ++s) {
-        const std::size_t begin = s * kPerShard;
-        daemons.push_back(harness::spawn_body_host(
-            [begin] {
-                auto host = std::make_unique<BodyHost>(
-                    harness::make_shard_bodies(kSeed, kBodies, begin, kPerShard));
-                host->set_shard(begin, kBodies);
-                return host;
-            },
-            /*connections=*/2));
+    // One in-thread reactor per shard, each serving its slice of its own
+    // copy of the deployment's bodies (the oracle's copy is separate).
+    harness::EnsembleParts host_parts = harness::make_linear_ensemble(kSeed, kBodies, 3);
+    harness::set_eval(host_parts);
+    std::vector<nn::Layer*> host_bodies;
+    for (nn::LayerPtr& body : host_parts.bodies) {
+        host_bodies.push_back(body.get());
     }
-    for (const harness::ForkedDaemon& daemon : daemons) {
-        ASSERT_GT(daemon.port(), 0);
-    }
+    const auto hosts =
+        harness::serve_shard_plan(host_bodies, split::ShardPlan::blocks(kBodies, kShards));
 
     const core::Selector selector(kBodies, {0, 2, 5});
     const std::vector<Tensor> inputs = make_inputs(kRequests, 61);
@@ -99,7 +91,7 @@ TEST(Pipeline, WindowedShardRouterIsBitIdenticalToSequentialOracle) {
         harness::set_eval(client_parts);
         std::vector<std::unique_ptr<split::Channel>> channels;
         for (std::size_t s = 0; s < kShards; ++s) {
-            channels.push_back(split::tcp_connect("127.0.0.1", daemons[s].port()));
+            channels.push_back(split::tcp_connect("127.0.0.1", hosts[s]->port()));
         }
         ShardRouter router(std::move(channels), *client_parts.head, nullptr, *client_parts.tail,
                            selector, wire, std::chrono::seconds(30), /*max_inflight=*/4);
@@ -129,9 +121,6 @@ TEST(Pipeline, WindowedShardRouterIsBitIdenticalToSequentialOracle) {
                 << "shard " << s;
         }
         router.close();
-    }
-    for (std::size_t s = 0; s < kShards; ++s) {
-        EXPECT_EQ(daemons[s].wait_exit_code(), 0) << "shard daemon " << s;
     }
 }
 

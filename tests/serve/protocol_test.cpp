@@ -246,7 +246,7 @@ TEST(ServeProtocol, V2ClientFramesAreRefusedByV4Host) {
 
 TEST(ServeProtocol, DeploymentVersionRoundTripsAndV3IsRefusedByName) {
     // v4's new field: the deployment generation a connection pins. It
-    // must survive the encode/decode round trip (the hot-swap fork test
+    // must survive the encode/decode round trip (the hot-swap daemon test
     // detects swap completion through it) and default to 0 (unversioned).
     HostInfo info;
     info.total_bodies = 3;

@@ -25,8 +25,12 @@
 //     throws mid-request drops only its connection, exactly once, without
 //     counting the request as served.
 //
-// Graceful shutdown (a forked daemon) lives in reactor_drain_test, so
-// this suite stays fork-free and runs under TSan.
+//   - Poller slots: closing the first, a middle and the last of eight
+//     pipelined connections (the persistent pollfd array swap-removes
+//     their slots) leaves every survivor and a fresh connection bit-exact.
+//   - Graceful shutdown: the exec'd serve_daemon, SIGTERMed with a window
+//     of requests in flight, answers every one of them (no torn replies),
+//     then exits 0.
 //
 // Bit-parity oracle: the same in-proc sequential CollaborativeSession the
 // other serve suites compare against.
@@ -39,27 +43,104 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "reactor_harness.hpp"
+#include "core/selector.hpp"
+#include "daemon_harness.hpp"
 #include "serve/deployment.hpp"
 #include "serve/protocol.hpp"
 #include "serve/reactor.hpp"
 #include "serve/remote.hpp"
+#include "serve_harness.hpp"
+#include "split/channel.hpp"
+#include "split/codec.hpp"
+#include "split/session.hpp"
+#include "split/tcp_channel.hpp"
 
 namespace ens::serve {
 namespace {
 
 using namespace harness;
+
+constexpr std::size_t kBodies = 3;
+constexpr std::uint64_t kSeed = 4100;
+constexpr std::chrono::milliseconds kRequestTimeout{120000};
+
+/// The selector is {0, bodies - 1} of `bodies` ({0, 2} of the default 3).
+core::Selector selector_for(std::size_t bodies) {
+    return core::Selector(bodies, {0, bodies - 1});
+}
+
+/// In-memory whole-deployment host over the shared deterministic ensemble
+/// geometry (same seed -> bit-identical bodies everywhere).
+std::shared_ptr<BodyHost> make_ensemble_host(std::uint64_t seed) {
+    EnsembleParts parts = make_linear_ensemble(seed, kBodies, /*num_selected=*/2);
+    return std::make_shared<BodyHost>(std::move(parts.bodies));
+}
+
+/// The sequential in-proc oracle. The client half (head/tail) and the body
+/// weights may come from DIFFERENT seeds: a hot swap replaces only the
+/// host's bodies, so a post-swap session is client seed + NEW body seed.
+struct Oracle {
+    EnsembleParts client_parts;
+    EnsembleParts body_parts;
+    core::Selector selector;
+    split::InProcChannel uplink;
+    split::InProcChannel downlink;
+    std::unique_ptr<split::CollaborativeSession> session;
+
+    Oracle(std::uint64_t client_seed, std::uint64_t body_seed, split::WireFormat wire,
+           std::size_t bodies = kBodies)
+        : client_parts(make_linear_ensemble(client_seed, bodies, /*num_selected=*/2)),
+          body_parts(make_linear_ensemble(body_seed, bodies, /*num_selected=*/2)),
+          selector(selector_for(bodies)) {
+        set_eval(client_parts);
+        set_eval(body_parts);
+        std::vector<nn::Layer*> body_layers;
+        for (nn::LayerPtr& body : body_parts.bodies) {
+            body_layers.push_back(body.get());
+        }
+        session = std::make_unique<split::CollaborativeSession>(
+            *client_parts.head, body_layers, *client_parts.tail,
+            [this](const std::vector<Tensor>& features) { return selector.apply(features); },
+            uplink, downlink, wire);
+    }
+};
+
+/// Client half for a RemoteSession against a `bodies`-body host of `seed`.
+struct ClientHalf {
+    EnsembleParts parts;
+    core::Selector selector;
+
+    explicit ClientHalf(std::uint64_t seed, std::size_t bodies = kBodies)
+        : parts(make_linear_ensemble(seed, bodies, /*num_selected=*/2)),
+          selector(selector_for(bodies)) {
+        set_eval(parts);
+    }
+
+    // RemoteSession is deliberately pinned in place (mutex + stats
+    // members), so hand sessions out behind unique_ptr.
+    std::unique_ptr<RemoteSession> connect(std::uint16_t port, split::WireFormat wire,
+                                           std::size_t max_inflight = kDefaultMaxInflight) {
+        auto session = std::make_unique<RemoteSession>(
+            split::tcp_connect("127.0.0.1", port), *parts.head, nullptr, *parts.tail,
+            selector, wire, std::chrono::seconds(30), max_inflight);
+        session->set_recv_timeout(kRequestTimeout);
+        return session;
+    }
+};
 
 /// Threads of this process right now (0 when /proc is unavailable — the
 /// caller skips the assertion then).
@@ -540,6 +621,83 @@ TEST(ReactorBodies, BodyFailureMidRequestDropsOnlyItsConnectionOnce) {
     EXPECT_EQ(gauges.connections_dropped, 1u);
     EXPECT_EQ(gauges.active_requests, 0u);
     EXPECT_EQ(gauges.requests_served, 8u);
+}
+
+TEST(ReactorPoller, ClosingFirstMiddleAndLastConnectionsKeepsTheRestServing) {
+    // The poller keeps one pollfd slot per connection and swap-removes a
+    // closed one: the last slot moves into the hole. Close the first, a
+    // middle and the last of eight pipelined sessions, so survivors sit in
+    // moved slots; each of them, and a fresh connection, must still serve
+    // bit-exact.
+    constexpr std::size_t kSessions = 8;
+    ReactorConfig config;
+    config.worker_threads = 2;
+    config.drain_grace = std::chrono::milliseconds(50);
+    ReactorFixture fixture(make_ensemble_host(kSeed), config);
+
+    ClientHalf client(kSeed);
+    std::vector<std::unique_ptr<RemoteSession>> sessions;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        sessions.push_back(client.connect(fixture.port(), split::WireFormat::f32,
+                                          /*max_inflight=*/4));
+        expect_parity(*sessions.back(), kSeed, kSeed, split::WireFormat::f32, 2, "before");
+    }
+    for (const std::size_t closed : {std::size_t{0}, kSessions / 2, kSessions - 1}) {
+        sessions[closed]->close();
+        sessions[closed].reset();
+    }
+    EXPECT_TRUE(eventually([&] { return fixture.reactor().gauges().connections_held == 5; }))
+        << "held=" << fixture.reactor().gauges().connections_held;
+
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        if (sessions[s] != nullptr) {
+            expect_parity(*sessions[s], kSeed, kSeed, split::WireFormat::f32, 4, "survivor");
+            sessions[s]->close();
+        }
+    }
+    auto fresh = client.connect(fixture.port(), split::WireFormat::f32, /*max_inflight=*/4);
+    expect_parity(*fresh, kSeed, kSeed, split::WireFormat::f32, 4, "fresh connection");
+    fresh->close();
+}
+
+TEST(ReactorShutdown, SigtermDrainsInFlightWindowsAndExitsZero) {
+    // The exec'd serve_daemon, SIGTERMed with a full request window
+    // outstanding: every future must still resolve (bit-matched), and the
+    // daemon must exit 0 having drained — not died mid-frame.
+    ClientHalf client(kSeed);
+    const std::string dir = bundle_dir_for("reactor_drain");
+    save_generation(dir, client.parts, client.parts, client.selector);
+    const auto daemon = exec_daemon(dir);
+
+    // The completed handshake also proves the daemon's signal handling is
+    // in place: it blocks SIGTERM before its reactor starts.
+    auto session = client.connect(daemon->wait_for_port(kDaemonBoot), split::WireFormat::f32,
+                                  /*max_inflight=*/4);
+    ASSERT_EQ(session->deployment_version(), 1u);
+
+    Oracle oracle(kSeed, kSeed, split::WireFormat::f32);
+    Rng data_rng(77);
+    std::vector<Tensor> inputs;
+    std::vector<std::future<InferenceResult>> futures;
+    for (std::size_t r = 0; r < 4; ++r) {
+        inputs.push_back(Tensor::randn(Shape{2, kIn}, data_rng));
+        futures.push_back(session->submit(inputs.back()));
+    }
+    // SIGTERM with the whole window in flight.
+    ASSERT_EQ(::kill(daemon->pid(), SIGTERM), 0);
+
+    for (std::size_t r = 0; r < futures.size(); ++r) {
+        std::optional<InferenceResult> result;
+        try {
+            result.emplace(futures[r].get());
+        } catch (const std::exception& e) {
+            FAIL() << "request " << r << " torn by the shutdown: " << e.what();
+        }
+        const Tensor expected = oracle.session->infer(inputs[r]);
+        EXPECT_EQ(result->logits.to_vector(), expected.to_vector()) << "request " << r;
+    }
+    session->close();
+    EXPECT_EQ(daemon->stop(), 0) << "daemon did not exit cleanly after the drain";
 }
 
 }  // namespace

@@ -1,23 +1,22 @@
-// Fork-based end-to-end proof that remote serving over TcpChannel is
-// BIT-IDENTICAL to the in-proc sequential oracle: child processes (via the
-// shared serve_harness fixture) host the server bodies behind real
-// listeners, the parent drives a RemoteSession across the process boundary,
-// and every logit must match the CollaborativeSession round trip exactly —
-// for lossless and quantized wire formats, for standard CI (N = 1) and for
-// an N = 3 ensemble whose secret selector never leaves the parent.
-//
-// Fork-safety: the daemons are forked before any tensor work happens in this
-// process, and the harness marks the child fork-safe (inline parallel_for)
-// so inherited thread-pool state cannot deadlock it.
+// End-to-end proof that remote serving over TcpChannel is BIT-IDENTICAL
+// to the in-proc sequential oracle: exec'd serve_daemon processes host the
+// server bodies of an on-disk bundle behind real listeners, this process
+// drives a RemoteSession across the process boundary, and every logit must
+// match the CollaborativeSession round trip exactly — for lossless and
+// quantized wire formats, for standard CI (N = 1) and for an N = 3
+// ensemble whose secret selector never leaves the client.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/selector.hpp"
+#include "daemon_harness.hpp"
+#include "serve/bundle.hpp"
 #include "serve_harness.hpp"
 #include "split/channel.hpp"
 #include "split/session.hpp"
@@ -36,25 +35,33 @@ constexpr std::uint64_t kEnsembleSeed = 700;
 // setup).
 constexpr std::chrono::milliseconds kRequestTimeout{120000};
 
-TEST(RemoteServe, ForkedDaemonIsBitIdenticalToInProcOracle) {
-    // Children: one hosts the single body for two connections (f32, q8),
-    // the other the ensemble for one. All model building happens
-    // post-fork, in the children.
-    harness::ForkedDaemon single_daemon = harness::spawn_body_host(
-        [] {
-            return std::make_unique<BodyHost>(
-                BodyHost::from_split_model(harness::make_linear_split(kSplitSeed)));
-        },
-        /*connections=*/2);
-    harness::ForkedDaemon ensemble_daemon = harness::spawn_body_host(
-        [] {
-            harness::EnsembleParts parts =
-                harness::make_linear_ensemble(kEnsembleSeed, kEnsembleBodies, /*num_selected=*/2);
-            return std::make_unique<BodyHost>(std::move(parts.bodies));
-        },
-        /*connections=*/1);
-    ASSERT_GT(single_daemon.port(), 0);
-    ASSERT_GT(ensemble_daemon.port(), 0);
+TEST(RemoteServe, DaemonIsBitIdenticalToInProcOracle) {
+    // Two deployments on disk, one daemon each: the single-body split
+    // (served over two connections, f32 then q8) and the ensemble.
+    const std::string single_dir = harness::bundle_dir_for("remote_single");
+    {
+        split::SplitModel model = harness::make_linear_split(kSplitSeed);
+        model.set_training(false);
+        const core::Selector only_body(1, {0});
+        BundleArtifacts artifacts;
+        artifacts.bodies = {model.body.get()};
+        artifacts.head = model.head.get();
+        artifacts.tail = model.tail.get();
+        artifacts.selector = &only_body;
+        save_bundle(single_dir, artifacts);
+    }
+    const std::string ensemble_dir = harness::bundle_dir_for("remote_ensemble");
+    {
+        harness::EnsembleParts parts =
+            harness::make_linear_ensemble(kEnsembleSeed, kEnsembleBodies, /*num_selected=*/2);
+        harness::set_eval(parts);
+        harness::save_generation(ensemble_dir, parts, parts,
+                                 core::Selector(kEnsembleBodies, {0, 2}));
+    }
+    const auto single_daemon = harness::exec_daemon(single_dir);
+    const auto ensemble_daemon = harness::exec_daemon(ensemble_dir);
+    const std::uint16_t single_port = single_daemon->wait_for_port(harness::kDaemonBoot);
+    const std::uint16_t ensemble_port = ensemble_daemon->wait_for_port(harness::kDaemonBoot);
 
     // Shared inputs: both the oracle and the remote path see these exact
     // tensors.
@@ -75,7 +82,7 @@ TEST(RemoteServe, ForkedDaemonIsBitIdenticalToInProcOracle) {
 
         split::SplitModel client_model = harness::make_linear_split(kSplitSeed);
         client_model.set_training(false);
-        RemoteSession session(split::tcp_connect("127.0.0.1", single_daemon.port()),
+        RemoteSession session(split::tcp_connect("127.0.0.1", single_port),
                               *client_model.head, nullptr, *client_model.tail,
                               core::Selector(1, {0}), wire);
         session.set_recv_timeout(kRequestTimeout);
@@ -117,7 +124,7 @@ TEST(RemoteServe, ForkedDaemonIsBitIdenticalToInProcOracle) {
         harness::EnsembleParts client_parts =
             harness::make_linear_ensemble(kEnsembleSeed, kEnsembleBodies, /*num_selected=*/2);
         harness::set_eval(client_parts);
-        RemoteSession session(split::tcp_connect("127.0.0.1", ensemble_daemon.port()),
+        RemoteSession session(split::tcp_connect("127.0.0.1", ensemble_port),
                               *client_parts.head, nullptr, *client_parts.tail, selector,
                               split::WireFormat::f32);
         session.set_recv_timeout(kRequestTimeout);
@@ -133,8 +140,8 @@ TEST(RemoteServe, ForkedDaemonIsBitIdenticalToInProcOracle) {
         session.close();
     }
 
-    EXPECT_EQ(single_daemon.wait_exit_code(), 0) << "single-body daemon did not exit cleanly";
-    EXPECT_EQ(ensemble_daemon.wait_exit_code(), 0) << "ensemble daemon did not exit cleanly";
+    EXPECT_EQ(single_daemon->stop(), 0) << "single-body daemon did not exit cleanly";
+    EXPECT_EQ(ensemble_daemon->stop(), 0) << "ensemble daemon did not exit cleanly";
 }
 
 }  // namespace

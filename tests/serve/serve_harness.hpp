@@ -3,44 +3,26 @@
 //   - ReactorFixture: an in-process ReactorHost behind a loopback listener,
 //     its event loop on a background thread, drained and joined on
 //     destruction; serve_shard_plan starts one per shard of a ShardPlan.
-//   - ForkedDaemon / spawn_body_host: a body host in ANOTHER process behind
-//     a real TCP listener (served by a ReactorHost in the child); hands the
-//     parent its port and guarantees cleanup (SIGKILL + reap) even when a
-//     gtest ASSERT unwinds the test early. Every test that needs "a body
-//     host in another process" goes through ForkedDaemon instead of
-//     hand-rolling fork()/pipe()/waitpid().
-//
-// Fork-safety: the child calls ThreadPool::mark_forked_child() FIRST, so a
-// global pool lazily created by an earlier test in the same binary (whose
-// worker threads do not survive fork) degrades to inline parallel_for
-// execution instead of deadlocking. Children exit via _exit() only: gtest
-// teardown and static destructors (including inherited pools) must not run
-// twice. Inline execution is bit-identical to pooled execution — the
-// tensor kernels chunk over independent output rows/batch elements — which
-// is what lets the parity tests compare child-computed bytes against the
-// parent's oracle bit for bit.
+//   - bundle_dir_for / save_generation: a deployment written as an on-disk
+//     bundle, which is how a test hands it to a serve_daemon process
+//     (daemon_harness.hpp execs one).
 //
 // Also hosts the tiny deterministic split/ensemble model builders the
-// multi-process tests share: same seed -> identical weights, so parent and
-// child construct bit-identical halves of a deployment without shipping a
-// checkpoint.
+// serving tests share: same seed -> identical weights, so a client half
+// and its oracle are bit-identical copies of the deployment that was
+// saved.
 
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <csignal>
 #include <cstdint>
-#include <functional>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/threadpool.hpp"
+#include "core/selector.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
@@ -48,6 +30,7 @@
 #include "nn/noise.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
+#include "serve/bundle.hpp"
 #include "serve/deployment.hpp"
 #include "serve/reactor.hpp"
 #include "serve/remote.hpp"
@@ -111,157 +94,36 @@ inline std::vector<std::unique_ptr<ReactorFixture>> serve_shard_plan(
     return hosts;
 }
 
-/// One forked daemon process owning one ChannelListener. The child main
-/// runs entirely in the child (build models there, never before the fork in
-/// the parent) and the daemon dies with the object, so an assert-failure
-/// that unwinds the test cannot leak a child process or a bound port.
-class ForkedDaemon {
-public:
-    using ChildMain = std::function<void(split::ChannelListener&)>;
+// ---------------------------------------------------------------- bundles
 
-    /// Forks. The child opens a listener — ephemeral by default, or bound
-    /// to `fixed_port` when nonzero (how a replacement daemon reclaims a
-    /// killed replica's address so the client's background redialer can
-    /// find it) — reports its port through a pipe, runs
-    /// `child_main(listener)` and exits 0 (1 on any exception). The parent
-    /// blocks only for the port hand-off; a spawn failure leaves
-    /// port() == 0 for the test to assert on.
-    explicit ForkedDaemon(const ChildMain& child_main, std::uint16_t fixed_port = 0) {
-        int port_pipe[2] = {-1, -1};
-        if (::pipe(port_pipe) != 0) {
-            return;
-        }
-        const pid_t child = ::fork();
-        if (child == -1) {
-            ::close(port_pipe[0]);
-            ::close(port_pipe[1]);
-            return;
-        }
-        if (child == 0) {
-            ::close(port_pipe[0]);
-            ThreadPool::mark_forked_child();
-            int code = 0;
-            try {
-                split::ChannelListener listener(fixed_port);
-                const std::uint16_t port = listener.port();
-                if (::write(port_pipe[1], &port, sizeof(port)) !=
-                    static_cast<ssize_t>(sizeof(port))) {
-                    ::_exit(2);
-                }
-                ::close(port_pipe[1]);
-                child_main(listener);
-            } catch (...) {
-                code = 1;
-            }
-            ::_exit(code);
-        }
-        pid_ = child;
-        ::close(port_pipe[1]);
-        std::uint16_t port = 0;
-        if (::read(port_pipe[0], &port, sizeof(port)) == static_cast<ssize_t>(sizeof(port))) {
-            port_ = port;
-        }
-        ::close(port_pipe[0]);
+/// Fresh per-test bundle directory under bundle_artifacts/ (kept after the
+/// run so CI can upload it when the test fails).
+inline std::string bundle_dir_for(const std::string& name) {
+    const std::filesystem::path dir = std::filesystem::path("bundle_artifacts") / name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir.string();
+}
+
+/// Writes a bundle whose BODIES come from `body_parts` but whose client
+/// half (head, split-point noise when the parts carry one, tail, selector)
+/// comes from `client_parts` — the retrain-and-roll shape: a generation 2
+/// replaces body weights only, so the deployed clients keep working. Pass
+/// the same parts twice for a plain save.
+template <typename Parts>
+void save_generation(const std::string& dir, Parts& client_parts, Parts& body_parts,
+                     const core::Selector& selector) {
+    BundleArtifacts artifacts;
+    for (nn::LayerPtr& body : body_parts.bodies) {
+        artifacts.bodies.push_back(body.get());
     }
-
-    ForkedDaemon(const ForkedDaemon&) = delete;
-    ForkedDaemon& operator=(const ForkedDaemon&) = delete;
-
-    ForkedDaemon(ForkedDaemon&& other) noexcept
-        : pid_(std::exchange(other.pid_, -1)), port_(std::exchange(other.port_, 0)) {}
-
-    ForkedDaemon& operator=(ForkedDaemon&& other) noexcept {
-        if (this != &other) {
-            terminate();
-            pid_ = std::exchange(other.pid_, -1);
-            port_ = std::exchange(other.port_, 0);
-        }
-        return *this;
+    artifacts.head = client_parts.head.get();
+    if constexpr (requires { client_parts.noise; }) {
+        artifacts.noise = client_parts.noise.get();
     }
-
-    ~ForkedDaemon() { terminate(); }
-
-    /// The child's listening port (0 when the spawn failed).
-    std::uint16_t port() const { return port_; }
-
-    pid_t pid() const { return pid_; }
-
-    /// Blocks until the child exits on its own; returns its exit code, or
-    /// -1 when it was signaled / already reaped / never spawned.
-    int wait_exit_code() {
-        if (pid_ == -1) {
-            return -1;
-        }
-        int status = 0;
-        const pid_t reaped = ::waitpid(pid_, &status, 0);
-        pid_ = -1;
-        if (reaped == -1 || !WIFEXITED(status)) {
-            return -1;
-        }
-        return WEXITSTATUS(status);
-    }
-
-    /// SIGKILLs and reaps the child — the "shard dies mid-request" lever of
-    /// the failure tests. Idempotent.
-    void kill_now() { terminate(); }
-
-    /// SIGSTOPs the child — a wedged-but-alive replica: the TCP connection
-    /// stays open yet nothing answers, which is how recv timeouts (not
-    /// connection resets) get exercised. Pair with resume().
-    void stop_now() {
-        if (pid_ != -1) {
-            ::kill(pid_, SIGSTOP);
-        }
-    }
-
-    /// SIGCONTs a stop_now()-frozen child.
-    void resume() {
-        if (pid_ != -1) {
-            ::kill(pid_, SIGCONT);
-        }
-    }
-
-private:
-    void terminate() {
-        if (pid_ == -1) {
-            return;
-        }
-        ::kill(pid_, SIGKILL);
-        int status = 0;
-        ::waitpid(pid_, &status, 0);
-        pid_ = -1;
-    }
-
-    pid_t pid_ = -1;
-    std::uint16_t port_ = 0;
-};
-
-/// Spawns a daemon whose child builds a BodyHost via `make_host` (invoked
-/// in the child; by pointer — BodyHost owns mutexes and cannot move) and
-/// serves it with a ReactorHost until `connections` connections have been
-/// accepted and all of them closed; it then drains and exits 0. The
-/// building block for K-shard deployments: call it K times with per-shard
-/// factories.
-inline ForkedDaemon spawn_body_host(std::function<std::unique_ptr<BodyHost>()> make_host,
-                                    int connections, std::uint16_t fixed_port = 0) {
-    return ForkedDaemon(
-        [make_host = std::move(make_host), connections](split::ChannelListener& listener) {
-            ReactorConfig config;
-            config.drain_grace = std::chrono::milliseconds(20);
-            ReactorHost reactor(std::make_shared<DeploymentManager>(make_host()), config);
-            std::thread loop([&] { reactor.run(listener); });
-            // Accepted first, then closed: a connection bumps
-            // connections_held before connections_total, so once the total
-            // is reached every counted connection is already held.
-            const auto total = static_cast<std::uint64_t>(connections);
-            while (reactor.gauges().connections_total < total ||
-                   reactor.gauges().connections_held != 0) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            }
-            reactor.shutdown();
-            loop.join();
-        },
-        fixed_port);
+    artifacts.tail = client_parts.tail.get();
+    artifacts.selector = &selector;
+    save_bundle(dir, artifacts);
 }
 
 // ---------------------------------------------------------------- models
@@ -272,8 +134,7 @@ constexpr std::int64_t kIn = 3;
 constexpr std::int64_t kHidden = 4;
 constexpr std::int64_t kClasses = 2;
 
-/// Tiny linear split pipeline; same seed -> identical weights, so parent
-/// and child build bit-identical halves of the deployment.
+/// Tiny linear split pipeline; same seed -> identical weights.
 inline split::SplitModel make_linear_split(std::uint64_t seed) {
     Rng rng(seed);
     split::SplitModel model;
@@ -287,9 +148,8 @@ inline split::SplitModel make_linear_split(std::uint64_t seed) {
 }
 
 /// N-body ensemble geometry: shared head, per-body nets, a tail sized for
-/// the P-map selector concat. Deterministic per-part seeds, so a shard
-/// child building bodies [i, j) gets the same weights the parent's oracle
-/// holds at those indices.
+/// the P-map selector concat. Deterministic per-part seeds, so every copy
+/// built from one seed (host, client half, oracle) holds the same weights.
 struct EnsembleParts {
     std::unique_ptr<nn::Sequential> head;
     std::vector<nn::LayerPtr> bodies;
@@ -321,19 +181,6 @@ inline void set_eval(EnsembleParts& parts) {
         body->set_training(false);
     }
     parts.tail->set_training(false);
-}
-
-/// The bodies of `make_linear_ensemble(seed, num_bodies, ...)` restricted
-/// to global indices [begin, begin + count) — what one shard child hosts.
-inline std::vector<nn::LayerPtr> make_shard_bodies(std::uint64_t seed, std::size_t num_bodies,
-                                                   std::size_t begin, std::size_t count) {
-    EnsembleParts parts = make_linear_ensemble(seed, num_bodies, /*num_selected=*/1);
-    std::vector<nn::LayerPtr> shard;
-    shard.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-        shard.push_back(std::move(parts.bodies.at(begin + k)));
-    }
-    return shard;
 }
 
 // ----------------------------------------------------- conv + BN ensemble

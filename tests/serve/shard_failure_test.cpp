@@ -5,17 +5,22 @@
 // trips and keep their streams aligned. The session must then be fully
 // usable again after reconnect_shard() to a replacement host: a replacement
 // advertising the WRONG body range is rejected typed, the right one
-// restores bit-parity with the in-proc oracle.
+// restores bit-parity with the in-proc oracle. The shard hosts are exec'd
+// serve_daemon processes booted from one bundle, each hosting its slice
+// via --bodies.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "core/selector.hpp"
+#include "daemon_harness.hpp"
 #include "serve/shard_router.hpp"
 #include "serve_harness.hpp"
 #include "split/channel.hpp"
@@ -32,32 +37,29 @@ constexpr std::size_t kSelected = 2;
 constexpr std::uint64_t kSeed = 5200;
 constexpr std::chrono::milliseconds kRequestTimeout{20000};
 
-harness::ForkedDaemon spawn_shard(std::size_t begin, std::size_t count) {
-    return harness::spawn_body_host(
-        [begin, count] {
-            auto host = std::make_unique<BodyHost>(
-                harness::make_shard_bodies(kSeed, kBodies, begin, count));
-            host->set_shard(begin, kBodies);
-            return host;
-        },
-        /*connections=*/1);
+/// The shard daemon hosting bodies [begin, begin + count) of the bundle.
+std::unique_ptr<perfbench::ChildProcess> exec_shard(const std::string& dir, std::size_t begin,
+                                                    std::size_t count) {
+    return harness::exec_daemon(
+        dir, {"--bodies", std::to_string(begin) + ".." + std::to_string(begin + count)});
 }
 
 TEST(ShardFailure, KilledShardSurfacesTypedErrorAndSessionSurvivesReconnect) {
-    // Fork the initial three shard hosts before any parent-side tensor work.
-    std::vector<harness::ForkedDaemon> daemons;
-    for (std::size_t s = 0; s < kShards; ++s) {
-        daemons.push_back(spawn_shard(s * kPerShard, kPerShard));
-    }
-    for (const harness::ForkedDaemon& daemon : daemons) {
-        ASSERT_GT(daemon.port(), 0);
-    }
-
     const core::Selector selector(kBodies, {1, 4});
 
-    // In-proc oracle for before/after parity.
+    // In-proc oracle for before/after parity; its parts are also the
+    // deployment the shard daemons boot.
     harness::EnsembleParts oracle_parts = harness::make_linear_ensemble(kSeed, kBodies, kSelected);
     harness::set_eval(oracle_parts);
+    const std::string dir = harness::bundle_dir_for("shard_failure");
+    harness::save_generation(dir, oracle_parts, oracle_parts, selector);
+    std::vector<std::unique_ptr<perfbench::ChildProcess>> daemons;
+    std::vector<std::uint16_t> ports;
+    for (std::size_t s = 0; s < kShards; ++s) {
+        daemons.push_back(exec_shard(dir, s * kPerShard, kPerShard));
+        ports.push_back(daemons.back()->wait_for_port(harness::kDaemonBoot));
+    }
+
     std::vector<nn::Layer*> oracle_bodies;
     for (nn::LayerPtr& body : oracle_parts.bodies) {
         oracle_bodies.push_back(body.get());
@@ -73,7 +75,7 @@ TEST(ShardFailure, KilledShardSurfacesTypedErrorAndSessionSurvivesReconnect) {
     harness::set_eval(client_parts);
     std::vector<std::unique_ptr<split::Channel>> channels;
     for (std::size_t s = 0; s < kShards; ++s) {
-        channels.push_back(split::tcp_connect("127.0.0.1", daemons[s].port()));
+        channels.push_back(split::tcp_connect("127.0.0.1", ports[s]));
     }
     ShardRouter router(std::move(channels), *client_parts.head, nullptr, *client_parts.tail,
                        selector, split::WireFormat::f32);
@@ -88,7 +90,8 @@ TEST(ShardFailure, KilledShardSurfacesTypedErrorAndSessionSurvivesReconnect) {
     // Kill the middle shard (hosting bodies [2, 4)) and request again: the
     // failure must be a typed transport error naming that shard, delivered
     // well inside the recv timeout — not a hang, not a crash.
-    daemons[1].kill_now();
+    ASSERT_EQ(::kill(daemons[1]->pid(), SIGKILL), 0);
+    daemons[1]->stop();  // reaped: the shard is gone before the request
     const Stopwatch fail_watch;
     try {
         (void)router.infer(input);
@@ -121,10 +124,10 @@ TEST(ShardFailure, KilledShardSurfacesTypedErrorAndSessionSurvivesReconnect) {
     // A replacement host advertising the WRONG slice is refused typed and
     // does not replace the channel.
     {
-        harness::ForkedDaemon wrong = spawn_shard(0, kPerShard);  // bodies [0, 2), not [2, 4)
-        ASSERT_GT(wrong.port(), 0);
+        const auto wrong = exec_shard(dir, 0, kPerShard);  // bodies [0, 2), not [2, 4)
+        const std::uint16_t wrong_port = wrong->wait_for_port(harness::kDaemonBoot);
         try {
-            router.reconnect_shard(1, split::tcp_connect("127.0.0.1", wrong.port()));
+            router.reconnect_shard(1, split::tcp_connect("127.0.0.1", wrong_port));
             FAIL() << "reconnect to a wrong-range host did not throw";
         } catch (const Error& e) {
             EXPECT_EQ(e.code(), ErrorCode::protocol_error) << e.what();
@@ -134,17 +137,17 @@ TEST(ShardFailure, KilledShardSurfacesTypedErrorAndSessionSurvivesReconnect) {
     // The right replacement restores the session: same slice, bit-parity
     // with the oracle again, and the surviving shards' streams were never
     // desynchronized.
-    harness::ForkedDaemon replacement = spawn_shard(1 * kPerShard, kPerShard);
-    ASSERT_GT(replacement.port(), 0);
-    router.reconnect_shard(1, split::tcp_connect("127.0.0.1", replacement.port()));
+    const auto replacement = exec_shard(dir, 1 * kPerShard, kPerShard);
+    router.reconnect_shard(
+        1, split::tcp_connect("127.0.0.1", replacement->wait_for_port(harness::kDaemonBoot)));
     EXPECT_FALSE(router.shard_needs_reconnect(1));
     EXPECT_EQ(router.infer(input).logits.to_vector(), oracle.infer(input).to_vector());
     EXPECT_EQ(router.infer(input).logits.to_vector(), oracle.infer(input).to_vector());
 
     router.close();
-    EXPECT_EQ(daemons[0].wait_exit_code(), 0);
-    EXPECT_EQ(daemons[2].wait_exit_code(), 0);
-    EXPECT_EQ(replacement.wait_exit_code(), 0);
+    EXPECT_EQ(daemons[0]->stop(), 0);
+    EXPECT_EQ(daemons[2]->stop(), 0);
+    EXPECT_EQ(replacement->stop(), 0);
 }
 
 }  // namespace

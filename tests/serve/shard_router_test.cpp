@@ -1,10 +1,10 @@
-// Fork-based proof of the §III-D multiparty deployment: N = 6 bodies
-// sharded 2/2/2 across three BodyHost processes, a ShardRouter in the
-// parent fanning each request out over three real TCP connections, and the
-// merged logits BIT-IDENTICAL to the sequential in-proc
-// CollaborativeSession oracle — for lossless f32 and quantized q8 wire —
-// with the secret P-of-6 selector never leaving the parent. No single
-// child process ever holds more than 2 of the 6 bodies.
+// Proof of the §III-D multiparty deployment: N = 6 bodies sharded 2/2/2
+// across three in-thread reactor hosts, a ShardRouter fanning each request
+// out over three real loopback TCP connections, and the merged logits
+// BIT-IDENTICAL to the sequential in-proc CollaborativeSession oracle —
+// for lossless f32 and quantized q8 wire — with the secret P-of-6
+// selector never leaving the client. No single host ever holds more than
+// 2 of the 6 bodies.
 //
 // The shard channels are handed to the router in scrambled order on
 // purpose: the merge must be driven by the body ranges each shard declares
@@ -36,24 +36,16 @@ constexpr std::uint64_t kSeed = 4100;
 constexpr std::chrono::milliseconds kRequestTimeout{120000};
 
 TEST(ShardRouter, ThreeShardDeploymentIsBitIdenticalToInProcOracle) {
-    // Fork the three shard hosts FIRST (no tensor work in the parent yet).
-    // Each child builds only its own slice of the 6 bodies and serves one
-    // connection per wire format under test.
-    std::vector<harness::ForkedDaemon> daemons;
-    for (std::size_t s = 0; s < kShards; ++s) {
-        const std::size_t begin = s * kPerShard;
-        daemons.push_back(harness::spawn_body_host(
-            [begin] {
-                auto host = std::make_unique<BodyHost>(
-                    harness::make_shard_bodies(kSeed, kBodies, begin, kPerShard));
-                host->set_shard(begin, kBodies);
-                return host;
-            },
-            /*connections=*/2));
+    // Three in-thread reactors, each hosting only its own slice of the 6
+    // bodies (a copy separate from the oracle's).
+    harness::EnsembleParts host_parts = harness::make_linear_ensemble(kSeed, kBodies, kSelected);
+    harness::set_eval(host_parts);
+    std::vector<nn::Layer*> host_bodies;
+    for (nn::LayerPtr& body : host_parts.bodies) {
+        host_bodies.push_back(body.get());
     }
-    for (const harness::ForkedDaemon& daemon : daemons) {
-        ASSERT_GT(daemon.port(), 0);
-    }
+    const auto hosts =
+        harness::serve_shard_plan(host_bodies, split::ShardPlan::blocks(kBodies, kShards));
 
     // Selector spans all three shards, so no single shard ever holds the
     // full selection (the §III-D non-collusion argument).
@@ -92,7 +84,7 @@ TEST(ShardRouter, ThreeShardDeploymentIsBitIdenticalToInProcOracle) {
         for (const std::size_t s : {1u, 0u, 2u}) {
             taps.push_back(std::make_shared<split::TapLog>());
             channels.push_back(std::make_unique<split::TapChannel>(
-                split::tcp_connect("127.0.0.1", daemons[s].port()), taps.back()));
+                split::tcp_connect("127.0.0.1", hosts[s]->port()), taps.back()));
         }
         ShardRouter router(std::move(channels), *client_parts.head, nullptr,
                            *client_parts.tail, selector, wire);
@@ -137,11 +129,7 @@ TEST(ShardRouter, ThreeShardDeploymentIsBitIdenticalToInProcOracle) {
                 EXPECT_LT(router.shard_traffic(s).bytes, f32_shard_bytes[s]) << "shard " << s;
             }
         }
-        router.close();  // each daemon moves on to its next connection
-    }
-
-    for (std::size_t s = 0; s < kShards; ++s) {
-        EXPECT_EQ(daemons[s].wait_exit_code(), 0) << "shard daemon " << s << " did not exit cleanly";
+        router.close();
     }
 }
 
