@@ -310,6 +310,12 @@ TEST(ReactorSoak, Holds1024ConnectionsOnFixedThreadsWithPipelinedParity) {
     expect_parity(*f32_session, kSeed, kSeed, split::WireFormat::f32, 12, "soak f32");
     expect_parity(*q8_session, kSeed, kSeed, split::WireFormat::q8, 12, "soak q8");
 
+    // A worker settles the gauges after it sends a request's last reply,
+    // so the client can hold every answer a beat before the count moves.
+    EXPECT_TRUE(eventually([&] {
+        const GaugeSnapshot settled = fixture.reactor().gauges();
+        return settled.requests_served == 26u && settled.active_requests == 0u;
+    }));
     gauges = fixture.reactor().gauges();
     EXPECT_EQ(gauges.requests_served, 26u);  // 2 warm-ups + 2 x 12 parity rounds
     EXPECT_EQ(gauges.active_requests, 0u);
