@@ -4,7 +4,7 @@
 // tail Linear is [batch, features] @ [features, classes]^T).
 //
 // Emits BENCH_kernels.json (schema in docs/BENCHMARKS.md):
-//   row = {shape, variant, m, n, k, reps, ms, gflops, speedup_naive}
+//   row = {shape, variant, isa, m, n, k, reps, ms, gflops, speedup_naive}
 // Variants:
 //   naive      - retained i-k-j reference (ens::gemm_naive), serial
 //   blocked    - blocked/register-tiled kernel, serial, packs per call
@@ -16,10 +16,15 @@
 //                per call as a transposed A, parallel. nn::Conv2d runs
 //                this below kNR output positions (n < kNR here), where
 //                packed wastes most of each register tile on padding
+// `isa` names the micro-kernel a row ran. blocked/blocked_mt run the
+// dispatched one (kernel_isa()); packed/packed_t repeat once per micro-
+// kernel this host can run (kernel::detail::host_isas()), fastest first;
+// naive and the lowering rows run none and read "none".
 //
 // Conv lowering rows time the activation side of one body conv for one
-// image, serial: row = {shape, variant, m, n, k, reps, ms, us_per_image,
-// speedup_im2col}, with m = C_out, n = output positions, k = patch.
+// image, serial: row = {shape, variant, isa, m, n, k, reps, ms,
+// us_per_image, speedup_im2col}, with m = C_out, n = output positions,
+// k = patch.
 //   lower_im2col - im2col into a col matrix, then pack_b_into (or, below
 //                  kNR positions, pack_a_into of col^T)
 //   lower_direct - pack_conv_b_into / pack_conv_a_into straight from the
@@ -92,6 +97,7 @@ const std::vector<LoweringSpec> kLoweringShapes = {
 
 struct Variant {
     const char* name;
+    const char* isa;
     std::function<void()> run;
 };
 
@@ -116,8 +122,8 @@ int main() {
 
     std::printf("GEMM micro-kernel bench (isa=%s, scale=%s)\n", kernel::kernel_isa(),
                 ens::bench::scale_name(scale));
-    std::printf("| shape | variant | m | n | k | ms | GFLOP/s | vs naive |\n");
-    ens::bench::print_rule(8);
+    std::printf("| shape | variant | isa | m | n | k | ms | GFLOP/s | vs naive |\n");
+    ens::bench::print_rule(9);
 
     Rng rng(0xBE9C);
     for (const ShapeSpec& s : shapes_for(scale)) {
@@ -135,34 +141,40 @@ int main() {
         const kernel::PackedMatrix packed_at =
             kernel::pack_b(a.data(), s.k, /*trans_b=*/true, s.k, s.m);
         // `packed` repacks the activation B each call into reused scratch,
-        // as a weight-packed layer's forward does.
+        // as a weight-packed layer's forward does; `packed_t` repacks the
+        // transposed activation A, as gemm_packed_b does.
         kernel::PackedMatrix scratch_b;
+        kernel::PackedMatrix scratch_a;
 
-        const std::vector<Variant> variants = {
-            {"naive", [&] { ens::gemm_naive(a, false, b, false, c); }},
-            {"blocked",
+        std::vector<Variant> variants = {
+            {"naive", "none", [&] { ens::gemm_naive(a, false, b, false, c); }},
+            {"blocked", kernel::kernel_isa(),
              [&] {
                  kernel::gemm_blocked(s.m, s.n, s.k, a.data(), s.k, false, b.data(), s.n, false,
                                       c.data(), s.n, 1.0f, 0.0f, /*parallel=*/false);
              }},
-            {"blocked_mt",
+            {"blocked_mt", kernel::kernel_isa(),
              [&] {
                  kernel::gemm_blocked(s.m, s.n, s.k, a.data(), s.k, false, b.data(), s.n, false,
                                       c.data(), s.n, 1.0f, 0.0f, /*parallel=*/true);
              }},
-            {"packed",
-             [&] {
-                 kernel::pack_b_into(scratch_b, b.data(), s.n, false, s.k, s.n);
-                 kernel::gemm_packed(packed_a, scratch_b, c.data(), s.n, 1.0f, 0.0f,
-                                     /*parallel=*/true);
-             }},
-            {"packed_t",
-             [&] {
-                 // c holds C^T [n, m] here; same size, ldc = m.
-                 kernel::gemm_packed_b(b.data(), s.n, /*trans_a=*/true, s.n, packed_at, c.data(),
-                                       s.m, 1.0f, 0.0f, /*parallel=*/true);
-             }},
         };
+        for (const char* isa : kernel::detail::host_isas()) {
+            variants.push_back({"packed", isa, [&, isa] {
+                                    kernel::pack_b_into(scratch_b, b.data(), s.n, false, s.k, s.n);
+                                    kernel::detail::gemm_packed_isa(isa, packed_a, scratch_b,
+                                                                    c.data(), s.n, 1.0f, 0.0f,
+                                                                    /*parallel=*/true);
+                                }});
+            variants.push_back({"packed_t", isa, [&, isa] {
+                                    // c holds C^T [n, m] here; same size, ldc = m.
+                                    kernel::pack_a_into(scratch_a, b.data(), s.n,
+                                                        /*trans_a=*/true, s.n, s.k);
+                                    kernel::detail::gemm_packed_isa(isa, scratch_a, packed_at,
+                                                                    c.data(), s.m, 1.0f, 0.0f,
+                                                                    /*parallel=*/true);
+                                }});
+        }
 
         double naive_ms = 0.0;
         for (const Variant& v : variants) {
@@ -172,13 +184,14 @@ int main() {
             }
             const double gflops = flop / (ms * 1.0e6);
             const double speedup = naive_ms > 0.0 ? naive_ms / ms : 0.0;
-            std::printf("| %s | %s | %lld | %lld | %lld | %.3f | %.2f | %.2fx |\n",
-                        s.label.c_str(), v.name, static_cast<long long>(s.m),
+            std::printf("| %s | %s | %s | %lld | %lld | %lld | %.3f | %.2f | %.2fx |\n",
+                        s.label.c_str(), v.name, v.isa, static_cast<long long>(s.m),
                         static_cast<long long>(s.n), static_cast<long long>(s.k), ms, gflops,
                         speedup);
             json.row()
                 .field("shape", s.label)
                 .field("variant", std::string(v.name))
+                .field("isa", std::string(v.isa))
                 .field("m", static_cast<double>(s.m))
                 .field("n", static_cast<double>(s.n))
                 .field("k", static_cast<double>(s.k))
@@ -208,7 +221,7 @@ int main() {
         constexpr int reps = 1000;
 
         const std::vector<Variant> variants = {
-            {"lower_im2col",
+            {"lower_im2col", "none",
              [&] {
                  ens::im2col(image.data(), g, col.data());
                  if (transposed) {
@@ -217,7 +230,7 @@ int main() {
                      kernel::pack_b_into(pack, col.data(), n, /*trans_b=*/false, k, n);
                  }
              }},
-            {"lower_direct",
+            {"lower_direct", "none",
              [&] {
                  if (transposed) {
                      kernel::pack_conv_a_into(pack, image.data(), g);
@@ -239,6 +252,7 @@ int main() {
             json.row()
                 .field("shape", s.label)
                 .field("variant", std::string(v.name))
+                .field("isa", std::string(v.isa))
                 .field("m", static_cast<double>(s.c_out))
                 .field("n", static_cast<double>(n))
                 .field("k", static_cast<double>(k))

@@ -129,10 +129,13 @@ Tensor Conv2d::forward(const Tensor& input) {
     // chain over the same kKC slabs, only the operand roles swap, so the
     // result is bit-identical either way. The cutoff is strict: also
     // transposing the 4x4 maps (exactly kNR positions) cost ~6% more host
-    // CPU per ens_saturate request on a 4-vCPU AVX2 VM (10/10 pairs). That
-    // was measured with the earlier AVX2 micro-kernel, which spilled its
-    // accumulator tile to the stack on every k step; it has not been
-    // re-measured with the register-resident one.
+    // CPU per ens_saturate request on a 4-vCPU AVX2 VM (10/10 pairs), with
+    // an AVX2 kernel that spilled its tile. The register-resident kernels
+    // still favour W · col there: in BENCH_kernels (ENS_THREADS=1, three
+    // runs on a 4-vCPU AVX-512 VM) the stage-3 shape conv3x3-w16-s3 runs
+    // `packed` at 68-89 GFLOP/s against `packed_t` at 41-60 on AVX-512, and
+    // 45-60 against 33-45 on AVX2; at the stage-4 shape (4 positions)
+    // `packed_t` wins, 58-60 against 28-30 on AVX-512.
     const bool transposed = positions < kernel::kNR;
     const kernel::PackedMatrix* weight = &packed_weight_;
     if (training_) {

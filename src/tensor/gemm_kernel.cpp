@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -32,12 +33,16 @@ inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1
 
 // ------------------------------------------------------------ micro-kernels
 //
-// Every micro-kernel computes acc[kMR][kNR] = op(A)-strip @ op(B)-strip
-// over one kc-deep slab, reading the packed panels at stride 1: ap is
-// kc steps of kMR floats (one column of the A strip each), bp is kc steps
-// of kNR floats (one row of the B strip each). acc is kNR-strided,
-// 64-byte aligned, overwritten (not accumulated — the driver merges slabs
-// into C so the slab order, and therefore the rounding, is fixed).
+// Every micro-kernel computes acc = op(A)-strips @ op(B)-strip over one
+// kc-deep slab, reading the packed panels at stride 1: ap is kc steps of
+// kMR floats (one column of the A strip each), bp is kc steps of kNR
+// floats (one row of the B strip each). A one-strip kernel fills a kMR x
+// kNR acc; a paired kernel takes the strip at ap and the next strip of the
+// same slab, at ap + kMR * kc, and fills 2 * kMR x kNR. acc is kNR-
+// strided, 64-byte aligned, overwritten (not accumulated — run_gemm
+// merges slabs into C so the slab order, and therefore the rounding, is
+// fixed). Pairing changes only how many C rows one call covers: each C
+// element is still one FMA chain over p in order.
 
 using MicroFn = void (*)(std::int64_t kc, const float* ENS_RESTRICT ap,
                          const float* ENS_RESTRICT bp, float* ENS_RESTRICT acc);
@@ -120,6 +125,84 @@ __attribute__((target("avx2,fma"))) void micro_avx2(std::int64_t kc,
     _mm256_store_ps(acc + 5 * kNR, c5_lo);
     _mm256_store_ps(acc + 5 * kNR + 8, c5_hi);
 }
+
+// AVX-512F: one 16-lane zmm is a whole kNR row of the tile, so a k step is
+// one B load and one broadcast-FMA per tile row. A lone 6 x 16 tile has
+// only six independent FMA chains, too few to hide FMA latency on two
+// FMA ports; micro_avx512_pair runs two adjacent strips as a 12 x 16 tile
+// (twelve accumulators + one B vector of the 32 ZMM registers) and is the
+// kernel run_gemm uses wherever a strip has a partner. Both keep the
+// accumulators in named variables for the reason given at micro_avx2.
+// Check before folding them into an array or loop: in the objdump above,
+// the k loops of micro_avx512 and micro_avx512_pair must hold only loads,
+// broadcasts and FMAs, and no store to (%rsp).
+__attribute__((target("avx512f"))) void micro_avx512(std::int64_t kc,
+                                                     const float* ENS_RESTRICT ap,
+                                                     const float* ENS_RESTRICT bp,
+                                                     float* ENS_RESTRICT acc) {
+    static_assert(kMR == 6 && kNR == 16, "micro_avx512 spells out a 6 x 16 tile");
+    __m512 c0 = _mm512_setzero_ps(), c1 = _mm512_setzero_ps(), c2 = _mm512_setzero_ps();
+    __m512 c3 = _mm512_setzero_ps(), c4 = _mm512_setzero_ps(), c5 = _mm512_setzero_ps();
+    for (std::int64_t p = 0; p < kc; ++p) {
+        const __m512 b = _mm512_load_ps(bp);
+        bp += kNR;
+        c0 = _mm512_fmadd_ps(_mm512_set1_ps(ap[0]), b, c0);
+        c1 = _mm512_fmadd_ps(_mm512_set1_ps(ap[1]), b, c1);
+        c2 = _mm512_fmadd_ps(_mm512_set1_ps(ap[2]), b, c2);
+        c3 = _mm512_fmadd_ps(_mm512_set1_ps(ap[3]), b, c3);
+        c4 = _mm512_fmadd_ps(_mm512_set1_ps(ap[4]), b, c4);
+        c5 = _mm512_fmadd_ps(_mm512_set1_ps(ap[5]), b, c5);
+        ap += kMR;
+    }
+    _mm512_store_ps(acc + 0 * kNR, c0);
+    _mm512_store_ps(acc + 1 * kNR, c1);
+    _mm512_store_ps(acc + 2 * kNR, c2);
+    _mm512_store_ps(acc + 3 * kNR, c3);
+    _mm512_store_ps(acc + 4 * kNR, c4);
+    _mm512_store_ps(acc + 5 * kNR, c5);
+}
+
+__attribute__((target("avx512f"))) void micro_avx512_pair(std::int64_t kc,
+                                                          const float* ENS_RESTRICT ap,
+                                                          const float* ENS_RESTRICT bp,
+                                                          float* ENS_RESTRICT acc) {
+    static_assert(kMR == 6 && kNR == 16, "micro_avx512_pair spells out a 12 x 16 tile");
+    const float* ENS_RESTRICT aq = ap + kMR * kc;  // the second strip
+    __m512 c0 = _mm512_setzero_ps(), c1 = _mm512_setzero_ps(), c2 = _mm512_setzero_ps();
+    __m512 c3 = _mm512_setzero_ps(), c4 = _mm512_setzero_ps(), c5 = _mm512_setzero_ps();
+    __m512 c6 = _mm512_setzero_ps(), c7 = _mm512_setzero_ps(), c8 = _mm512_setzero_ps();
+    __m512 c9 = _mm512_setzero_ps(), c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
+    for (std::int64_t p = 0; p < kc; ++p) {
+        const __m512 b = _mm512_load_ps(bp);
+        bp += kNR;
+        c0 = _mm512_fmadd_ps(_mm512_set1_ps(ap[0]), b, c0);
+        c1 = _mm512_fmadd_ps(_mm512_set1_ps(ap[1]), b, c1);
+        c2 = _mm512_fmadd_ps(_mm512_set1_ps(ap[2]), b, c2);
+        c3 = _mm512_fmadd_ps(_mm512_set1_ps(ap[3]), b, c3);
+        c4 = _mm512_fmadd_ps(_mm512_set1_ps(ap[4]), b, c4);
+        c5 = _mm512_fmadd_ps(_mm512_set1_ps(ap[5]), b, c5);
+        c6 = _mm512_fmadd_ps(_mm512_set1_ps(aq[0]), b, c6);
+        c7 = _mm512_fmadd_ps(_mm512_set1_ps(aq[1]), b, c7);
+        c8 = _mm512_fmadd_ps(_mm512_set1_ps(aq[2]), b, c8);
+        c9 = _mm512_fmadd_ps(_mm512_set1_ps(aq[3]), b, c9);
+        c10 = _mm512_fmadd_ps(_mm512_set1_ps(aq[4]), b, c10);
+        c11 = _mm512_fmadd_ps(_mm512_set1_ps(aq[5]), b, c11);
+        ap += kMR;
+        aq += kMR;
+    }
+    _mm512_store_ps(acc + 0 * kNR, c0);
+    _mm512_store_ps(acc + 1 * kNR, c1);
+    _mm512_store_ps(acc + 2 * kNR, c2);
+    _mm512_store_ps(acc + 3 * kNR, c3);
+    _mm512_store_ps(acc + 4 * kNR, c4);
+    _mm512_store_ps(acc + 5 * kNR, c5);
+    _mm512_store_ps(acc + 6 * kNR, c6);
+    _mm512_store_ps(acc + 7 * kNR, c7);
+    _mm512_store_ps(acc + 8 * kNR, c8);
+    _mm512_store_ps(acc + 9 * kNR, c9);
+    _mm512_store_ps(acc + 10 * kNR, c10);
+    _mm512_store_ps(acc + 11 * kNR, c11);
+}
 #endif  // ENS_KERNEL_X86
 
 #if defined(ENS_KERNEL_NEON)
@@ -155,30 +238,44 @@ void micro_neon(std::int64_t kc, const float* ENS_RESTRICT ap, const float* ENS_
 }
 #endif  // ENS_KERNEL_NEON
 
-struct Dispatch {
-    MicroFn fn = micro_portable;
-    const char* name = "portable";
+/// Two adjacent strips as two calls of a one-strip kernel, for ISAs whose
+/// register file holds one tile.
+template <MicroFn kOne>
+void two_strips(std::int64_t kc, const float* ENS_RESTRICT ap, const float* ENS_RESTRICT bp,
+                float* ENS_RESTRICT acc) {
+    kOne(kc, ap, bp, acc);
+    kOne(kc, ap + kMR * kc, bp, acc + kMR * kNR);
+}
+
+struct Kernel {
+    const char* name;
+    MicroFn one;   // one strip: kMR x kNR acc
+    MicroFn pair;  // two adjacent strips: 2 * kMR x kNR acc
 };
 
-const Dispatch& dispatch() {
-    static const Dispatch selected = [] {
-        Dispatch d;
+/// Every micro-kernel this host can run, fastest first; "portable" is
+/// always last. Chosen by CPUID (x86) or at compile time (NEON) only.
+const std::vector<Kernel>& host_kernels() {
+    static const std::vector<Kernel> kernels = [] {
+        std::vector<Kernel> k;
 #if defined(ENS_KERNEL_X86)
+        if (__builtin_cpu_supports("avx512f")) {
+            k.push_back({"avx512", micro_avx512, micro_avx512_pair});
+        }
         if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-            d.fn = micro_avx2;
-            d.name = "avx2";
-            return d;
+            k.push_back({"avx2", micro_avx2, two_strips<micro_avx2>});
         }
 #endif
 #if defined(ENS_KERNEL_NEON)
-        d.fn = micro_neon;
-        d.name = "neon";
-        return d;
+        k.push_back({"neon", micro_neon, two_strips<micro_neon>});
 #endif
-        return d;
+        k.push_back({"portable", micro_portable, two_strips<micro_portable>});
+        return k;
     }();
-    return selected;
+    return kernels;
 }
+
+const Kernel& dispatch() { return host_kernels().front(); }
 
 /// Merges one slab's register tile into C. `first_slab` applies beta
 /// (assignment when beta == 0, so C may start uninitialized / NaN);
@@ -484,30 +581,28 @@ PackedMatrix pack_b(const float* b, std::int64_t ldb, bool trans_b, std::int64_t
     return packed;
 }
 
-void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::int64_t ldc,
-                 float alpha, float beta, bool parallel) {
-    ENS_REQUIRE(a.defined() && b.defined(), "gemm_packed: undefined operand pack");
-    ENS_REQUIRE(a.is_a() && !b.is_a(), "gemm_packed: operands packed for the wrong side");
-    ENS_REQUIRE(a.cols() == b.rows(), "gemm_packed: inner dimension mismatch");
-    const std::int64_t m = a.rows();
-    const std::int64_t n = b.cols();
-    const std::int64_t k = a.cols();
-    ENS_REQUIRE(ldc >= n, "gemm_packed: ldc too small");
+namespace {
 
+/// The cache-blocked loop nest over one micro-kernel; operands checked
+/// by the caller.
+void run_gemm(const Kernel& kern, const float* ENS_RESTRICT apack,
+              const float* ENS_RESTRICT bpack, std::int64_t m, std::int64_t n, std::int64_t k,
+              float* c, std::int64_t ldc, float alpha, float beta, bool parallel) {
     const std::int64_t strips = ceil_div(m, kMR);
+    const std::int64_t pairs = ceil_div(strips, 2);
     const std::int64_t jstrips = ceil_div(n, kNR);
     const std::int64_t strips_per_mc = kMC / kMR;
-    const float* ENS_RESTRICT apack = a.data_.get();
-    const float* ENS_RESTRICT bpack = b.data_.get();
-    const MicroFn micro = dispatch().fn;
+    static_assert(kMC % (2 * kMR) == 0, "an m block holds whole strip pairs");
 
-    // One task owns the C tiles of i-strips [lo, hi) outright and walks the
-    // k slabs in a fixed serial order, so the result is bit-identical for
-    // every chunking parallel_for picks (and for the serial path).
-    const auto run_strips = [&](std::size_t lo_s, std::size_t hi_s) {
-        const std::int64_t lo = static_cast<std::int64_t>(lo_s);
-        const std::int64_t hi = static_cast<std::int64_t>(hi_s);
-        alignas(kPanelAlignment) float acc[kMR * kNR];
+    // One task owns the C tiles of strip pairs [lo, hi) outright and walks
+    // the k slabs in a fixed serial order, so the result is bit-identical
+    // for every chunking parallel_for picks (and for the serial path).
+    // Tasks and m blocks both start on an even strip, so every strip but a
+    // last odd one runs paired whatever the chunking.
+    const auto run_pairs = [&](std::size_t lo_p, std::size_t hi_p) {
+        const std::int64_t lo = 2 * static_cast<std::int64_t>(lo_p);
+        const std::int64_t hi = std::min(strips, 2 * static_cast<std::int64_t>(hi_p));
+        alignas(kPanelAlignment) float acc[2 * kMR * kNR];
         for (std::int64_t k0 = 0; k0 < k; k0 += kKC) {
             const std::int64_t kc = std::min(kKC, k - k0);
             const float* aslab = apack + strips * kMR * k0;
@@ -518,10 +613,15 @@ void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::in
                 for (std::int64_t js = 0; js < jstrips; ++js) {
                     const float* bpanel = bslab + js * kNR * kc;
                     const std::int64_t nr = std::min(kNR, n - js * kNR);
-                    for (std::int64_t is = ic; is < ic_end; ++is) {
-                        micro(kc, aslab + is * kMR * kc, bpanel, acc);
+                    for (std::int64_t is = ic; is < ic_end; is += 2) {
+                        const float* ap = aslab + is * kMR * kc;
+                        if (is + 1 < ic_end) {
+                            kern.pair(kc, ap, bpanel, acc);
+                        } else {
+                            kern.one(kc, ap, bpanel, acc);
+                        }
                         write_tile(c + is * kMR * ldc + js * kNR, ldc, acc,
-                                   std::min(kMR, m - is * kMR), nr, alpha, beta, first_slab);
+                                   std::min(2 * kMR, m - is * kMR), nr, alpha, beta, first_slab);
                     }
                 }
             }
@@ -529,11 +629,27 @@ void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::in
     };
 
     const std::int64_t flops = 2 * m * n * k;
-    if (parallel && strips > 1 && flops >= kParallelMinFlops) {
-        parallel_for(0, static_cast<std::size_t>(strips), run_strips);
+    if (parallel && pairs > 1 && flops >= kParallelMinFlops) {
+        parallel_for(0, static_cast<std::size_t>(pairs), run_pairs);
     } else {
-        run_strips(0, static_cast<std::size_t>(strips));
+        run_pairs(0, static_cast<std::size_t>(pairs));
     }
+}
+
+void check_operands(const PackedMatrix& a, const PackedMatrix& b, std::int64_t ldc) {
+    ENS_REQUIRE(a.defined() && b.defined(), "gemm_packed: undefined operand pack");
+    ENS_REQUIRE(a.is_a() && !b.is_a(), "gemm_packed: operands packed for the wrong side");
+    ENS_REQUIRE(a.cols() == b.rows(), "gemm_packed: inner dimension mismatch");
+    ENS_REQUIRE(ldc >= b.cols(), "gemm_packed: ldc too small");
+}
+
+}  // namespace
+
+void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::int64_t ldc,
+                 float alpha, float beta, bool parallel) {
+    check_operands(a, b, ldc);
+    run_gemm(dispatch(), a.data_.get(), b.data_.get(), a.rows(), b.cols(), a.cols(), c, ldc,
+             alpha, beta, parallel);
 }
 
 void gemm_packed_b(const float* a, std::int64_t lda, bool trans_a, std::int64_t m,
@@ -556,5 +672,30 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k, const float* a
 }
 
 const char* kernel_isa() { return dispatch().name; }
+
+namespace detail {
+
+std::vector<const char*> host_isas() {
+    std::vector<const char*> names;
+    for (const Kernel& kern : host_kernels()) {
+        names.push_back(kern.name);
+    }
+    return names;
+}
+
+void gemm_packed_isa(const char* isa, const PackedMatrix& a, const PackedMatrix& b, float* c,
+                     std::int64_t ldc, float alpha, float beta, bool parallel) {
+    check_operands(a, b, ldc);
+    const std::vector<Kernel>& kernels = host_kernels();
+    const auto kern = std::find_if(kernels.begin(), kernels.end(), [&](const Kernel& kn) {
+        return std::strcmp(kn.name, isa) == 0;
+    });
+    ENS_REQUIRE(kern != kernels.end(),
+                std::string("gemm_packed_isa: this host has no '") + isa + "' micro-kernel");
+    run_gemm(*kern, a.data_.get(), b.data_.get(), a.rows(), b.cols(), a.cols(), c, ldc, alpha,
+             beta, parallel);
+}
+
+}  // namespace detail
 
 }  // namespace ens::kernel

@@ -10,13 +10,18 @@
 // style), sized for the L1/L2 of commodity serving hardware:
 //
 //   - micro-kernel: a kMR x kNR register tile updated along kc with FMA —
-//     runtime-dispatched between an AVX2+FMA path, a NEON path and a
-//     portable compiler-vectorized fallback (kernel_isa() names the one in
-//     use). All paths consume the same packed-panel layout, so which ISA
-//     runs never changes operand memory traffic. The AVX2 path keeps the
-//     tile in registers for the whole k loop: one warm core runs 256^3
-//     with a pre-packed operand at ~57-64 GFLOP/s (bench_kernel_gemm,
-//     ENS_THREADS=1, GCC 12 -O3; ~29-40 when the tile spilled).
+//     dispatched by CPUID between an AVX-512F path, an AVX2+FMA path, a
+//     NEON path and a portable compiler-vectorized fallback, fastest first
+//     (kernel_isa() names the one in use). All paths consume the same
+//     packed-panel layout, so which ISA runs never changes operand memory
+//     traffic. gemm_packed hands each kernel two adjacent A strips at a
+//     time where it can: AVX-512 runs them as one 12 x 16 tile of twelve
+//     zmm accumulators (one B load and twelve broadcast-FMAs per k step),
+//     and the others as two 6 x 16 tiles. Both x86 paths keep their
+//     tiles in registers for the whole k loop. On one warm core of a 4-vCPU
+//     AVX-512 VM, 256^3 with a pre-packed operand runs at ~139-147 GFLOP/s
+//     on AVX-512 and ~56-82 on AVX2 (bench_kernel_gemm, ENS_THREADS=1,
+//     GCC 12 -O3; AVX2 was ~29-40 when its tile spilled).
 //   - packing: operands are repacked into contiguous, 64-byte-aligned
 //     panels (A: kMR-row strips, column-major within the strip; B: kNR-
 //     column strips, row-major within the strip) so the micro-kernel's
@@ -37,17 +42,20 @@
 // Determinism contract: for fixed (m, n, k, alpha, beta) the result is
 // bit-identical across ALL of these axes — packed vs unpacked operands,
 // parallel vs serial execution, and any thread-count/chunking the pool
-// picks. Tiles are computed independently (each C tile is owned by exactly
-// one task, k-slabs accumulate in a fixed serial order), which is what
-// lets gemm()/gemm_serial() and the packed layer paths feed the repo's
-// bit-parity serving tests interchangeably. Results are NOT bit-identical
+// picks — and across the vector ISAs: the AVX-512, AVX2 and NEON kernels
+// all compute each C element as one FMA chain in k order within a slab
+// (pinned to a scalar std::fmaf model by kernel_test.cpp for every ISA
+// the host has). Tiles are computed independently (each C tile is owned
+// by exactly one task, k-slabs accumulate in a fixed serial order), which
+// is what lets gemm()/gemm_serial() and the packed layer paths feed the
+// repo's bit-parity serving tests interchangeably. Results are NOT bit-identical
 // to the naive reference kernel (ens::gemm_naive) — blocking and FMA
 // change summation order/rounding — so cross-kernel tests use the bounded
 // error documented in tests/tensor/kernel_test.cpp.
 //
 // Threading composes with the batch fan-out instead of fighting it: the
-// parallel entry points tile over i-strips as ens::parallel_for work items
-// on the ONE global pool. Called from a pool worker (a Conv2d per-image
+// parallel entry points tile over pairs of i-strips as ens::parallel_for
+// work items on the ONE global pool. Called from a pool worker (a Conv2d per-image
 // chunk), parallel_for runs the range inline on that worker — so
 // multi-image batches parallelize across images while a lone
 // latency-sensitive GEMM still fans its tiles out, and the pool is never
@@ -56,6 +64,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define ENS_RESTRICT __restrict__
@@ -69,10 +78,19 @@ struct ConvGeometry;  // tensor/im2col.hpp
 
 namespace ens::kernel {
 
+class PackedMatrix;
+
+namespace detail {
+void gemm_packed_isa(const char* isa, const PackedMatrix& a, const PackedMatrix& b, float* c,
+                     std::int64_t ldc, float alpha, float beta, bool parallel);
+}  // namespace detail
+
 /// Register tile: kMR rows of C by kNR columns, accumulated over k.
 /// 6 x 16 fills the 16 architectural YMM registers of AVX2 (12
 /// accumulators + 2 B vectors + broadcast + spare) and maps onto NEON as
-/// 6 x 4 q-registers; the portable path unrolls the same shape.
+/// 6 x 4 q-registers; the portable path unrolls the same shape. AVX-512
+/// holds a kNR row in one zmm, so it runs two strips as a 2kMR x kNR
+/// tile over the same packed layout.
 inline constexpr std::int64_t kMR = 6;
 inline constexpr std::int64_t kNR = 16;
 
@@ -83,7 +101,8 @@ inline constexpr std::int64_t kKC = 256;
 inline constexpr std::int64_t kMC = 72;  // multiple of kMR
 
 /// Name of the micro-kernel the runtime dispatcher selected for this
-/// process: "avx2", "neon" or "portable". Stable for the process lifetime.
+/// process: "avx512", "avx2", "neon" or "portable". Stable for the process
+/// lifetime.
 const char* kernel_isa();
 
 /// One operand repacked into aligned micro-kernel panels. Opaque storage;
@@ -122,6 +141,8 @@ private:
     friend void pack_conv_b_into(PackedMatrix&, const float*, const ConvGeometry&);
     friend void gemm_packed(const PackedMatrix&, const PackedMatrix&, float*, std::int64_t, float,
                             float, bool);
+    friend void detail::gemm_packed_isa(const char*, const PackedMatrix&, const PackedMatrix&,
+                                        float*, std::int64_t, float, float, bool);
 
     struct FreeDeleter {
         void operator()(float* p) const noexcept;
@@ -183,5 +204,23 @@ void gemm_packed_b(const float* a, std::int64_t lda, bool trans_a, std::int64_t 
                    bool parallel);
 void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::int64_t ldc,
                  float alpha, float beta, bool parallel);
+
+// ------------------------------------------------------------ detail
+//
+// Seam for tests and benches that hold every micro-kernel this host can
+// run to the same contract, not a runtime option: production code calls
+// gemm_packed, which always runs kernel_isa()'s pick.
+namespace detail {
+
+/// Names of the micro-kernels this host can run, fastest first: the first
+/// is kernel_isa(), and "portable" is always last.
+std::vector<const char*> host_isas();
+
+/// gemm_packed on the named micro-kernel, which must be one of
+/// host_isas() (checked).
+void gemm_packed_isa(const char* isa, const PackedMatrix& a, const PackedMatrix& b, float* c,
+                     std::int64_t ldc, float alpha, float beta, bool parallel);
+
+}  // namespace detail
 
 }  // namespace ens::kernel

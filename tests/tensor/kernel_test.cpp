@@ -213,58 +213,75 @@ TEST(Kernel, MicroKernelMatchesScalarFmaChain) {
     // std::fmaf chain over p in order, starting from 0; slabs then merge
     // into C in order, as write_tile does (the first applies beta, later
     // ones add). alpha = 1 and a power-of-two beta keep the merge exact
-    // whether or not the compiler contracts it into an FMA. The portable
-    // path leaves FMA contraction to the compiler, so only the vector
-    // ISAs are held to this.
-    const std::string isa = kernel::kernel_isa();
-    if (isa != "avx2" && isa != "neon") {
+    // whether or not the compiler contracts it into an FMA. Every vector
+    // micro-kernel this host can run is held to it, not just the
+    // dispatched one, so an AVX-512 host keeps the AVX2 path covered. The
+    // portable path leaves FMA contraction to the compiler, so it is not.
+    std::vector<std::string> isas;
+    for (const char* isa : kernel::detail::host_isas()) {
+        if (std::string(isa) != "portable") {
+            isas.emplace_back(isa);
+        }
+    }
+    if (isas.empty()) {
         GTEST_SKIP() << "portable micro-kernel has no fixed FMA chain";
     }
     struct Dims {
         std::int64_t m, n, k;
     };
     const float alpha = 1.0f;
-    // k = 100, 300 and 1152 span 1, 2 and 5 kKC slabs; m and n are ragged
-    // against the kMR x kNR tile.
-    for (const Dims d : {Dims{13, 37, 100}, Dims{7, 5, 300}, Dims{20, 19, 1152}}) {
-        for (const float beta : {0.0f, 0.5f}) {
-            const std::int64_t m = d.m, n = d.n, k = d.k;
-            SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
-                         " k=" + std::to_string(k) + " beta=" + std::to_string(beta));
-            Rng rng(0xF3A + static_cast<std::uint64_t>(k));
-            const Tensor a = Tensor::randn(Shape{m, k}, rng);
-            const Tensor b = Tensor::randn(Shape{k, n}, rng);
-            const Tensor c_in = Tensor::randn(Shape{m, n}, rng);
+    // k = 100, 260, 300 and 1152 span 1, 2, 2 and 5 kKC slabs; m and n are
+    // ragged against the kMR x kNR tile. In kMR strips, m = 7 and 12 are one
+    // strip pair, 13 and 16 a pair plus a lone strip, 20 two pairs, and 78
+    // a full kMC block of six pairs plus a lone strip in the next block
+    // (large enough to run parallel, so the pool's chunking is covered).
+    const std::vector<Dims> dims = {{13, 37, 100}, {7, 5, 300},  {20, 19, 1152},
+                                    {12, 16, 260}, {16, 33, 300}, {78, 40, 300}};
+    for (const std::string& isa : isas) {
+        for (const Dims d : dims) {
+            for (const float beta : {0.0f, 0.5f}) {
+                const std::int64_t m = d.m, n = d.n, k = d.k;
+                SCOPED_TRACE("isa=" + isa + " m=" + std::to_string(m) + " n=" +
+                             std::to_string(n) + " k=" + std::to_string(k) +
+                             " beta=" + std::to_string(beta));
+                Rng rng(0xF3A + static_cast<std::uint64_t>(k));
+                const Tensor a = Tensor::randn(Shape{m, k}, rng);
+                const Tensor b = Tensor::randn(Shape{k, n}, rng);
+                const Tensor c_in = Tensor::randn(Shape{m, n}, rng);
 
-            std::vector<float> expected(static_cast<std::size_t>(m * n));
-            for (std::int64_t i = 0; i < m; ++i) {
-                for (std::int64_t j = 0; j < n; ++j) {
-                    float c = c_in.data()[i * n + j];
-                    for (std::int64_t k0 = 0; k0 < k; k0 += kernel::kKC) {
-                        float acc = 0.0f;
-                        for (std::int64_t p = k0; p < std::min(k, k0 + kernel::kKC); ++p) {
-                            acc = std::fmaf(a.data()[i * k + p], b.data()[p * n + j], acc);
+                std::vector<float> expected(static_cast<std::size_t>(m * n));
+                for (std::int64_t i = 0; i < m; ++i) {
+                    for (std::int64_t j = 0; j < n; ++j) {
+                        float c = c_in.data()[i * n + j];
+                        for (std::int64_t k0 = 0; k0 < k; k0 += kernel::kKC) {
+                            float acc = 0.0f;
+                            for (std::int64_t p = k0; p < std::min(k, k0 + kernel::kKC); ++p) {
+                                acc = std::fmaf(a.data()[i * k + p], b.data()[p * n + j], acc);
+                            }
+                            if (k0 > 0) {
+                                c += alpha * acc;
+                            } else if (beta == 0.0f) {
+                                c = alpha * acc;
+                            } else {
+                                c = beta * c + alpha * acc;
+                            }
                         }
-                        if (k0 > 0) {
-                            c += alpha * acc;
-                        } else if (beta == 0.0f) {
-                            c = alpha * acc;
-                        } else {
-                            c = beta * c + alpha * acc;
-                        }
+                        expected[static_cast<std::size_t>(i * n + j)] = c;
                     }
-                    expected[static_cast<std::size_t>(i * n + j)] = c;
+                }
+
+                const kernel::PackedMatrix pa = kernel::pack_a(a.data(), k, false, m, k);
+                const kernel::PackedMatrix pb = kernel::pack_b(b.data(), n, false, k, n);
+                for (const bool parallel : {false, true}) {
+                    Tensor c = c_in.clone();
+                    if (beta == 0.0f) {
+                        c.fill(std::nanf(""));
+                    }
+                    kernel::detail::gemm_packed_isa(isa.c_str(), pa, pb, c.data(), n, alpha,
+                                                    beta, parallel);
+                    EXPECT_EQ(c.to_vector(), expected) << "parallel=" << parallel;
                 }
             }
-
-            const kernel::PackedMatrix pa = kernel::pack_a(a.data(), k, false, m, k);
-            const kernel::PackedMatrix pb = kernel::pack_b(b.data(), n, false, k, n);
-            Tensor c = c_in.clone();
-            if (beta == 0.0f) {
-                c.fill(std::nanf(""));
-            }
-            kernel::gemm_packed(pa, pb, c.data(), n, alpha, beta, /*parallel=*/false);
-            EXPECT_EQ(c.to_vector(), expected);
         }
     }
 }
@@ -282,7 +299,18 @@ TEST(Kernel, TensorGemmAndGemmSerialAreBitIdentical) {
 
 TEST(Kernel, IsaIsDispatched) {
     const std::string isa = kernel::kernel_isa();
-    EXPECT_TRUE(isa == "avx2" || isa == "neon" || isa == "portable") << isa;
+    EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "neon" || isa == "portable") << isa;
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("avx512f")) {
+        EXPECT_EQ(isa, "avx512");
+    } else if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+        EXPECT_EQ(isa, "avx2");
+    }
+#endif
+    const std::vector<const char*> host = kernel::detail::host_isas();
+    ASSERT_FALSE(host.empty());
+    EXPECT_EQ(std::string(host.front()), isa);
+    EXPECT_EQ(std::string(host.back()), "portable");
 }
 
 TEST(Kernel, RejectsWrongSidePacksAndGeometryMismatch) {
@@ -300,6 +328,10 @@ TEST(Kernel, RejectsWrongSidePacksAndGeometryMismatch) {
     const Tensor b_bad = Tensor::randn(Shape{13, 10}, rng);
     const kernel::PackedMatrix pb_bad = kernel::pack_b(b_bad.data(), 10, false, 13, 10);
     EXPECT_THROW(kernel::gemm_packed(pa, pb_bad, c.data(), 10, 1.0f, 0.0f, false),
+                 std::invalid_argument);
+    // The per-ISA seam runs only micro-kernels this host has.
+    EXPECT_THROW(kernel::detail::gemm_packed_isa("no-such-isa", pa, pb, c.data(), 10, 1.0f, 0.0f,
+                                                 false),
                  std::invalid_argument);
 }
 
