@@ -131,7 +131,7 @@ int main() {
         }
         twin->set_training(false);
         nn::CompileReport report;
-        nn::LayerPtr compiled = nn::compile_for_inference(std::move(twin), {}, &report);
+        nn::LayerPtr compiled = nn::compile_for_inference(std::move(twin), &report);
         std::size_t rewrites = 0;
         for (const auto& pass : report.passes) {
             rewrites += pass.rewrites;

@@ -6,12 +6,9 @@
 // feature bytes, and evaluates the calibrated edge/cloud/link cost model
 // (src/latency/profiles.cpp documents every calibration constant). No
 // training needed, so it always runs at the paper's full width regardless
-// of ENS_BENCH_SCALE.
-//
-// A second, measured section drives a width-scaled pipeline through the
-// real ens::serve path (wire codec + the service's in-process reactor,
-// which runs a request's N bodies concurrently) to show the same
-// Standard-CI-vs-Ensembler shape with actual wall-clock numbers.
+// of ENS_BENCH_SCALE. Measured serving cost lives in perfbench (the
+// ens_saturate / ens_lockstep workloads), whose repeated runs can resolve
+// a change; a few in-process rounds here could not.
 
 #include <cstdio>
 
@@ -19,30 +16,6 @@
 #include "latency/estimator.hpp"
 #include "latency/profiles.hpp"
 #include "latency/stamp.hpp"
-#include "serve/service.hpp"
-
-namespace {
-
-using namespace ens;
-
-double measure_serve_ms(const nn::ResNetConfig& arch, std::size_t num_bodies,
-                        std::int64_t batch, int rounds) {
-    serve::InferenceService service = serve::InferenceService::from_baseline(
-        bench::make_serving_pipeline(arch, num_bodies, /*seed=*/1000));
-    auto session = service.create_session();
-    Rng rng(7);
-    const Tensor images =
-        Tensor::uniform(Shape{batch, 3, arch.image_size, arch.image_size}, rng, 0.0f, 1.0f);
-    (void)session->infer(images);  // warm-up
-    session->reset_stats();
-    for (int r = 0; r < rounds; ++r) {
-        (void)session->infer(images);
-    }
-    return session->stats().latency().p50_ms;
-}
-
-}  // namespace
-
 int main() {
     using namespace ens;
 
@@ -98,23 +71,5 @@ int main() {
                     (ensembler.total_s() - standard.total_s()));
     std::printf("derived: STAMP / Standard CI = %.0fx (paper: %.0fx)\n",
                 stamp.total_s() / standard.total_s(), 309.7 / 3.94);
-
-    // --- measured: the same N=1 vs N=10 comparison through the real
-    //     ens::serve path, width-scaled for CPU ---
-    nn::ResNetConfig measured_arch;
-    measured_arch.base_width = 4;
-    measured_arch.image_size = 16;
-    measured_arch.num_classes = 10;
-    const std::int64_t measured_batch = 8;
-    const int rounds = 3;
-    const double standard_ms = measure_serve_ms(measured_arch, 1, measured_batch, rounds);
-    const double ensembler_ms = measure_serve_ms(measured_arch, 10, measured_batch, rounds);
-    std::printf("\n# measured (ens::serve, width %lld, %lld-image batch, p50 of %d rounds)\n",
-                static_cast<long long>(measured_arch.base_width),
-                static_cast<long long>(measured_batch), rounds);
-    std::printf("| Standard CI (N=1) | %.1f ms |\n| Ensembler (N=10)  | %.1f ms (%.2fx) |\n",
-                standard_ms, ensembler_ms, ensembler_ms / standard_ms);
-    std::printf("(in-process wire: no link latency, so the measured ratio isolates the "
-                "server-side N-body overhead the cost model charges above)\n");
     return 0;
 }

@@ -91,10 +91,9 @@ VictimTrace drive_victim_session(std::unique_ptr<split::Channel> transport, nn::
                                  wire_format, std::chrono::seconds(30), max_inflight);
     trace.handshake = session.host_info();
 
-    // submit() only enqueues each uplink frame onto the link's sender
-    // thread, but that send queue is FIFO, so the capture order of
-    // requests equals this loop's order even when replies land out of
-    // order across the in-flight window.
+    // submit() writes each uplink frame on this thread before it returns,
+    // so the capture order of requests equals this loop's order even when
+    // replies land out of order across the in-flight window.
     std::vector<std::future<serve::InferenceResult>> pending;
     pending.reserve(batches.size());
     for (const Tensor& batch : batches) {

@@ -36,10 +36,9 @@ enum class ErrorCode : std::uint8_t {
                            // version, truncated stream, name/shape/count
                            // mismatch against the target model (messages
                            // name the offending file)
-    compile_error = 7,     // graph-compiler contract violation: a required
-                           // rewrite (e.g. strict noise baking) is illegal
-                           // on this graph, or a compiled (inference-only)
-                           // artifact was asked to train/export
+    compile_error = 7,     // graph-compiler contract violation: a compiled
+                           // (inference-only) artifact was asked to
+                           // train/export
 };
 
 /// "channel_closed" etc., for logs and test diagnostics.

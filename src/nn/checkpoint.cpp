@@ -10,8 +10,8 @@
 namespace ens::nn {
 
 namespace {
-constexpr std::uint32_t kMagic = 0x454E5331;       // "ENS1": parameters only
-constexpr std::uint32_t kMagicState = 0x454E5332;  // "ENS2": parameters + buffers
+constexpr std::uint32_t kMagicState = 0x454E5332;   // "ENS2": the checkpoint
+constexpr std::uint32_t kMagicParams = 0x454E5331;  // "ENS1": its parameter section
 
 // Hostile-input bounds, checked before any allocation. Parameter names are
 // short identifiers ("weight", "noise_mask"); tensors in this library are
@@ -63,15 +63,27 @@ void load_named_tensor(BinaryReader& reader, const std::string& kind,
     reader.read_f32_array(destination.data(), static_cast<std::size_t>(destination.numel()));
 }
 
-void load_parameters_impl(Layer& layer, BinaryReader& reader, const std::string& context) {
+void expect_magic(BinaryReader& reader, std::uint32_t want, const std::string& context) {
     const std::uint32_t magic = reader.read_u32();
-    if (magic != kMagic) {
-        fail(context, "bad checkpoint magic " + hex(magic) + " (want " + hex(kMagic) + ")");
+    if (magic != want) {
+        fail(context, "bad checkpoint magic " + hex(magic) + " (want " + hex(want) + ")");
     }
+}
+
+void write_named_tensor(BinaryWriter& writer, const std::string& name, const Tensor& tensor) {
+    writer.write_string(name);
+    writer.write_i64_vector(tensor.shape().dims());
+    writer.write_f32_array(tensor.data(), static_cast<std::size_t>(tensor.numel()));
+}
+
+void load_state_impl(Layer& layer, BinaryReader& reader, const std::string& context) {
+    expect_magic(reader, kMagicState, context);
+    expect_magic(reader, kMagicParams, context);
     const auto params = layer.parameters();
-    const std::uint64_t count = reader.read_u64();
-    if (count != params.size()) {
-        fail(context, "parameter count mismatch: checkpoint holds " + std::to_string(count) +
+    const std::uint64_t param_count = reader.read_u64();
+    if (param_count != params.size()) {
+        fail(context, "parameter count mismatch: checkpoint holds " +
+                          std::to_string(param_count) +
                           ", model expects " + std::to_string(params.size()));
     }
     for (Parameter* p : params) {
@@ -79,25 +91,10 @@ void load_parameters_impl(Layer& layer, BinaryReader& reader, const std::string&
     }
     // Restored values invalidate any derived state (packed GEMM panels).
     layer.on_parameters_changed();
-}
-
-void load_state_impl(Layer& layer, BinaryReader& reader, const std::string& context) {
-    const std::uint32_t magic = reader.read_u32();
-    if (magic == kMagic) {
-        fail(context,
-             "parameters-only checkpoint where a full state checkpoint (parameters + "
-             "buffers) is required — was this written with save_parameters instead of "
-             "save_state?");
-    }
-    if (magic != kMagicState) {
-        fail(context,
-             "bad state checkpoint magic " + hex(magic) + " (want " + hex(kMagicState) + ")");
-    }
-    load_parameters_impl(layer, reader, context);
     const auto state = layer.buffers();
-    const std::uint64_t count = reader.read_u64();
-    if (count != state.size()) {
-        fail(context, "buffer count mismatch: checkpoint holds " + std::to_string(count) +
+    const std::uint64_t buffer_count = reader.read_u64();
+    if (buffer_count != state.size()) {
+        fail(context, "buffer count mismatch: checkpoint holds " + std::to_string(buffer_count) +
                           ", model expects " + std::to_string(state.size()));
     }
     for (const Layer::NamedBuffer& buffer : state) {
@@ -112,56 +109,19 @@ void run_typed(const std::string& context, Body&& body) {
 
 }  // namespace
 
-void save_parameters(Layer& layer, std::ostream& out) {
-    BinaryWriter writer(out);
-    writer.write_u32(kMagic);
-    const auto params = layer.parameters();
-    writer.write_u64(params.size());
-    for (const Parameter* p : params) {
-        writer.write_string(p->name);
-        writer.write_i64_vector(p->value.shape().dims());
-        writer.write_f32_array(p->value.data(), static_cast<std::size_t>(p->value.numel()));
-    }
-}
-
-void load_parameters(Layer& layer, std::istream& in, const std::string& context) {
-    BinaryReader reader(in);
-    run_typed(context, [&] { load_parameters_impl(layer, reader, context); });
-}
-
-void save_parameters_file(Layer& layer, const std::string& path) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out.good()) {
-        fail(path, "cannot open checkpoint for writing");
-    }
-    save_parameters(layer, out);
-    // Flush before declaring success: a full disk surfacing only in the
-    // unchecked destructor would leave a truncated checkpoint behind.
-    out.flush();
-    if (!out.good()) {
-        fail(path, "checkpoint write failed (disk full?)");
-    }
-}
-
-void load_parameters_file(Layer& layer, const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-        fail(path, "cannot open checkpoint for reading");
-    }
-    load_parameters(layer, in, path);
-}
-
 void save_state(Layer& layer, std::ostream& out) {
     BinaryWriter writer(out);
     writer.write_u32(kMagicState);
-    save_parameters(layer, out);
+    writer.write_u32(kMagicParams);
+    const auto params = layer.parameters();
+    writer.write_u64(params.size());
+    for (const Parameter* p : params) {
+        write_named_tensor(writer, p->name, p->value);
+    }
     const auto state = layer.buffers();
     writer.write_u64(state.size());
     for (const Layer::NamedBuffer& buffer : state) {
-        writer.write_string(buffer.name);
-        writer.write_i64_vector(buffer.tensor->shape().dims());
-        writer.write_f32_array(buffer.tensor->data(),
-                               static_cast<std::size_t>(buffer.tensor->numel()));
+        write_named_tensor(writer, buffer.name, *buffer.tensor);
     }
 }
 
@@ -176,6 +136,8 @@ void save_state_file(Layer& layer, const std::string& path) {
         fail(path, "cannot open checkpoint for writing");
     }
     save_state(layer, out);
+    // Flush before declaring success: a full disk surfacing only in the
+    // unchecked destructor would leave a truncated checkpoint behind.
     out.flush();
     if (!out.good()) {
         fail(path, "checkpoint write failed (disk full?)");

@@ -1,15 +1,12 @@
 #pragma once
 // Checkpointing for layer trees (by traversal order, name+shape validated).
 //
-// Two fidelities:
-//   save_parameters / load_parameters — trainable Parameters only. Enough
-//     for weights that will be retrained or whose BN statistics are
-//     re-derived (the in-process experiment flows).
-//   save_state / load_state — Parameters PLUS the named non-parameter
-//     buffers from Layer::buffers() (BatchNorm running statistics, fixed
-//     noise masks). This is the deployment-grade format: a network
-//     restored with load_state reproduces eval-mode outputs bit-for-bit
-//     in a fresh process (serve/bundle.hpp builds on exactly this).
+// One format: save_state / load_state carry the trainable Parameters PLUS
+// the named non-parameter buffers from Layer::buffers() (BatchNorm running
+// statistics, fixed noise masks). A network restored with load_state
+// reproduces eval-mode outputs bit-for-bit in a fresh process
+// (serve/bundle.hpp builds on exactly this). In-process weight copies
+// go through copy_parameters (nn/layer.hpp), not a stream.
 //
 // Loaders treat the stream as UNTRUSTED: every count and length is bounded
 // before allocation, and every failure — wrong magic, truncation, count/
@@ -25,21 +22,14 @@
 
 namespace ens::nn {
 
-/// Binary format: magic, parameter count, then (name, shape, f32 data).
-void save_parameters(Layer& layer, std::ostream& out);
+/// Binary format: state magic; the parameter section (its own magic,
+/// count, then name, shape, f32 data per parameter); buffer count, then
+/// name, shape, f32 data per buffer.
+void save_state(Layer& layer, std::ostream& out);
 
 /// Restores into an identically-structured layer; throws
 /// ens::Error{checkpoint_error} (message prefixed with `context`) on any
 /// mismatch or corruption.
-void load_parameters(Layer& layer, std::istream& in,
-                     const std::string& context = "checkpoint stream");
-
-void save_parameters_file(Layer& layer, const std::string& path);
-void load_parameters_file(Layer& layer, const std::string& path);
-
-/// Full-fidelity checkpoint: parameters + buffers (BN running stats,
-/// fixed noise masks).
-void save_state(Layer& layer, std::ostream& out);
 void load_state(Layer& layer, std::istream& in,
                 const std::string& context = "checkpoint stream");
 

@@ -248,17 +248,6 @@ std::size_t run_peephole(LayerPtr& node, Peephole fn) {
     return rewrites;
 }
 
-std::size_t count_remaining_noise(const Layer& node) {
-    if (const auto* seq = dynamic_cast<const Sequential*>(&node)) {
-        std::size_t n = 0;
-        for (std::size_t i = 0; i < seq->size(); ++i) {
-            n += count_remaining_noise(seq->layer(i));
-        }
-        return n;
-    }
-    return dynamic_cast<const FixedNoise*>(&node) != nullptr ? 1 : 0;
-}
-
 }  // namespace
 
 // -------------------------------------------------------- CompileReport
@@ -284,46 +273,27 @@ std::string CompileReport::to_string() const {
 
 // ------------------------------------------------- compile_for_inference
 
-LayerPtr compile_for_inference(LayerPtr root, const CompileOptions& options,
-                               CompileReport* report) {
+LayerPtr compile_for_inference(LayerPtr root, CompileReport* report) {
     ENS_REQUIRE(root != nullptr, "compile_for_inference: null graph");
     CompileReport local;
 
     struct Pass {
         const char* name;
         Peephole fn;
-        bool enabled;
     };
     // Order matters: folding first exposes bare Conv2d outputs, baking
     // runs before fusion so a [Linear, FixedNoise, ReLU] chain can bake
     // THEN fuse (an already-fused epilogue would make the bake illegal).
     const Pass pipeline[] = {
-        {"fold-batchnorm", &fold_batchnorm_children, options.fold_batchnorm},
-        {"bake-noise", &bake_noise_children, options.bake_noise},
-        {"fuse-activations", &fuse_activation_children, options.fuse_activations},
+        {"fold-batchnorm", &fold_batchnorm_children},
+        {"bake-noise", &bake_noise_children},
+        {"fuse-activations", &fuse_activation_children},
     };
     for (const Pass& pass : pipeline) {
-        if (!pass.enabled) {
-            continue;
-        }
         local.passes.push_back({pass.name, run_peephole(root, pass.fn)});
     }
-
-    if (options.require_noise_baking) {
-        const std::size_t remaining = count_remaining_noise(*root);
-        if (remaining > 0) {
-            throw Error(ErrorCode::compile_error,
-                        "compile_for_inference: " + std::to_string(remaining) +
-                            " FixedNoise layer(s) have no legal bake target (trainable, "
-                            "non-rank-1, or not adjacent to a Linear) and "
-                            "require_noise_baking is set");
-        }
-    }
-
-    if (options.repack) {
-        root->prepare_inference();
-        local.passes.push_back({"repack", 0});
-    }
+    root->prepare_inference();
+    local.passes.push_back({"repack", 0});
     if (report != nullptr) {
         *report = std::move(local);
     }

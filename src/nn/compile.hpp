@@ -21,8 +21,7 @@
 //                     [Linear, FixedNoise] -> b' = b + m, only while no
 //                     epilogue is fused — relu(x) + m != relu(x + m)).
 //                     Trainable masks, non-rank-1 masks and masks not
-//                     adjacent to a Linear are left in place (identity),
-//                     or refused typed under require_noise_baking. The
+//                     adjacent to a Linear are left in place (identity). The
 //                     split-point noise of a served deployment
 //                     (ClientArtifacts.noise) is NEVER passed through the
 //                     compiler — it is the wire-observable defense itself.
@@ -52,20 +51,6 @@
 
 namespace ens::nn {
 
-struct CompileOptions {
-    bool fold_batchnorm = true;
-    bool fuse_activations = true;
-    bool bake_noise = true;
-    /// Strict mode: throw ens::Error{compile_error} if any FixedNoise
-    /// survives the bake pass instead of degrading to identity. For
-    /// deployments whose threat model requires masks to live inside fused
-    /// weights rather than as a separable layer.
-    bool require_noise_baking = false;
-    /// Re-run prepare_inference over the compiled tree so packed-weight
-    /// caches are rebuilt eagerly from the rewritten weights.
-    bool repack = true;
-};
-
 /// What each pass did, for logs and tests.
 struct CompileReport {
     struct PassStats {
@@ -79,14 +64,13 @@ struct CompileReport {
     std::string to_string() const;
 };
 
-/// Runs the enabled passes over `root` (consuming it) and returns the
+/// Runs the four passes over `root` (consuming it) and returns the
 /// compiled graph. Rewrites happen inside Sequential child lists (nested
 /// Sequentials recursed) and on BasicBlock nodes; a graph with no foldable
 /// pattern comes back functionally identical (bit-exact outputs). The
 /// input graph must already hold its final (checkpoint-loaded) state —
 /// folding bakes the CURRENT running statistics and masks in.
-LayerPtr compile_for_inference(LayerPtr root, const CompileOptions& options = {},
-                               CompileReport* report = nullptr);
+LayerPtr compile_for_inference(LayerPtr root, CompileReport* report = nullptr);
 
 /// A BasicBlock after BN folding: conv1 (folded, fused ReLU) -> conv2
 /// (folded) -> add shortcut (optionally a folded 1x1 projection) -> ReLU.

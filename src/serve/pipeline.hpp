@@ -41,8 +41,8 @@ namespace ens::serve {
 std::exception_ptr labeled_exception(const std::string& label, const std::exception_ptr& error);
 
 /// The uplink payload of one request: encoded ONCE into a pooled buffer,
-/// shared read-only by every link's sender, returned to the pool when the
-/// last sender is done with it. Retained on the in-flight request until
+/// shared read-only by every link's write, returned to the pool when the
+/// last holder is done with it. Retained on the in-flight request until
 /// completion so a replica failure can replay the identical bytes.
 using SharedPayload = std::shared_ptr<split::WireBufferPool::Lease>;
 

@@ -14,24 +14,11 @@
 #include "common/logging.hpp"
 #include "serve/protocol.hpp"
 #include "split/codec.hpp"
+#include "split/tcp_channel.hpp"
 
 namespace ens::serve {
 
 namespace {
-
-// Same stream-desync bound as TcpChannel: a frame header this large is a
-// corrupt or hostile peer, not a feature map.
-constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 30;
-
-constexpr std::size_t kFrameHeaderBytes = 8;
-
-std::uint64_t decode_frame_header(const unsigned char* in) {
-    std::uint64_t size = 0;
-    for (int i = 0; i < 8; ++i) {
-        size |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-    }
-    return size;
-}
 
 void set_nonblocking_fd(int fd) {
     const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -250,21 +237,23 @@ void ReactorHost::dispatch(const std::shared_ptr<Conn>& conn, std::uint64_t id,
 
 bool ReactorHost::parse_and_dispatch(const std::shared_ptr<Conn>& conn, Poller& poller) {
     while (!conn->dead.load() && conn->inflight.load() < conn->window) {
-        if (conn->buffer.size() < kFrameHeaderBytes) {
+        if (conn->buffer.size() < split::kFrameHeaderBytes) {
             break;
         }
-        const std::uint64_t payload_size = decode_frame_header(
+        const std::uint64_t payload_size = split::decode_frame_header(
             reinterpret_cast<const unsigned char*>(conn->buffer.data()));
-        if (payload_size > kMaxFrameBytes) {
+        if (payload_size > split::kMaxFrameBytes) {
             ENS_LOG(LogLevel::kWarn) << "ReactorHost: implausible frame length " << payload_size
                                      << " (stream desynced?), dropping connection";
             return false;
         }
-        const std::size_t total = kFrameHeaderBytes + static_cast<std::size_t>(payload_size);
+        const std::size_t total =
+            split::kFrameHeaderBytes + static_cast<std::size_t>(payload_size);
         if (conn->buffer.size() < total) {
             break;
         }
-        std::string frame = conn->buffer.substr(kFrameHeaderBytes, total - kFrameHeaderBytes);
+        std::string frame =
+            conn->buffer.substr(split::kFrameHeaderBytes, total - split::kFrameHeaderBytes);
         conn->buffer.erase(0, total);
         std::uint64_t id = 0;
         try {

@@ -181,15 +181,17 @@ private:
 };
 
 /// Client-side handle on ONE whole-deployment BodyHost: the K = 1 case of
-/// ShardRouter (it IS a one-shard router — same I/O workers, window,
+/// ShardRouter (it IS a one-shard router — same demux thread, window,
 /// finish and failure semantics), and what every in-proc ClientSession
 /// holds. Owns the private client bundle references, the secret
-/// selector, the wire channel and its persistent I/O workers (created at
-/// connect time — never per request). submit() keeps up to window()
-/// requests in flight (futures may resolve out of order); infer() is
-/// submit + wait. submit() itself must be called from one thread at a time
-/// (the shared head layer's forward cache is not thread-safe), like a
-/// client device.
+/// selector, the wire channel and its one persistent demux thread
+/// (created at connect time — never per request); submit() writes the
+/// request on the calling thread, so it can block in that write while the
+/// host has stopped reading (until the recv timeout fails the link).
+/// submit() keeps up to window() requests in flight (futures may resolve
+/// out of order); infer() is submit + wait. submit() itself must be called
+/// from one thread at a time (the shared head layer's forward cache is not
+/// thread-safe), like a client device.
 class RemoteSession final : public ShardRouter {
 public:
     /// Takes the connected channel; `noise` may be null (plain split CI).

@@ -14,10 +14,14 @@
 // RemoteSession (the one-shard ShardRouter, the repo's one wire client)
 // on one end of a socketpair whose other end the reactor adopted. It
 // carries its own secret Selector, wire-format choice, window and
-// SessionStats. submit() runs the client phase (head forward, split-point
-// noise, encode) on the calling thread and returns a pending future; the
-// reactor's workers run the request's N bodies concurrently, and the
-// session's demux thread applies the secret Selector combine and the tail.
+// SessionStats, and holds exactly one thread, its link's demux. submit()
+// runs the client phase (head forward, split-point noise, encode) and
+// writes the request into the socketpair on the calling thread, then
+// returns a pending future; the reactor's workers run the request's N
+// bodies concurrently, and the session's demux thread applies the secret
+// Selector combine and the tail. The write can block only while the
+// reactor has stopped reading the session (a wedged host); sessions set
+// no recv timeout, so that wait is as unbounded as the future's.
 //
 // The in-proc path is bit-identical to the sequential
 // split::CollaborativeSession round trip: same messages, same bytes, same

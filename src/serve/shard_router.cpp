@@ -226,9 +226,9 @@ void ShardRouter::init(std::vector<std::vector<std::unique_ptr<split::Channel>>>
                     std::to_string(total_bodies) + " bodies");
 
     // Handshakes done, shard map validated: build the whole topology, then
-    // bring up the persistent per-link I/O workers (one sender + one
-    // recv-demux thread per live channel, for the life of the connection)
-    // — a worker failing its link walks its siblings.
+    // bring up the persistent per-link recv-demux threads (one per live
+    // channel, for the life of the connection) — a demux failing its link
+    // walks its siblings.
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         const std::size_t replicas = shard_replicas[s].size();
         for (std::size_t r = 0; r < replicas; ++r) {
@@ -374,18 +374,6 @@ void ShardRouter::reconnect_shard(std::size_t shard, std::unique_ptr<split::Chan
              std::to_string(shard) + "; nothing to replace");
 }
 
-void ShardRouter::reconnect_replica(std::size_t shard, std::size_t replica,
-                                    std::unique_ptr<split::Channel> channel) {
-    ENS_REQUIRE(shard < shards_.size(), "ShardRouter::reconnect_replica: shard out of range");
-    ENS_REQUIRE(replica < shards_[shard].replicas.size(),
-                "ShardRouter::reconnect_replica: replica out of range");
-    ENS_REQUIRE(channel != nullptr, "ShardRouter::reconnect_replica: null channel");
-    const HostInfo host = adopt(*channel, handshake_timeout_);
-    require_slice(shard, host);
-    const std::lock_guard<std::mutex> serial(reconnect_mutex_);
-    reconnect(*shards_[shard].replicas[replica], std::move(channel));
-}
-
 void ShardRouter::reconnect(Link& link, std::unique_ptr<split::Channel> channel) {
     {
         const std::lock_guard<std::mutex> lock(table_mutex_);
@@ -393,20 +381,17 @@ void ShardRouter::reconnect(Link& link, std::unique_ptr<split::Channel> channel)
         ENS_REQUIRE(link.needs_reconnect,
                     "ShardRouter: " + link.label + " is healthy; nothing to replace");
     }
-    // The failed link's workers exited when fail_link closed the channel;
-    // join so the new workers never coexist with the old ones.
-    if (link.sender.joinable()) {
-        link.sender.join();
-    }
+    // The failed link's demux exited when fail_link closed the channel;
+    // join so the new demux never coexists with the old one. A submitter
+    // still inside a send on the old channel holds send_mutex until the
+    // close wakes it, so the swap never pulls a channel out from under it.
     if (link.demux.joinable()) {
         link.demux.join();
     }
     {
-        const std::lock_guard<std::mutex> lock(link.mutex);
+        const std::scoped_lock lock(link.send_mutex, link.mutex);
         link.channel = std::move(channel);
         link.failed = false;
-        link.stop = false;
-        link.queue.clear();
         link.pending.clear();
         link.channel->set_recv_timeout(std::chrono::milliseconds(recv_timeout_ms_.load()));
     }
@@ -496,21 +481,42 @@ bool ShardRouter::assign(const std::shared_ptr<InflightRequest>& request, std::s
     }
     for (std::size_t k = 0; k < shard.replicas.size(); ++k) {
         Link& link = *shard.replicas[(start + k) % shard.replicas.size()];
+        std::exception_ptr send_error;
         {
-            const std::lock_guard<std::mutex> lock(link.mutex);
-            if (link.failed || link.stop) {
-                continue;
+            // Held across insert + write: this link's wire order is its
+            // assign order (concurrent submitters, failover replays), and a
+            // reconnect cannot swap the channel out from under the write.
+            const std::lock_guard<std::mutex> send_lock(link.send_mutex);
+            SharedPayload payload;
+            {
+                const std::lock_guard<std::mutex> lock(link.mutex);
+                if (link.failed) {
+                    continue;
+                }
+                // Inserted while the link is healthy: if it fails an instant
+                // later, fail_link drains this pending and the request fails
+                // over again (bounded by retry_.max_attempts). Its started
+                // stamp is the send time (shard stats, the recv-timeout check).
+                LinkPending pending;
+                pending.request = request;
+                pending.seen.assign(shard.host.body_count, false);
+                link.pending.emplace(wire_id, std::move(pending));
+                payload = request->payload;
             }
-            // Inserted while the link is healthy: if it fails an instant
-            // later, fail_link drains this pending and the request fails
-            // over again (bounded by retry_.max_attempts).
-            LinkPending pending;
-            pending.request = request;
-            pending.seen.assign(shard.host.body_count, false);
-            link.pending.emplace(wire_id, std::move(pending));
-            link.queue.push_back(SendItem{wire_id, request->payload});
+            unsigned char tag[kRequestTagBytes];
+            encode_request_tag(wire_id, tag);
+            try {
+                link.channel->send_parts(
+                    std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
+                    (**payload).view());
+            } catch (...) {
+                send_error = std::current_exception();
+            }
         }
-        link.send_cv.notify_one();
+        if (send_error) {
+            // The pending entry is now fail_link's: replayed or faulted.
+            fail_link(link, send_error);
+        }
         return true;
     }
     return false;
@@ -531,7 +537,7 @@ std::future<InferenceResult> ShardRouter::submit(Tensor images) {
         images = images.reshaped(Shape{1, images.dim(0), images.dim(1), images.dim(2)});
     }
     // Client phase: private head (+ split-point noise), encoded ONCE into a
-    // pooled buffer — every shard's sender ships the identical payload
+    // pooled buffer — every shard's link carries the identical payload
     // bytes (TcpChannel's scatter-gather path glues the request tag on
     // without copying them again). The request retains the lease until it
     // settles, so a replica failover replays the same bytes.
@@ -625,13 +631,9 @@ void ShardRouter::close() {
     window_cv_.notify_all();
     for (Shard& shard : shards_) {
         for (auto& link : shard.replicas) {
-            {
-                const std::lock_guard<std::mutex> lock(link->mutex);
-                link->stop = true;
-            }
-            link->send_cv.notify_all();
             try {
                 const std::lock_guard<std::mutex> lock(link->mutex);
+                link->failed = true;  // fail_link is a no-op from here on
                 if (link->channel) {
                     link->channel->close();
                 }
@@ -641,16 +643,13 @@ void ShardRouter::close() {
     }
     for (Shard& shard : shards_) {
         for (auto& link : shard.replicas) {
-            if (link->sender.joinable()) {
-                link->sender.join();
-            }
             if (link->demux.joinable()) {
                 link->demux.join();
             }
         }
     }
-    // Workers are gone; fault whatever was still in flight so no future
-    // ever hangs past close().
+    // The demux threads are gone; fault whatever was still in flight so no
+    // future ever hangs past close().
     for (Shard& shard : shards_) {
         for (auto& link : shard.replicas) {
             std::unordered_map<std::uint64_t, LinkPending> orphans;
@@ -658,7 +657,6 @@ void ShardRouter::close() {
                 const std::lock_guard<std::mutex> lock(link->mutex);
                 orphans = std::move(link->pending);
                 link->pending.clear();
-                link->queue.clear();
             }
             const auto error = labeled_exception(
                 link->label, std::make_exception_ptr(Error(ErrorCode::channel_closed,
@@ -681,44 +679,7 @@ void ShardRouter::close() {
 // ------------------------------------------------------------ I/O loops
 
 void ShardRouter::start_link(Link& link) {
-    link.sender = std::thread([this, &link] { sender_loop(link); });
     link.demux = std::thread([this, &link] { demux_loop(link); });
-}
-
-void ShardRouter::sender_loop(Link& link) {
-    for (;;) {
-        SendItem item;
-        {
-            std::unique_lock<std::mutex> lock(link.mutex);
-            link.send_cv.wait(lock, [&link] { return link.stop || !link.queue.empty(); });
-            if (link.stop) {
-                return;
-            }
-            item = std::move(link.queue.front());
-            link.queue.pop_front();
-            const auto it = link.pending.find(item.id);
-            if (it != link.pending.end()) {
-                it->second.sent = true;
-                it->second.started.reset();  // shard stats: send -> last map
-            }
-        }
-        unsigned char tag[kRequestTagBytes];
-        encode_request_tag(item.id, tag);
-        try {
-            link.channel->send_parts(
-                std::string_view(reinterpret_cast<const char*>(tag), sizeof(tag)),
-                (**item.payload).view());
-        } catch (...) {
-            {
-                const std::lock_guard<std::mutex> lock(link.mutex);
-                if (link.stop) {
-                    return;
-                }
-            }
-            fail_link(link, std::current_exception());
-            return;
-        }
-    }
 }
 
 void ShardRouter::demux_loop(Link& link) {
@@ -727,12 +688,6 @@ void ShardRouter::demux_loop(Link& link) {
         try {
             frame = link.channel->recv();
         } catch (const Error& e) {
-            {
-                const std::lock_guard<std::mutex> lock(link.mutex);
-                if (link.stop) {
-                    return;
-                }
-            }
             if (e.code() == ErrorCode::channel_timeout) {
                 // The demux recv runs CONTINUOUSLY, so a recv timeout is
                 // only a failure when some pending request has actually
@@ -744,10 +699,7 @@ void ShardRouter::demux_loop(Link& link) {
                 {
                     const std::lock_guard<std::mutex> lock(link.mutex);
                     for (const auto& [id, pending] : link.pending) {
-                        if (pending.sent) {
-                            oldest_wait_ms =
-                                std::max(oldest_wait_ms, pending.started.elapsed_ms());
-                        }
+                        oldest_wait_ms = std::max(oldest_wait_ms, pending.started.elapsed_ms());
                     }
                 }
                 const long long cap_ms = recv_timeout_ms_.load();
@@ -758,12 +710,6 @@ void ShardRouter::demux_loop(Link& link) {
             fail_link(link, std::current_exception());
             return;
         } catch (...) {
-            {
-                const std::lock_guard<std::mutex> lock(link.mutex);
-                if (link.stop) {
-                    return;
-                }
-            }
             fail_link(link, std::current_exception());
             return;
         }
@@ -875,17 +821,14 @@ void ShardRouter::fail_link(Link& link, const std::exception_ptr& error) {
     {
         const std::lock_guard<std::mutex> lock(link.mutex);
         if (link.failed) {
-            return;  // the other worker of this link got here first
+            return;  // failed already, or close() is tearing the link down
         }
         link.failed = true;
-        link.stop = true;
         orphans = std::move(link.pending);
         link.pending.clear();
-        link.queue.clear();
     }
-    link.send_cv.notify_all();
     try {
-        link.channel->close();  // wakes this link's other worker
+        link.channel->close();  // wakes the demux and any blocked send
     } catch (...) {
     }
     Shard& shard = shards_[link.shard];

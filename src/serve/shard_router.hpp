@@ -29,27 +29,32 @@
 // request id, so the router keeps up to window() requests in flight per
 // connection and matches replies to futures by id, not stream position.
 // submit() runs the client phase (head + noise) on the calling thread,
-// encodes the feature map ONCE into a pooled buffer, enqueues it on the
-// chosen replicas' send queues, and returns a future. Per replica LINK
-// there is one SENDER thread draining that FIFO queue (so submit() never
-// blocks on a slow shard's socket) and one RECV-DEMUX thread that parses
-// reply tags, decodes feature maps straight into the request's global body
-// slots, and turns unknown/duplicate/out-of-range tags into typed
-// protocol errors. The in-flight table is bounded by the negotiated window
-// — submit() parks while it is full (client-side backpressure; the host's
-// reactor applies the same bound by not reading past it). The demux that
-// delivers a request's LAST map runs selector + tail (serialized: the
-// shared tail's forward cache is not thread-safe) and resolves the future
-// — out of order when a later request finishes first; ids never cross.
-// infer() is submit + wait. All I/O threads are created at connect (and
-// reconnect) time — NEVER per request.
+// encodes the feature map ONCE into a pooled buffer, writes the tagged
+// request to the chosen replica of every shard ON THE CALLING THREAD, and
+// returns a future. Per replica LINK there is exactly one I/O thread, a
+// RECV-DEMUX that parses reply tags, decodes feature maps straight into
+// the request's global body slots, and turns unknown/duplicate/
+// out-of-range tags into typed protocol errors. The in-flight table is
+// bounded by the negotiated window — submit() parks while it is full
+// (client-side backpressure; the host's reactor applies the same bound by
+// not reading past it). Because the window never exceeds any host's
+// per-connection cap, a healthy host always reads the request; only a
+// host that has stopped reading (SIGSTOPped, hung) can block submit()
+// inside the socket write, and then until the recv timeout declares the
+// link failed and its close() wakes the write (0 = forever, as for the
+// future). The demux that delivers a request's LAST map runs selector +
+// tail (serialized: the shared tail's forward cache is not thread-safe)
+// and resolves the future — out of order when a later request finishes
+// first; ids never cross. infer() is submit + wait. All I/O threads are
+// created at connect (and reconnect) time — NEVER per request.
 //
 // Failure isolation and failover: a transport or protocol error on a
 // replica closes that link only; the other shards' tagged streams cannot
 // desynchronize. Requests in flight on the dead link are replayed onto a
 // surviving replica of the same shard under a FRESH wire id (the dead
 // stream's ids are unknowable — a stale reply must never match the
-// replay) with the identical retained payload bytes, bounded by
+// replay) with the identical retained payload bytes, written by the dying
+// link's demux thread straight onto the sibling, bounded by
 // RetryPolicy::max_attempts — the client future never notices. Replay is
 // at-least-once towards the hosts and exactly-once towards the future (a
 // settled flag; the dead channel is closed before its pending moves).
@@ -73,7 +78,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -161,10 +165,12 @@ public:
     ShardRouter& operator=(const ShardRouter&) = delete;
 
     /// Pipelined submission: head (+noise) on the calling thread, encode
-    /// once, fan the tagged request out through one healthy replica per
-    /// shard, return a future that resolves — possibly out of order —
-    /// with the merged + selected + tailed result. Blocks while window()
-    /// requests are in flight (the wait is the result's queue_ms). On
+    /// once, write the tagged request to one healthy replica per shard
+    /// (also on the calling thread), return a future that resolves —
+    /// possibly out of order — with the merged + selected + tailed result.
+    /// Blocks while window() requests are in flight (the wait is the
+    /// result's queue_ms), and inside a write while a host has stopped
+    /// reading, until the recv timeout fails that link. On
     /// replica failure the request fails over to a surviving replica; only
     /// when a shard has none left does the future fault with a typed
     /// ens::Error naming the replica, and that shard is marked
@@ -192,10 +198,6 @@ public:
     /// counters start from zero.
     void reconnect_shard(std::size_t shard, std::unique_ptr<split::Channel> channel);
 
-    /// Replaces the channel of one specific failed replica.
-    void reconnect_replica(std::size_t shard, std::size_t replica,
-                           std::unique_ptr<split::Channel> channel);
-
     /// True when `shard` has NO healthy replica left and must be
     /// reconnected before the next submission. A failed replica's stream
     /// state is unknowable (e.g. a timeout whose reply later arrives), so
@@ -222,7 +224,6 @@ public:
 
     split::WireFormat wire_format() const { return wire_format_; }
     const core::Selector& selector() const { return selector_; }
-    const RetryPolicy& retry_policy() const { return retry_; }
 
     /// Whole-request latency stats, plus the session-level failover/retry
     /// counters.
@@ -246,42 +247,37 @@ public:
     void close();
 
 private:
-    struct SendItem {
-        std::uint64_t id = 0;
-        SharedPayload payload;
-    };
-
     /// A link's view of one in-flight request, keyed by WIRE id (equal to
     /// the request id on first assignment, fresh on every replay).
     struct LinkPending {
         std::shared_ptr<InflightRequest> request;
         std::vector<bool> seen;  // per body_seq duplicate guard
         std::size_t delivered = 0;
-        bool sent = false;
-        Stopwatch started;  // stamped at actual send time (shard stats)
+        Stopwatch started;  // stamped as the request is written (shard stats)
     };
 
-    /// One replica connection with its two I/O workers. A NULL channel
-    /// marks a BORN-FAILED replica (its endpoint was unreachable at dial
-    /// time): it starts failed with no workers and joins the rotation
-    /// through reconnect(), like a replica that died mid-session.
+    /// One replica connection with its demux thread. A NULL channel marks
+    /// a BORN-FAILED replica (its endpoint was unreachable at dial time):
+    /// it starts failed with no thread and joins the rotation through
+    /// reconnect(), like a replica that died mid-session.
     struct Link {
         std::size_t shard = 0;     ///< index into shards_
         std::string label;         ///< "shard 0 replica 1" — error tagging
         ReplicaEndpoint endpoint;  ///< redial address (port 0 = none)
 
-        std::mutex mutex;  // guards channel swaps, queue, pending, stop, failed
+        /// Held by assign() across pending insert + request write, and by
+        /// reconnect() across the channel swap: wire order = assign order.
+        std::mutex send_mutex;
+        std::mutex mutex;  // guards channel swaps, pending, failed
         std::unique_ptr<split::Channel> channel;
-        std::condition_variable send_cv;
-        std::deque<SendItem> queue;  // FIFO: wire order = submit order
         std::unordered_map<std::uint64_t, LinkPending> pending;
-        bool stop = false;
+        /// Takes no more requests: set by fail_link and close(), cleared
+        /// by reconnect.
         bool failed = false;
         /// Published failure (guarded by table_mutex_): set by fail_link,
         /// cleared by reconnect; what replica health and redial read.
         bool needs_reconnect = false;
 
-        std::thread sender;
         std::thread demux;
     };
 
@@ -296,7 +292,7 @@ private:
     };
 
     /// Shared constructor body over per-shard replica channels: handshakes,
-    /// shard-map validation, then the per-link I/O workers.
+    /// shard-map validation, then the per-link demux threads.
     void init(std::vector<std::vector<std::unique_ptr<split::Channel>>> shard_replicas,
               std::size_t max_inflight);
     /// Handshakes `channel` and returns what the host advertised; used by
@@ -306,7 +302,7 @@ private:
     /// protocol_error on mismatch).
     void require_slice(std::size_t shard, const HostInfo& host) const;
     /// Swaps an already-validated `channel` into FAILED `link` and restarts
-    /// its workers. The caller holds reconnect_mutex_ (manual reconnects
+    /// its demux. The caller holds reconnect_mutex_ (manual reconnects
     /// and the background redialer are serialized).
     void reconnect(Link& link, std::unique_ptr<split::Channel> channel);
     /// The link's published failure flag.
@@ -314,16 +310,16 @@ private:
     void maintenance_loop();
 
     void start_link(Link& link);
-    void sender_loop(Link& link);
     void demux_loop(Link& link);
     /// Handles one reply frame; throws to fail the link.
     void handle_frame(Link& link, const std::string& frame);
     /// Marks the link failed and either fails its pending requests over to
     /// a sibling replica or faults them (labeled) when none survives.
-    /// First caller wins; later calls are no-ops.
+    /// First caller wins; later calls, and calls after close(), are no-ops.
     void fail_link(Link& link, const std::exception_ptr& error);
-    /// Enqueues `request` under `wire_id` on one healthy replica of `shard`
-    /// (round-robin); false when the shard has no healthy replica.
+    /// Writes `request` under `wire_id` to one healthy replica of `shard`
+    /// (round-robin) on the calling thread; a failed write goes to
+    /// fail_link. False when the shard has no healthy replica.
     bool assign(const std::shared_ptr<InflightRequest>& request, std::size_t shard,
                 std::uint64_t wire_id);
     /// Publishes "this shard has no healthy replica" (submit refusals).

@@ -25,8 +25,8 @@
 //       tensor, reusing its storage when the shape matches and the storage
 //       is not aliased by another handle;
 //   WireBufferPool                            a mutex-guarded free list of
-//       WireBuffers handed out as RAII leases, shared by the per-shard
-//       I/O workers and the BodyHost reply path.
+//       WireBuffers handed out as RAII leases, shared by a router's
+//       submitting threads and by the BodyHost reply path.
 // Decoding operates on std::string_view so a pipelined frame (request-id
 // tag + codec bytes in one message) can be decoded in place without
 // copying the payload out of the frame.

@@ -22,10 +22,6 @@ namespace ens::split {
 
 namespace {
 
-// Frames larger than this are treated as stream desync / a corrupt peer
-// rather than a legitimate feature map (the largest bench tensors are MBs).
-constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 30;
-
 // Longest one poll() in TcpChannel::wait_readable sleeps before it re-reads
 // the recv cap: a cap set while a recv is blocked takes effect within this.
 constexpr long long kRecvSliceMs = 100;
@@ -34,21 +30,21 @@ std::string errno_text(const char* what) {
     return std::string(what) + ": " + std::strerror(errno);
 }
 
-void encode_frame_header(std::uint64_t size, unsigned char out[8]) {
-    for (int i = 0; i < 8; ++i) {
+void encode_frame_header(std::uint64_t size, unsigned char out[kFrameHeaderBytes]) {
+    for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
         out[i] = static_cast<unsigned char>((size >> (8 * i)) & 0xFF);
     }
 }
 
-std::uint64_t decode_frame_header(const unsigned char in[8]) {
+}  // namespace
+
+std::uint64_t decode_frame_header(const unsigned char in[kFrameHeaderBytes]) {
     std::uint64_t size = 0;
-    for (int i = 0; i < 8; ++i) {
+    for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
         size |= static_cast<std::uint64_t>(in[i]) << (8 * i);
     }
     return size;
 }
-
-}  // namespace
 
 // ------------------------------------------------------------- TcpChannel
 
@@ -148,7 +144,7 @@ void TcpChannel::send_spans(std::string_view header, std::string_view payload,
             throw Error(ErrorCode::channel_closed, "TcpChannel::send on closed channel");
         }
     }
-    unsigned char frame_header[8];
+    unsigned char frame_header[kFrameHeaderBytes];
     encode_frame_header(header.size() + payload.size(), frame_header);
     const Span spans[3] = {
         {frame_header, sizeof(frame_header)},
@@ -263,7 +259,7 @@ std::string TcpChannel::recv() {
     // The cap bounds the whole message from here, so a peer trickling a
     // frame byte by byte cannot stretch recv() past it either.
     const auto started = std::chrono::steady_clock::now();
-    unsigned char header[8];
+    unsigned char header[kFrameHeaderBytes];
     read_all(header, sizeof(header), 0, started);
     const std::uint64_t payload_size = decode_frame_header(header);
     if (payload_size > kMaxFrameBytes) {
@@ -433,43 +429,8 @@ std::unique_ptr<TcpChannel> ChannelListener::try_accept() {
 
 // ------------------------------------------------------------ tcp_connect
 
-std::unique_ptr<TcpChannel> tcp_connect(const std::string& host, std::uint16_t port) {
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* results = nullptr;
-    const int rc = ::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints, &results);
-    if (rc != 0) {
-        throw Error(ErrorCode::io_error, "tcp_connect: cannot resolve " + host + ": " +
-                                             ::gai_strerror(rc));
-    }
-    int last_errno = 0;
-    for (const addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
-        const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-        if (fd < 0) {
-            last_errno = errno;
-            continue;
-        }
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-            ::freeaddrinfo(results);
-            return std::make_unique<TcpChannel>(fd);
-        }
-        last_errno = errno;
-        (void)::close(fd);
-    }
-    ::freeaddrinfo(results);
-    errno = last_errno;
-    throw Error(ErrorCode::io_error,
-                errno_text(("tcp_connect: cannot connect to " + host + ":" +
-                            std::to_string(port))
-                               .c_str()));
-}
-
 std::unique_ptr<TcpChannel> tcp_connect(const std::string& host, std::uint16_t port,
                                         std::chrono::milliseconds timeout) {
-    if (timeout.count() <= 0) {
-        return tcp_connect(host, port);
-    }
     addrinfo hints{};
     hints.ai_family = AF_INET;
     hints.ai_socktype = SOCK_STREAM;
@@ -479,25 +440,31 @@ std::unique_ptr<TcpChannel> tcp_connect(const std::string& host, std::uint16_t p
         throw Error(ErrorCode::io_error,
                     "tcp_connect: cannot resolve " + host + ": " + ::gai_strerror(rc));
     }
+    const auto connected = [results](int fd) {
+        const int flags = ::fcntl(fd, F_GETFL);
+        (void)::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
+        ::freeaddrinfo(results);
+        return std::make_unique<TcpChannel>(fd);
+    };
+    // A bounded connect is non-blocking + poll; without a deadline the
+    // kernel's own connect wait applies.
+    const bool bounded = timeout.count() > 0;
     // The timeout budgets the WHOLE call, split across candidate addresses
     // as they are tried (one address — the common case — gets all of it).
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     int last_errno = 0;
     bool timed_out = false;
     for (const addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
-        const int fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_NONBLOCK, ai->ai_protocol);
+        const int fd = ::socket(ai->ai_family, ai->ai_socktype | (bounded ? SOCK_NONBLOCK : 0),
+                                ai->ai_protocol);
         if (fd < 0) {
             last_errno = errno;
             continue;
         }
         if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-            // Immediate success (loopback fast path).
-            const int flags = ::fcntl(fd, F_GETFL);
-            (void)::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-            ::freeaddrinfo(results);
-            return std::make_unique<TcpChannel>(fd);
+            return connected(fd);  // unbounded, or the loopback fast path
         }
-        if (errno != EINPROGRESS) {
+        if (!bounded || errno != EINPROGRESS) {
             last_errno = errno;
             (void)::close(fd);
             continue;
@@ -534,10 +501,7 @@ std::unique_ptr<TcpChannel> tcp_connect(const std::string& host, std::uint16_t p
                 break;
             }
             if (so_error == 0) {
-                const int flags = ::fcntl(fd, F_GETFL);
-                (void)::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-                ::freeaddrinfo(results);
-                return std::make_unique<TcpChannel>(fd);
+                return connected(fd);
             }
             last_errno = so_error;
             break;

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -32,6 +33,17 @@
 #include "split/channel.hpp"
 
 namespace ens::split {
+
+/// Frame header: the payload length, 8 bytes little-endian.
+inline constexpr std::size_t kFrameHeaderBytes = 8;
+
+/// Frames larger than this are treated as stream desync / a corrupt peer
+/// rather than a legitimate feature map (the largest bench tensors are
+/// MBs). The reactor's non-blocking reader applies the same bound.
+inline constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 30;
+
+/// The payload length a frame header announces.
+std::uint64_t decode_frame_header(const unsigned char in[kFrameHeaderBytes]);
 
 class TcpChannel final : public Channel {
 public:
@@ -167,16 +179,14 @@ private:
 };
 
 /// Connects to a listening daemon; `host` is a numeric address or name
-/// resolvable by getaddrinfo. Throws ens::Error{io_error} on failure.
-std::unique_ptr<TcpChannel> tcp_connect(const std::string& host, std::uint16_t port);
-
-/// Bounded-wait connect (non-blocking connect + poll): a black-holed or
-/// firewalled endpoint fails within `timeout` as
-/// ens::Error{channel_timeout} instead of hanging for the kernel's SYN
-/// retry budget (minutes) — what lets replica failover make progress when
-/// a host dies silently. Refusals and other socket failures stay
-/// ens::Error{io_error}; timeout <= 0 behaves like the unbounded overload.
+/// resolvable by getaddrinfo. A positive `timeout` bounds the whole call
+/// (non-blocking connect + poll): a black-holed or firewalled endpoint
+/// fails within it as ens::Error{channel_timeout} instead of hanging for
+/// the kernel's SYN retry budget (minutes) — what lets replica failover
+/// make progress when a host dies silently. The default 0 sets no
+/// deadline. Refusals and other socket failures are ens::Error{io_error}.
 std::unique_ptr<TcpChannel> tcp_connect(const std::string& host, std::uint16_t port,
-                                        std::chrono::milliseconds timeout);
+                                        std::chrono::milliseconds timeout =
+                                            std::chrono::milliseconds(0));
 
 }  // namespace ens::split

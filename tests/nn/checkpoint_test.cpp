@@ -89,14 +89,14 @@ TEST(Checkpoint, NameMismatchNamesBothSides) {
     Rng rng(3);
     FixedNoise noise(Shape{2, 2}, 0.1f, rng, /*trainable=*/true);  // param "noise_mask"
     std::stringstream stream;
-    save_parameters(noise, stream);
+    save_state(noise, stream);
 
     try {
         // Same parameter COUNT is required to reach the name check, so use
         // a single-parameter layer on both sides.
         Rng rng2(4);
         Linear bias_free(2, 2, rng2, /*with_bias=*/false);  // one param: "weight"
-        load_parameters(bias_free, stream);
+        load_state(bias_free, stream);
         FAIL() << "name mismatch loaded";
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), ErrorCode::checkpoint_error);
@@ -110,12 +110,12 @@ TEST(Checkpoint, ShapeMismatchNamesParameterAndBothShapes) {
     Rng rng(5);
     Linear a(3, 4, rng, /*with_bias=*/false);
     std::stringstream stream;
-    save_parameters(a, stream);
+    save_state(a, stream);
 
     Rng rng2(6);
     Linear b(3, 5, rng2, /*with_bias=*/false);
     try {
-        load_parameters(b, stream);
+        load_state(b, stream);
         FAIL() << "shape mismatch loaded";
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), ErrorCode::checkpoint_error);
@@ -127,15 +127,15 @@ TEST(Checkpoint, ShapeMismatchNamesParameterAndBothShapes) {
     }
 }
 
-TEST(Checkpoint, CountMagicAndFidelityMismatchesAreTypedAndNamed) {
+TEST(Checkpoint, CountAndMagicMismatchesAreTypedAndNamed) {
     Rng rng(7);
     Linear one(2, 2, rng, /*with_bias=*/false);
     Linear two(2, 2, rng);  // weight + bias
 
     std::stringstream stream;
-    save_parameters(one, stream);
+    save_state(one, stream);
     try {
-        load_parameters(two, stream);
+        load_state(two, stream);
         FAIL();
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), ErrorCode::checkpoint_error);
@@ -145,24 +145,12 @@ TEST(Checkpoint, CountMagicAndFidelityMismatchesAreTypedAndNamed) {
 
     std::stringstream garbage("definitely not a checkpoint");
     try {
-        load_parameters(one, garbage);
+        load_state(one, garbage);
         FAIL();
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), ErrorCode::checkpoint_error);
         EXPECT_NE(std::string(e.what()).find("bad checkpoint magic"), std::string::npos)
             << e.what();
-    }
-
-    // load_state on a parameters-only stream: a *fidelity* error with its
-    // own actionable message, not a generic bad-magic.
-    std::stringstream params_only;
-    save_parameters(one, params_only);
-    try {
-        load_state(one, params_only);
-        FAIL();
-    } catch (const Error& e) {
-        EXPECT_EQ(e.code(), ErrorCode::checkpoint_error);
-        EXPECT_NE(std::string(e.what()).find("save_parameters"), std::string::npos) << e.what();
     }
 }
 
@@ -185,7 +173,7 @@ TEST(Checkpoint, TruncatedStreamFailsTypedNotRaw) {
     Rng rng(9);
     Linear net(3, 3, rng);
     std::stringstream stream;
-    save_parameters(net, stream);
+    save_state(net, stream);
     const std::string bytes = stream.str();
 
     for (const std::size_t keep : {std::size_t{6}, bytes.size() / 2, bytes.size() - 3}) {
@@ -193,7 +181,7 @@ TEST(Checkpoint, TruncatedStreamFailsTypedNotRaw) {
         Rng rng2(10);
         Linear target(3, 3, rng2);
         try {
-            load_parameters(target, truncated);
+            load_state(target, truncated);
             FAIL() << "truncated to " << keep << " bytes loaded";
         } catch (const Error& e) {
             EXPECT_EQ(e.code(), ErrorCode::checkpoint_error) << "keep=" << keep;
@@ -204,13 +192,15 @@ TEST(Checkpoint, TruncatedStreamFailsTypedNotRaw) {
 }
 
 TEST(Checkpoint, AttackerSizedLengthPrefixesAreBoundedBeforeAllocation) {
-    // magic | count=1 | string length 0xFFFFFFFF: a naive loader would
+    // magics | count=1 | string length 0xFFFFFFFF: a naive loader would
     // reserve 4 GiB for the parameter name. The bounded reader must refuse
     // by the declared length, typed.
     std::string bytes;
-    const std::uint32_t magic = 0x454E5331;
+    const std::uint32_t state_magic = 0x454E5332;
+    const std::uint32_t magic = 0x454E5331;  // the parameter section's
     const std::uint64_t count = 1;
     const std::uint32_t absurd_len = 0xFFFFFFFFu;
+    bytes.append(reinterpret_cast<const char*>(&state_magic), 4);
     bytes.append(reinterpret_cast<const char*>(&magic), 4);
     bytes.append(reinterpret_cast<const char*>(&count), 8);
     bytes.append(reinterpret_cast<const char*>(&absurd_len), 4);
@@ -219,7 +209,7 @@ TEST(Checkpoint, AttackerSizedLengthPrefixesAreBoundedBeforeAllocation) {
     Linear target(2, 2, rng, /*with_bias=*/false);
     std::stringstream stream(bytes);
     try {
-        load_parameters(target, stream);
+        load_state(target, stream);
         FAIL();
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), ErrorCode::checkpoint_error);
@@ -228,6 +218,7 @@ TEST(Checkpoint, AttackerSizedLengthPrefixesAreBoundedBeforeAllocation) {
 
     // Same for an absurd shape rank on an otherwise-plausible record.
     std::string shape_bytes;
+    shape_bytes.append(reinterpret_cast<const char*>(&state_magic), 4);
     shape_bytes.append(reinterpret_cast<const char*>(&magic), 4);
     shape_bytes.append(reinterpret_cast<const char*>(&count), 8);
     const std::string name = "weight";
@@ -240,7 +231,7 @@ TEST(Checkpoint, AttackerSizedLengthPrefixesAreBoundedBeforeAllocation) {
     Rng rng2(12);
     Linear target2(2, 2, rng2, /*with_bias=*/false);
     try {
-        load_parameters(target2, shape_stream);
+        load_state(target2, shape_stream);
         FAIL();
     } catch (const Error& e) {
         EXPECT_EQ(e.code(), ErrorCode::checkpoint_error);

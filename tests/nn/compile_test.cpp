@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include "nn/activations.hpp"
 #include "nn/arch.hpp"
 #include "nn/batchnorm.hpp"
@@ -81,7 +80,7 @@ TEST(CompileFoldBatchNorm, MatchesWarmedEvalReferenceWithinTolerance) {
     subject->set_training(false);
 
     CompileReport report;
-    LayerPtr compiled = compile_for_inference(std::move(subject), {}, &report);
+    LayerPtr compiled = compile_for_inference(std::move(subject), &report);
 
     // Conv+BN folded into one biased conv, ReLU fused into its epilogue.
     const auto* seq = dynamic_cast<const Sequential*>(compiled.get());
@@ -113,7 +112,7 @@ TEST(CompileFuseActivations, IsBitExactAndDropsActivationLayers) {
     };
     auto reference = build();
     CompileReport report;
-    LayerPtr compiled = compile_for_inference(build(), {}, &report);
+    LayerPtr compiled = compile_for_inference(build(), &report);
 
     const auto* seq = dynamic_cast<const Sequential*>(compiled.get());
     ASSERT_NE(seq, nullptr);
@@ -142,7 +141,7 @@ TEST(CompileBakeNoise, PreLinearMaskFoldsIntoBias) {
     };
     auto reference = build();
     CompileReport report;
-    LayerPtr compiled = compile_for_inference(build(), {}, &report);
+    LayerPtr compiled = compile_for_inference(build(), &report);
 
     const auto* seq = dynamic_cast<const Sequential*>(compiled.get());
     ASSERT_NE(seq, nullptr);
@@ -183,7 +182,7 @@ TEST(CompileBakeNoise, PostLinearBakesThenActivationFuses) {
     expect_near(compiled->forward(x), reference->forward(x), kFoldTolerance);
 }
 
-TEST(CompileBakeNoise, TrainableAndNonAdjacentMasksStayAndStrictModeRefuses) {
+TEST(CompileBakeNoise, TrainableAndNonAdjacentMasksStay) {
     auto build = [] {
         Rng rng(51);
         auto net = std::make_unique<Sequential>();
@@ -207,15 +206,6 @@ TEST(CompileBakeNoise, TrainableAndNonAdjacentMasksStayAndStrictModeRefuses) {
         const Tensor x = Tensor::randn(Shape{2, 4}, data);
         expect_bitwise(compiled->forward(x), reference->forward(x));
     }
-    // Strict mode: typed refusal naming the contract.
-    CompileOptions strict;
-    strict.require_noise_baking = true;
-    try {
-        compile_for_inference(build(), strict);
-        FAIL() << "expected ens::Error{compile_error}";
-    } catch (const Error& e) {
-        EXPECT_EQ(e.code(), ErrorCode::compile_error);
-    }
     // Trainable masks are never baked even when adjacent to a Linear.
     {
         Rng rng(52);
@@ -224,7 +214,7 @@ TEST(CompileBakeNoise, TrainableAndNonAdjacentMasksStayAndStrictModeRefuses) {
         net->emplace<Linear>(4, 2, rng);
         net->set_training(false);
         CompileReport report;
-        LayerPtr compiled = compile_for_inference(std::move(net), {}, &report);
+        LayerPtr compiled = compile_for_inference(std::move(net), &report);
         const auto* seq = dynamic_cast<const Sequential*>(compiled.get());
         ASSERT_NE(seq, nullptr);
         EXPECT_EQ(seq->size(), 2u);
@@ -242,7 +232,7 @@ TEST(CompileIdentity, UnfoldableGraphComesBackBitExactAndUnchanged) {
     };
     auto reference = build();
     CompileReport report;
-    LayerPtr compiled = compile_for_inference(build(), {}, &report);
+    LayerPtr compiled = compile_for_inference(build(), &report);
 
     EXPECT_FALSE(report.changed());
     const auto* seq = dynamic_cast<const Sequential*>(compiled.get());
@@ -269,7 +259,7 @@ TEST(CompileResidual, BasicBlockParityWithAndWithoutProjection) {
         subject->set_training(false);
 
         CompileReport report;
-        LayerPtr compiled = compile_for_inference(std::move(subject), {}, &report);
+        LayerPtr compiled = compile_for_inference(std::move(subject), &report);
         const auto* residual = dynamic_cast<const CompiledResidual*>(compiled.get());
         ASSERT_NE(residual, nullptr);
         EXPECT_EQ(residual->has_projection(), c.stride != 1);

@@ -116,8 +116,8 @@ TEST(Checkpoint, FileRoundTrip) {
     auto a = make_net(rng_a);
     auto b = make_net(rng_b);
     const std::string path = ::testing::TempDir() + "/ens_ckpt_test.bin";
-    save_parameters_file(*a, path);
-    load_parameters_file(*b, path);
+    save_state_file(*a, path);
+    load_state_file(*b, path);
     const Tensor x = Tensor::randn(Shape{2, 1, 4, 4}, rng_a);
     EXPECT_EQ(a->forward(x).to_vector(), b->forward(x).to_vector());
     std::remove(path.c_str());
@@ -129,8 +129,8 @@ TEST(Checkpoint, RejectsMismatchedStructure) {
     Sequential different;
     different.emplace<Linear>(2, 2, rng);
     const std::string path = ::testing::TempDir() + "/ens_ckpt_bad.bin";
-    save_parameters_file(*a, path);
-    EXPECT_THROW(load_parameters_file(different, path), std::runtime_error);
+    save_state_file(*a, path);
+    EXPECT_THROW(load_state_file(different, path), std::runtime_error);
     std::remove(path.c_str());
 }
 
@@ -193,29 +193,6 @@ TEST(Checkpoint, StateRoundTripCarriesBatchNormStatistics) {
     ASSERT_EQ(expected.size(), actual.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
         ASSERT_FLOAT_EQ(expected[i], actual[i]) << "element " << i;
-    }
-}
-
-TEST(Checkpoint, ParameterOnlyFormatDropsBatchNormStatistics) {
-    // Regression guard for the documented difference between the formats:
-    // load_parameters must NOT touch running statistics.
-    Rng rng(62);
-    Sequential net;
-    net.emplace<BatchNorm2d>(3);
-    net.set_training(true);
-    (void)net.forward(Tensor::randn(Shape{8, 3, 4, 4}, rng, 1.0f, 3.0f));
-
-    std::stringstream stream;
-    save_parameters(net, stream);
-
-    Sequential restored;
-    restored.emplace<BatchNorm2d>(3);
-    load_parameters(restored, stream);
-    const auto buffers = restored.buffers();
-    ASSERT_EQ(buffers.size(), 2u);
-    // Virgin running mean is all zeros — untouched by the parameter format.
-    for (const float v : buffers[0].tensor->to_vector()) {
-        EXPECT_FLOAT_EQ(v, 0.0f);
     }
 }
 

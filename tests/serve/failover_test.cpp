@@ -25,6 +25,7 @@
 //     no reachable replica at all refuses to boot, typed and labeled.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <atomic>
 #include <chrono>
@@ -183,6 +184,11 @@ TEST(Failover, KilledReplicaMidWindowFailsOverBitExactAndIsReadmitted) {
     // pending at kill time, then fill a depth-4 window and SIGKILL it.
     const std::uint16_t flapped_port = ports[1];
     ASSERT_EQ(::kill(daemons[1]->pid(), SIGSTOP), 0);
+    // kill() only queues the stop. Until every thread of the daemon has
+    // stopped, it can still answer the requests sent to it below.
+    int stop_status = 0;
+    ASSERT_EQ(::waitpid(daemons[1]->pid(), &stop_status, WUNTRACED), daemons[1]->pid());
+    ASSERT_TRUE(WIFSTOPPED(stop_status));
     std::vector<std::future<InferenceResult>> window;
     for (std::size_t i = 1; i <= 4; ++i) {
         window.push_back(router.submit(oracle.inputs[i]));

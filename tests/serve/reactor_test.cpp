@@ -45,7 +45,6 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <future>
 #include <memory>
@@ -141,19 +140,6 @@ struct ClientHalf {
         return session;
     }
 };
-
-/// Threads of this process right now (0 when /proc is unavailable — the
-/// caller skips the assertion then).
-std::size_t process_thread_count() {
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    while (std::getline(status, line)) {
-        if (line.rfind("Threads:", 0) == 0) {
-            return static_cast<std::size_t>(std::stoul(line.substr(8)));
-        }
-    }
-    return 0;
-}
 
 /// Raises RLIMIT_NOFILE to at least `need` fds; returns the resulting
 /// soft limit.

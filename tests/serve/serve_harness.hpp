@@ -6,6 +6,8 @@
 //   - bundle_dir_for / save_generation: a deployment written as an on-disk
 //     bundle, which is how a test hands it to a serve_daemon process
 //     (daemon_harness.hpp execs one).
+//   - process_thread_count: the thread inventory the reactor soak and the
+//     router's one-thread-per-link test pin.
 //
 // Also hosts the tiny deterministic split/ensemble model builders the
 // serving tests share: same seed -> identical weights, so a client half
@@ -14,6 +16,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -92,6 +95,19 @@ inline std::vector<std::unique_ptr<ReactorFixture>> serve_shard_plan(
         hosts.push_back(std::make_unique<ReactorFixture>(std::move(host), config));
     }
     return hosts;
+}
+
+/// Threads of this process right now (0 when /proc is unavailable — the
+/// caller skips the assertion then).
+inline std::size_t process_thread_count() {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0) {
+            return static_cast<std::size_t>(std::stoul(line.substr(8)));
+        }
+    }
+    return 0;
 }
 
 // ---------------------------------------------------------------- bundles

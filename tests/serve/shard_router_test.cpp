@@ -9,6 +9,10 @@
 // The shard channels are handed to the router in scrambled order on
 // purpose: the merge must be driven by the body ranges each shard declares
 // in its handshake, not by construction order.
+//
+// A second case pins the client's thread inventory: one demux thread per
+// link (requests are written on the submitting thread), plus the redialer
+// for a router built from endpoints.
 
 #include <gtest/gtest.h>
 
@@ -131,6 +135,44 @@ TEST(ShardRouter, ThreeShardDeploymentIsBitIdenticalToInProcOracle) {
         }
         router.close();
     }
+}
+
+TEST(ShardRouter, HoldsOneThreadPerLinkPlusTheRedialer) {
+    harness::EnsembleParts host_parts = harness::make_linear_ensemble(kSeed, kBodies, kSelected);
+    harness::set_eval(host_parts);
+    std::vector<nn::Layer*> host_bodies;
+    for (nn::LayerPtr& body : host_parts.bodies) {
+        host_bodies.push_back(body.get());
+    }
+    const auto hosts =
+        harness::serve_shard_plan(host_bodies, split::ShardPlan::blocks(kBodies, kShards));
+    // A host sends its handshake from its event loop, which starts its
+    // worker pool first: once every probe has read one, no host thread is
+    // still to come.
+    for (const auto& host : hosts) {
+        split::tcp_connect("127.0.0.1", host->port())->recv();
+    }
+    const core::Selector selector(kBodies, {0, 2, 5});
+    harness::EnsembleParts client_parts =
+        harness::make_linear_ensemble(kSeed, kBodies, kSelected);
+    harness::set_eval(client_parts);
+
+    std::vector<std::unique_ptr<split::Channel>> channels;
+    std::vector<std::vector<ReplicaEndpoint>> endpoints;
+    for (const auto& host : hosts) {
+        channels.push_back(split::tcp_connect("127.0.0.1", host->port()));
+        endpoints.push_back({ReplicaEndpoint{"127.0.0.1", host->port()}});
+    }
+    const std::size_t before = harness::process_thread_count();
+    ASSERT_GT(before, 0u);
+
+    ShardRouter from_channels(std::move(channels), *client_parts.head, nullptr,
+                              *client_parts.tail, selector);
+    EXPECT_EQ(harness::process_thread_count(), before + kShards);
+
+    ShardRouter from_endpoints(endpoints, *client_parts.head, nullptr, *client_parts.tail,
+                               selector);
+    EXPECT_EQ(harness::process_thread_count(), before + 2 * kShards + 1);
 }
 
 }  // namespace
