@@ -21,14 +21,23 @@
 // kernel this host can run (kernel::detail::host_isas()), fastest first;
 // naive and the lowering rows run none and read "none".
 //
-// Conv lowering rows time the activation side of one body conv for one
-// image, serial: row = {shape, variant, isa, m, n, k, reps, ms,
-// us_per_image, speedup_im2col}, with m = C_out, n = output positions,
-// k = patch.
+// Conv lowering rows time one body conv for one image, serial, with m =
+// C_out, n = output positions, k = patch. The activation side alone:
+// row = {shape, variant, isa, m, n, k, reps, ms, us_per_image,
+// speedup_im2col}.
 //   lower_im2col - im2col into a col matrix, then pack_b_into (or, below
 //                  kNR positions, pack_a_into of col^T)
 //   lower_direct - pack_conv_b_into / pack_conv_a_into straight from the
-//                  image, what nn::Conv2d::forward runs
+//                  image
+// The whole conv, image to output, once per micro-kernel this host can run:
+// row = {shape, variant, isa, lowering, m, n, k, reps, ms, us_per_image,
+// gflops}, plus speedup_packed on the implicit row.
+//   direct_packed - lower_direct, then gemm_packed against the packed
+//                   weight: the conv with its activations always packed
+//   implicit      - kernel::conv_gemm, what nn::Conv2d::forward runs: the
+//                   activations read straight from the padded image where
+//                   the ISA and geometry have an implicit form, packed
+//                   otherwise. `lowering` names which one ran.
 //
 // The CI acceptance signal is speedup_naive of blocked/packed at the
 // >= 256^3 shapes, so every scale (including tiny, which the Release smoke
@@ -260,6 +269,64 @@ int main() {
                 .field("ms", ms)
                 .field("us_per_image", ms * 1.0e3)
                 .field("speedup_im2col", speedup);
+        }
+
+        // The whole conv, against the weight packed in Conv2d's orientation.
+        const Tensor w = Tensor::randn(Shape{s.c_out, k}, rng, 0.0f, 1.0f);
+        const kernel::PackedMatrix weight =
+            transposed ? kernel::pack_b(w.data(), k, /*trans_b=*/true, k, s.c_out)
+                       : kernel::pack_a(w.data(), k, /*trans_a=*/false, s.c_out, k);
+        std::vector<float> out(static_cast<std::size_t>(s.c_out * n));
+        const double flop = 2.0 * static_cast<double>(s.c_out * n * k);
+        for (const char* isa : kernel::detail::host_isas()) {
+            const std::vector<Variant> convs = {
+                {"direct_packed", isa,
+                 [&, isa] {
+                     if (transposed) {
+                         kernel::pack_conv_a_into(pack, image.data(), g);
+                         kernel::detail::gemm_packed_isa(isa, pack, weight, out.data(), s.c_out,
+                                                         1.0f, 0.0f, /*parallel=*/false);
+                     } else {
+                         kernel::pack_conv_b_into(pack, image.data(), g);
+                         kernel::detail::gemm_packed_isa(isa, weight, pack, out.data(), n, 1.0f,
+                                                         0.0f, /*parallel=*/false);
+                     }
+                 }},
+                {"implicit", isa,
+                 [&, isa] {
+                     kernel::detail::conv_gemm_isa(isa, weight, image.data(), g, out.data(),
+                                                   /*parallel=*/false);
+                 }},
+            };
+            constexpr int conv_reps = 400;
+            double packed_ms = 0.0;
+            for (const Variant& v : convs) {
+                const double ms = time_ms(conv_reps, v.run);
+                const bool implicit = std::string(v.name) == "implicit";
+                const std::string lowering =
+                    implicit ? kernel::detail::conv_lowering(isa, weight, g) : "packed";
+                std::printf("| %s | %s (%s, %s) | %lld | %lld | %lld | %.2f | %.2f GFLOP/s |\n",
+                            s.label.c_str(), v.name, isa, lowering.c_str(),
+                            static_cast<long long>(s.c_out), static_cast<long long>(n),
+                            static_cast<long long>(k), ms * 1.0e3, flop / (ms * 1.0e6));
+                auto& row = json.row()
+                                .field("shape", s.label)
+                                .field("variant", std::string(v.name))
+                                .field("isa", std::string(isa))
+                                .field("lowering", lowering)
+                                .field("m", static_cast<double>(s.c_out))
+                                .field("n", static_cast<double>(n))
+                                .field("k", static_cast<double>(k))
+                                .field("reps", static_cast<double>(conv_reps))
+                                .field("ms", ms)
+                                .field("us_per_image", ms * 1.0e3)
+                                .field("gflops", flop / (ms * 1.0e6));
+                if (implicit) {
+                    row.field("speedup_packed", packed_ms / ms);
+                } else {
+                    packed_ms = ms;
+                }
+            }
         }
     }
 

@@ -15,18 +15,12 @@ namespace ens::nn {
 namespace {
 
 /// Per-thread buffers for Conv2d::forward, in the manner of the kernel's
-/// per-thread pack scratch: the activation panels the direct conv packers
-/// write for each image, the weight pack a training forward builds, and the
-/// [positions, C_out] product of the transposed path. The packers and the
-/// beta = 0 GEMM write every element they later read, so the buffers need
-/// no zero-fill per call; they only grow. A forward chunk holds them until
-/// it returns and nothing inside it re-enters Conv2d::forward on the same
-/// thread.
-kernel::PackedMatrix& tls_activation_pack() {
-    thread_local kernel::PackedMatrix pack;
-    return pack;
-}
-
+/// per-thread pack scratch: the weight pack a training forward builds and
+/// the [positions, C_out] product of the transposed path. The packer and
+/// the beta = 0 GEMM write every element they later read, so the buffers
+/// need no zero-fill per call; they only grow. A forward chunk holds them
+/// until it returns and nothing inside it re-enters Conv2d::forward on the
+/// same thread.
 kernel::PackedMatrix& tls_weight_pack() {
     thread_local kernel::PackedMatrix pack;
     return pack;
@@ -115,27 +109,28 @@ Tensor Conv2d::forward(const Tensor& input) {
     const std::int64_t in_plane = in_channels_ * geom.in_h * geom.in_w;
     const std::int64_t out_plane = out_channels_ * positions;
 
-    // One lowering for both modes: each image's patches are packed straight
-    // into GEMM panels (no im2col matrix) and multiplied with a packed
-    // weight. Eval mode reuses a pack cached across every image and request;
-    // training packs the weight per forward into per-thread scratch, since
-    // the optimizer moves it between forwards.
+    // One lowering for both modes: each image is one kernel::conv_gemm
+    // against a packed weight, which reads the image in place where the ISA
+    // and geometry allow and packs its patches otherwise (no im2col matrix
+    // either way). Eval mode reuses a pack cached across every image and
+    // request; training packs the weight per forward into per-thread
+    // scratch, since the optimizer moves it between forwards.
     //
     // The GEMM orientation follows the geometry. W · col puts the output
     // positions on the kNR side of the register tile, so below kNR
     // positions (the 2x2 stage-4 maps) most of every FMA is padding. There
     // the layer computes out^T[positions, C_out] = col^T · W^T instead,
-    // with channels filling the tile. Each C element is still the same FMA
-    // chain over the same kKC slabs, only the operand roles swap, so the
-    // result is bit-identical either way. The cutoff is strict: also
-    // transposing the 4x4 maps (exactly kNR positions) cost ~6% more host
-    // CPU per ens_saturate request on a 4-vCPU AVX2 VM (10/10 pairs), with
-    // an AVX2 kernel that spilled its tile. The register-resident kernels
-    // still favour W · col there: in BENCH_kernels (ENS_THREADS=1, three
-    // runs on a 4-vCPU AVX-512 VM) the stage-3 shape conv3x3-w16-s3 runs
-    // `packed` at 68-89 GFLOP/s against `packed_t` at 41-60 on AVX-512, and
-    // 45-60 against 33-45 on AVX2; at the stage-4 shape (4 positions)
-    // `packed_t` wins, 58-60 against 28-30 on AVX-512.
+    // with channels filling the tile and col^T read straight from the
+    // image. Each C element is still the same FMA chain over the same kKC
+    // slabs, only the operand roles swap, so the result is bit-identical
+    // either way. The cutoff is strict, re-measured with the implicit A
+    // side (kernel::detail::conv_gemm_isa on each orientation, one image,
+    // ENS_THREADS=1, best of 7 x 400 reps, three runs on a 4-vCPU AVX-512
+    // VM): at the stage-3 shape (64 -> 64 channels, 4x4, exactly kNR
+    // positions) W · col with a packed col runs at 129-141 GFLOP/s against
+    // 94-97 transposed on AVX-512, and 79-86 against 75-84 on AVX2; at the
+    // stage-4 shape (128 channels, 2x2) the transposed form runs at 113-132
+    // against 31-32 on AVX-512, and 70-73 against 19-20 on AVX2.
     const bool transposed = positions < kernel::kNR;
     const kernel::PackedMatrix* weight = &packed_weight_;
     if (training_) {
@@ -146,16 +141,13 @@ Tensor Conv2d::forward(const Tensor& input) {
     }
 
     parallel_for(0, static_cast<std::size_t>(batch), [&](std::size_t lo, std::size_t hi) {
-        kernel::PackedMatrix& cols = tls_activation_pack();
         float* out_mat = transposed ? scratch(tls_out_mat(), out_plane) : nullptr;
         const float* b = with_bias_ ? bias_.value.data() : nullptr;
         for (std::size_t n = lo; n < hi; ++n) {
             const float* image = input.data() + static_cast<std::int64_t>(n) * in_plane;
             float* dst = output.data() + static_cast<std::int64_t>(n) * out_plane;
             if (transposed) {
-                kernel::pack_conv_a_into(cols, image, geom);
-                kernel::gemm_packed(cols, *weight, out_mat, out_channels_, 1.0f, 0.0f,
-                                    /*parallel=*/false);
+                kernel::conv_gemm(*weight, image, geom, out_mat, /*parallel=*/false);
                 for (std::int64_t c = 0; c < out_channels_; ++c) {
                     for (std::int64_t p = 0; p < positions; ++p) {
                         const float v = out_mat[p * out_channels_ + c];
@@ -163,9 +155,7 @@ Tensor Conv2d::forward(const Tensor& input) {
                     }
                 }
             } else {
-                kernel::pack_conv_b_into(cols, image, geom);
-                kernel::gemm_packed(*weight, cols, dst, positions, 1.0f, 0.0f,
-                                    /*parallel=*/false);
+                kernel::conv_gemm(*weight, image, geom, dst, /*parallel=*/false);
                 if (b != nullptr) {
                     for (std::int64_t c = 0; c < out_channels_; ++c) {
                         for (std::int64_t p = 0; p < positions; ++p) {

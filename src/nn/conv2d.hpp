@@ -1,7 +1,10 @@
 #pragma once
-// 2-d convolution (NCHW) as a GEMM per image, batch-parallel: forward packs
-// each image's patches straight into GEMM panels (kernel::pack_conv_*_into);
-// backward lowers through im2col/col2im.
+// 2-d convolution (NCHW) as a GEMM per image, batch-parallel: forward runs
+// each image through kernel::conv_gemm against a packed weight, whose
+// micro-kernel reads the activations straight from the zero-padded image
+// where the ISA and geometry allow and packs them into GEMM panels
+// otherwise (kernel::pack_conv_*_into); backward lowers through
+// im2col/col2im.
 
 #include "nn/layer.hpp"
 #include "tensor/gemm_kernel.hpp"

@@ -658,13 +658,12 @@ void ShardRouter::close() {
                 orphans = std::move(link->pending);
                 link->pending.clear();
             }
-            const auto error = labeled_exception(
-                link->label, std::make_exception_ptr(Error(ErrorCode::channel_closed,
-                                                           "session closed with the request "
-                                                           "still in flight")));
+            const auto error = std::make_exception_ptr(
+                Error(ErrorCode::channel_closed, "session closed with the request still in flight"));
             for (auto& [id, pending] : orphans) {
                 if (!pending.request->settled.exchange(true)) {
-                    pending.request->promise.set_exception(error);
+                    // One exception object per promise, as in fail_link.
+                    pending.request->promise.set_exception(labeled_exception(link->label, error));
                 }
             }
         }
@@ -841,7 +840,6 @@ void ShardRouter::fail_link(Link& link, const std::exception_ptr& error) {
         }
     }
     window_cv_.notify_all();  // parked submitters must see the desync, not hang
-    const std::exception_ptr labeled = labeled_exception(link.label, error);
     for (auto& [wire_id, pending] : orphans) {
         const std::shared_ptr<InflightRequest> request = pending.request;
         if (!request->settled.load()) {
@@ -870,7 +868,11 @@ void ShardRouter::fail_link(Link& link, const std::exception_ptr& error) {
             }
         }
         if (!request->settled.exchange(true)) {
-            request->promise.set_exception(labeled);
+            // A fresh exception object per promise: each future's reader
+            // then owns its own, and no reference count on one shared
+            // object orders a reader's last access against this thread's
+            // release (ThreadSanitizer cannot see libstdc++'s atomics).
+            request->promise.set_exception(labeled_exception(link.label, error));
         }
         shard_done_with(request);
     }

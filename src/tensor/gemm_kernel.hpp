@@ -1,33 +1,43 @@
 #pragma once
 // Blocked, register-tiled GEMM micro-kernel with packed operand panels.
 //
-// This is the compute core every request bottoms out in: Conv2d lowers to
-// GEMM by packing each image's patches straight into panels
-// (pack_conv_b_into for W · col, pack_conv_a_into for col^T · W^T below kNR
-// output positions so the channels fill the register tile), Linear IS a
-// GEMM, and the serve fan-out just schedules many of them. The structure
-// is the classic three-level blocking of production BLAS (BLIS/oneDNN
-// style), sized for the L1/L2 of commodity serving hardware:
+// This is the compute core every request bottoms out in: Conv2d lowers each
+// image to one GEMM against its packed weight through conv_gemm (below),
+// Linear IS a GEMM, and the serve fan-out just schedules many of them. The
+// structure is the classic three-level blocking of production BLAS
+// (BLIS/oneDNN style), sized for the L1/L2 of commodity serving hardware:
 //
 //   - micro-kernel: a kMR x kNR register tile updated along kc with FMA —
 //     dispatched by CPUID between an AVX-512F path, an AVX2+FMA path, a
 //     NEON path and a portable compiler-vectorized fallback, fastest first
-//     (kernel_isa() names the one in use). All paths consume the same
-//     packed-panel layout, so which ISA runs never changes operand memory
-//     traffic. gemm_packed hands each kernel two adjacent A strips at a
-//     time where it can: AVX-512 runs them as one 12 x 16 tile of twelve
-//     zmm accumulators (one B load and twelve broadcast-FMAs per k step),
-//     and the others as two 6 x 16 tiles. Both x86 paths keep their
+//     (kernel_isa() names the one in use). gemm_packed hands each kernel
+//     two adjacent A strips at a time where it can: AVX-512 runs them as one
+//     12 x 16 tile of twelve zmm accumulators (one B load and twelve
+//     broadcast-FMAs per k step), and the others as two 6 x 16 tiles. A
+//     lone last strip runs only its live rows. Both x86 paths keep their
 //     tiles in registers for the whole k loop. On one warm core of a 4-vCPU
 //     AVX-512 VM, 256^3 with a pre-packed operand runs at ~139-147 GFLOP/s
 //     on AVX-512 and ~56-82 on AVX2 (bench_kernel_gemm, ENS_THREADS=1,
 //     GCC 12 -O3; AVX2 was ~29-40 when its tile spilled).
-//   - packing: operands are repacked into contiguous, 64-byte-aligned
-//     panels (A: kMR-row strips, column-major within the strip; B: kNR-
-//     column strips, row-major within the strip) so the micro-kernel's
-//     inner loop reads both operands at stride 1 regardless of the caller's
-//     transpose flags. Ragged edges are zero-padded to the full tile —
-//     edge handling costs dead lanes, never a scalar loop.
+//   - operand sources: a kernel reads each operand through a source, one
+//     template parameter per side. A packed panel is the general one:
+//     operands are repacked into contiguous, 64-byte-aligned panels (A:
+//     kMR-row strips, column-major within the strip; B: kNR-column strips,
+//     row-major within the strip) so the inner loop reads both at stride 1
+//     regardless of the caller's transpose flags, and ragged edges are
+//     zero-padded to the full tile. For a conv, the AVX-512 and AVX2 kernels
+//     can instead read the activation side straight from the zero-padded
+//     image ("implicit GEMM"), with no pack pass:
+//       * image broadcast (A of col^T · W^T): each k step broadcasts one
+//         image float per live tile row. Every transposed conv uses it,
+//         whatever its stride and kernel size.
+//       * image runs (B of W · col, stride 1 only): each k step loads the
+//         strip's kNR lanes as one 16-float run (output rows a multiple of
+//         kNR wide) or two 8-float runs (8-wide rows, in pairs).
+//     Every other W · col geometry (stride 2, 4-wide rows, ragged strips)
+//     packs its patches with pack_conv_b_into, and NEON and portable pack
+//     every conv. conv_gemm makes that choice from the ISA and the geometry
+//     alone.
 //   - cache blocking: the k dimension is cut into kKC-deep slabs (B panel
 //     strip of kKC x kNR stays L1-resident across the i sweep) and the m
 //     dimension into kMC-row blocks (an MC x KC slab of packed A stays
@@ -41,14 +51,15 @@
 //
 // Determinism contract: for fixed (m, n, k, alpha, beta) the result is
 // bit-identical across ALL of these axes — packed vs unpacked operands,
-// parallel vs serial execution, and any thread-count/chunking the pool
-// picks — and across the vector ISAs: the AVX-512, AVX2 and NEON kernels
-// all compute each C element as one FMA chain in k order within a slab
-// (pinned to a scalar std::fmaf model by kernel_test.cpp for every ISA
-// the host has). Tiles are computed independently (each C tile is owned
-// by exactly one task, k-slabs accumulate in a fixed serial order), which
-// is what lets gemm()/gemm_serial() and the packed layer paths feed the
-// repo's bit-parity serving tests interchangeably. Results are NOT bit-identical
+// implicit vs packed conv lowerings, parallel vs serial execution, and any
+// thread-count/chunking the pool picks — and across the vector ISAs: the
+// AVX-512, AVX2 and NEON kernels all compute each C element as one FMA
+// chain in k order within a slab (pinned to a scalar std::fmaf model by
+// kernel_test.cpp for every ISA the host has). Tiles are computed
+// independently (each C tile is owned by exactly one task, k-slabs
+// accumulate in a fixed serial order), which is what lets
+// gemm()/gemm_serial() and the packed layer paths feed the repo's
+// bit-parity serving tests interchangeably. Results are NOT bit-identical
 // to the naive reference kernel (ens::gemm_naive) — blocking and FMA
 // change summation order/rounding — so cross-kernel tests use the bounded
 // error documented in tests/tensor/kernel_test.cpp.
@@ -81,8 +92,7 @@ namespace ens::kernel {
 class PackedMatrix;
 
 namespace detail {
-void gemm_packed_isa(const char* isa, const PackedMatrix& a, const PackedMatrix& b, float* c,
-                     std::int64_t ldc, float alpha, float beta, bool parallel);
+struct PanelAccess;  // the GEMM drivers' read access to packed panels
 }  // namespace detail
 
 /// Register tile: kMR rows of C by kNR columns, accumulated over k.
@@ -139,10 +149,7 @@ private:
                             std::int64_t);
     friend void pack_conv_a_into(PackedMatrix&, const float*, const ConvGeometry&);
     friend void pack_conv_b_into(PackedMatrix&, const float*, const ConvGeometry&);
-    friend void gemm_packed(const PackedMatrix&, const PackedMatrix&, float*, std::int64_t, float,
-                            float, bool);
-    friend void detail::gemm_packed_isa(const char*, const PackedMatrix&, const PackedMatrix&,
-                                        float*, std::int64_t, float, float, bool);
+    friend struct detail::PanelAccess;
 
     struct FreeDeleter {
         void operator()(float* p) const noexcept;
@@ -183,8 +190,21 @@ PackedMatrix pack_b(const float* b, std::int64_t ldb, bool trans_b, std::int64_t
 /// per call, so the element loops do no div/mod and no bounds checks; a
 /// strip of kNR positions that lies in one output row at stride 1 is a
 /// single kNR-float copy. Per-thread scratch holds the copy and offsets.
+/// conv_gemm packs through these where it has no implicit form.
 void pack_conv_a_into(PackedMatrix& dst, const float* image, const ConvGeometry& geom);
 void pack_conv_b_into(PackedMatrix& dst, const float* image, const ConvGeometry& geom);
+
+/// One image of a conv as one GEMM against its packed weight, beta = 0:
+///   weight packed as A ([C_out, patch], pack_a_into):
+///       c = W · col, [C_out, positions] row-major;
+///   weight packed as B ([patch, C_out], W^T via pack_b_into):
+///       c = col^T · W^T, [positions, C_out] row-major.
+/// The activation side is read straight from the zero-padded image where
+/// kernel_isa() has an implicit form for this geometry (see the file
+/// comment), and packed per call into per-thread scratch otherwise; the
+/// output bytes are the same either way. `parallel` as for gemm_packed.
+void conv_gemm(const PackedMatrix& weight, const float* image, const ConvGeometry& geom, float* c,
+               bool parallel);
 
 /// C = alpha * op(A) @ op(B) + beta * C over raw row-major buffers (ldc =
 /// C's row stride; beta == 0 overwrites, so C may start uninitialized).
@@ -209,7 +229,7 @@ void gemm_packed(const PackedMatrix& a, const PackedMatrix& b, float* c, std::in
 //
 // Seam for tests and benches that hold every micro-kernel this host can
 // run to the same contract, not a runtime option: production code calls
-// gemm_packed, which always runs kernel_isa()'s pick.
+// gemm_packed and conv_gemm, which always run kernel_isa()'s pick.
 namespace detail {
 
 /// Names of the micro-kernels this host can run, fastest first: the first
@@ -220,6 +240,13 @@ std::vector<const char*> host_isas();
 /// host_isas() (checked).
 void gemm_packed_isa(const char* isa, const PackedMatrix& a, const PackedMatrix& b, float* c,
                      std::int64_t ldc, float alpha, float beta, bool parallel);
+
+/// conv_gemm on the named micro-kernel, and the lowering it picks there:
+/// "implicit_a", "implicit_b16", "implicit_b8" (the image read in place)
+/// or "packed" (pack_conv_*_into, then the packed GEMM).
+void conv_gemm_isa(const char* isa, const PackedMatrix& weight, const float* image,
+                   const ConvGeometry& geom, float* c, bool parallel);
+const char* conv_lowering(const char* isa, const PackedMatrix& weight, const ConvGeometry& geom);
 
 }  // namespace detail
 

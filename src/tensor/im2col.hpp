@@ -11,9 +11,10 @@
 // layout gemm/gemm_serial expect — the kernel's packing stage handles
 // alignment, so `col` needs none. `src` and `col` must not alias (both
 // functions are annotated ENS_RESTRICT and write/read assuming disjoint
-// buffers). Conv2d's forward never builds `col`: the kernel's
-// pack_conv_a_into/pack_conv_b_into write the packed panels of im2col's
-// output straight from the image, byte-identical to im2col + pack_*_into.
+// buffers). Conv2d's forward never builds `col`: kernel::conv_gemm reads it
+// in place from the image, or has pack_conv_a_into/pack_conv_b_into write
+// the packed panels of im2col's output straight from the image,
+// byte-identical to im2col + pack_*_into.
 // im2col/col2im remain the lowering of Conv2d::backward (per image, inside
 // its batch parallel_for) and the reference the direct packers are tested
 // and benchmarked against.

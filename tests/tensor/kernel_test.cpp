@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -333,6 +334,15 @@ TEST(Kernel, RejectsWrongSidePacksAndGeometryMismatch) {
     EXPECT_THROW(kernel::detail::gemm_packed_isa("no-such-isa", pa, pb, c.data(), 10, 1.0f, 0.0f,
                                                  false),
                  std::invalid_argument);
+    // conv_gemm checks the weight pack against the patch size: a 2-channel
+    // 3x3 patch is 18 rows, the A pack's inner dimension 12.
+    ConvGeometry g;
+    g.in_channels = 2;
+    g.in_h = g.in_w = 4;
+    g.kernel_h = g.kernel_w = 3;
+    g.padding = 1;
+    std::vector<float> image(32), out(8 * 16);
+    EXPECT_THROW(kernel::conv_gemm(pa, image.data(), g, out.data(), false), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- layers
@@ -354,12 +364,20 @@ TEST(PackedWeights, LinearEvalForwardIsBitIdenticalToTrainAndPacksLazily) {
         << "packed eval path diverged from the unpacked train path";
 }
 
-// Conv geometries for the direct packers and the Conv2d parity suite.
-// They cover kernels 1/3/7, strides 1/2 and padding 0/1/3; square maps
-// from 2x2 to 32x32 and odd non-square ones (5x7, 1x17); patches longer
-// than kKC (576, 1152); ragged last strips (positions not a multiple of
-// kNR or kMR); and both sides of Conv2d's kNR cutoff (15 / 16 / 17
-// positions). The first rows are the ResNet-18 w16 body convs.
+// Conv geometries for the direct packers, the implicit lowerings and the
+// Conv2d parity suite. They cover kernels 1/3/7, strides 1/2 and padding
+// 0/1/3; square maps from 1x1 to 32x32 and odd non-square ones (5x7, 1x17);
+// output rows 8, 16 and 32 wide (the implicit W · col runs) beside 4-, 5-
+// and 30-wide ones and an 8-wide map with an odd row count (ragged strip);
+// patches longer than kKC (576, 1152), so the slab merge runs on every
+// lowering; ragged last strips (positions not a multiple of kNR or kMR);
+// transposed products whose lone last strip has 1 to 6 live rows, and
+// pairs with dead rows (9, 15 positions); and both sides of Conv2d's kNR
+// cutoff (15 / 16 / 17 positions). The first rows are the ResNet-18 w16
+// body convs. The padding-0 cases at stride 1 read the image in place: the
+// test's image is a Tensor whose storage ends at its last float, which the
+// last run of these geometries also ends at, so the ASan+UBSan build
+// catches any implicit load past a run.
 struct ConvCase {
     const char* label;
     std::int64_t in_ch, out_ch, kernel, stride, padding, h, w;
@@ -387,6 +405,19 @@ const ConvCase kConvCases[] = {
     {"7x7_s1_p3_4x4_kNR_positions", 2, 11, 7, 1, 3, 4, 4, 1, true},
     {"3x3_s1_p1_3x5_15_positions", 8, 12, 3, 1, 1, 3, 5, 1, false},
     {"3x3_s1_p1_1x17_17_positions", 8, 12, 3, 1, 1, 1, 17, 1, true},
+    {"3x3_s1_p0_18x18_16_wide", 8, 12, 3, 1, 0, 18, 18, 1, true},
+    {"3x3_s1_p0_10x10_8_wide", 5, 14, 3, 1, 0, 10, 10, 2, false},
+    {"1x1_s1_p0_32x32_32_wide", 4, 6, 1, 1, 0, 32, 32, 1, false},
+    {"3x3_s1_p1_5x8_8_wide_odd_rows", 6, 10, 3, 1, 1, 5, 8, 1, true},
+    {"3x3_s1_p1_8x8_patch1152", 128, 20, 3, 1, 1, 8, 8, 1, false},
+    {"3x3_s1_p1_16x16_patch1152", 128, 20, 3, 1, 1, 16, 16, 1, true},
+    {"3x3_s1_p1_1x1_1_position", 16, 24, 3, 1, 1, 1, 1, 1, true},
+    {"3x3_s1_p1_1x2_2_positions", 16, 24, 3, 1, 1, 1, 2, 1, false},
+    {"3x3_s1_p1_1x3_3_positions", 16, 24, 3, 1, 1, 1, 3, 1, false},
+    {"3x3_s1_p1_1x5_5_positions", 16, 24, 3, 1, 1, 1, 5, 1, false},
+    {"3x3_s1_p1_2x3_6_positions", 16, 24, 3, 1, 1, 2, 3, 1, true},
+    {"3x3_s1_p1_3x3_9_positions", 16, 24, 3, 1, 1, 3, 3, 1, false},
+    {"3x3_s1_p1_3x5_patch1152", 128, 64, 3, 1, 1, 3, 5, 1, false},
 };
 
 ConvGeometry conv_geometry(const ConvCase& c) {
@@ -455,6 +486,74 @@ TEST_P(ConvPackers, DirectPacksMatchIm2colThenPack) {
     ASSERT_EQ(direct_a.cols(), patch);
     EXPECT_TRUE(same_bytes(product(col_a, w_as_b), product(direct_a, w_as_b)))
         << "pack_conv_a_into diverged from im2col + pack_a_into";
+}
+
+TEST_P(ConvPackers, ImplicitLoweringMatchesPackThenGemm) {
+    // conv_gemm against pack_conv_*_into + gemm_packed on the same micro-
+    // kernel, for the weight packed as A (W · col) and as B (col^T · W^T),
+    // serial and parallel, on every micro-kernel this host can run: the
+    // same bytes whether the kernel read the image in place or packed it.
+    const ConvCase cc = GetParam();
+    const ConvGeometry g = conv_geometry(cc);
+    const std::int64_t patch = g.patch_size();
+    const std::int64_t positions = g.out_positions();
+    Rng rng(0x1A9C + static_cast<std::uint64_t>(patch * 131 + positions));
+    const Tensor image = Tensor::randn(Shape{cc.in_ch, cc.h, cc.w}, rng);
+    const Tensor w = Tensor::randn(Shape{cc.out_ch, patch}, rng);
+    const kernel::PackedMatrix w_as_a = kernel::pack_a(w.data(), patch, false, cc.out_ch, patch);
+    const kernel::PackedMatrix w_as_b = kernel::pack_b(w.data(), patch, true, patch, cc.out_ch);
+    const std::size_t floats = static_cast<std::size_t>(cc.out_ch * positions);
+
+    for (const char* isa : kernel::detail::host_isas()) {
+        for (const kernel::PackedMatrix* weight : {&w_as_a, &w_as_b}) {
+            const std::string lowering = kernel::detail::conv_lowering(isa, *weight, g);
+            SCOPED_TRACE(std::string("isa=") + isa + " lowering=" + lowering);
+            std::vector<float> expected(floats, std::nanf(""));
+            kernel::PackedMatrix cols;
+            if (weight->is_a()) {
+                kernel::pack_conv_b_into(cols, image.data(), g);
+                kernel::detail::gemm_packed_isa(isa, *weight, cols, expected.data(), positions,
+                                                1.0f, 0.0f, /*parallel=*/false);
+            } else {
+                kernel::pack_conv_a_into(cols, image.data(), g);
+                kernel::detail::gemm_packed_isa(isa, cols, *weight, expected.data(), cc.out_ch,
+                                                1.0f, 0.0f, /*parallel=*/false);
+            }
+            for (const bool parallel : {false, true}) {
+                std::vector<float> got(floats, std::nanf(""));
+                kernel::detail::conv_gemm_isa(isa, *weight, image.data(), g, got.data(),
+                                              parallel);
+                EXPECT_EQ(std::memcmp(got.data(), expected.data(), floats * sizeof(float)), 0)
+                    << "parallel=" << parallel;
+            }
+        }
+    }
+}
+
+TEST(ConvLowering, CasesCoverEveryImplicitFormOnEveryIsaThatHasOne) {
+    // The parity suite above proves nothing about an implicit form that no
+    // case reaches. Each ISA with implicit forms must meet every one of
+    // them, and the packed fallback, over kConvCases.
+    for (const char* isa : kernel::detail::host_isas()) {
+        std::set<std::string> seen;
+        for (const ConvCase& cc : kConvCases) {
+            const ConvGeometry g = conv_geometry(cc);
+            const std::int64_t patch = g.patch_size();
+            const std::vector<float> w(static_cast<std::size_t>(cc.out_ch * patch), 1.0f);
+            seen.insert(kernel::detail::conv_lowering(
+                isa, kernel::pack_a(w.data(), patch, false, cc.out_ch, patch), g));
+            seen.insert(kernel::detail::conv_lowering(
+                isa, kernel::pack_b(w.data(), patch, true, patch, cc.out_ch), g));
+        }
+        const std::string name = isa;
+        if (name == "avx512" || name == "avx2") {
+            EXPECT_EQ(seen, (std::set<std::string>{"packed", "implicit_a", "implicit_b16",
+                                                   "implicit_b8"}))
+                << isa;
+        } else {
+            EXPECT_EQ(seen, std::set<std::string>{"packed"}) << isa;
+        }
+    }
 }
 
 class PackedWeightsConv : public ::testing::TestWithParam<ConvCase> {};
